@@ -10,9 +10,9 @@ from .corpus import corpus_groups, corpus_pairs, corpus_subgroups
 from .depth import (DepthReport, bimodule_matrices, burciu_depth1,
                     depth_report, is_diagonal, min_depth, min_even_depth,
                     min_h_depth, min_odd_depth)
-from .errors import (CapExceeded, ElementNotInGroup, LiftInconsistency,
-                     NotASubgroup, NotInT, SepdepthError, SplittingFailure,
-                     UnitMissing)
+from .errors import (CapExceeded, CheckFailed, ElementNotInGroup,
+                     InvalidAlgebra, LiftInconsistency, NotASubgroup, NotInT,
+                     SepdepthError, SplittingFailure, UnitMissing)
 from .findim import (AlgebraInclusion, StructureConstantAlgebra,
                      is_separable_extension, matrix_algebra, prop_rad_check,
                      radical, upper_triangular_algebra)
@@ -25,4 +25,4 @@ from .permgroup import (FiniteGroup, Permutation, Subgroup,
                         extraspecial_27, hz_condition, lemma_S_via_centralizers,
                         property_S, quaternion_group, symmetric_group)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -41,11 +41,10 @@ def class_data(G):
             index_of[g] = i
     inverse_map = tuple(index_of[cls[0].inverse()] for cls in classes)
     assert all(inverse_map[inverse_map[i]] == i for i in range(len(classes)))
-    exponent = lcm(*(g.order() for g in G.elements))
     return ClassData(classes=classes,
                      sizes=tuple(len(c) for c in classes),
                      inverse_map=inverse_map,
-                     exponent=exponent,
+                     exponent=G.exponent(),
                      reps=tuple(min(c) for c in classes),
                      index_of=index_of)
 
@@ -90,39 +89,6 @@ def class_mult_coeffs(G, cd, i):
 
 
 # --- GF(p) helpers ---------------------------------------------------------
-
-
-def _nullspace_modp(mat, p):
-    """Right nullspace basis of mat over GF(p)."""
-    mat = [row[:] for row in mat]
-    n = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, n) if mat[i][c] % p), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(n):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for rr, pp in enumerate(pivots):
-            v[pp] = (-mat[rr][f]) % p
-        basis.append(v)
-    return basis
 
 
 class _Subspace:
@@ -174,16 +140,20 @@ class _Subspace:
         k = self.dim
         if k == 1:
             return [self]
-        # restriction matrix R with mat . b_j = sum_i R[i][j] b_i
-        images = [_mat_vec(mat, row, p) for row in self.rows]
-        cols = [self.coords(img) for img in images]
-        R = [[cols[j][i] % p for j in range(k)] for i in range(k)]
+        # restriction matrix R with mat . b_j = sum_i R[i][j] b_i; the
+        # coordinates of mat . b_j are column j of R, i.e. row j of R^t
+        Rt = [self.coords(_mat_vec(mat, row, p)) for row in self.rows]
         pieces = []
         total = 0
         for lam in range(p):
-            shifted = [[(R[i][j] - (lam if i == j else 0)) % p
-                        for j in range(k)] for i in range(k)]
-            null = _nullspace_modp(shifted, p)
+            # nullspace of R - lam*I: the I part of those echelon rows of
+            # [(R - lam*I)^t | I] whose pivot falls in the I part
+            aug = _Subspace([[x - (lam if i == j else 0)
+                              for i, x in enumerate(Rt[j])]
+                             + [1 if i == j else 0 for i in range(k)]
+                             for j in range(k)], p)
+            null = [row[k:] for row, piv in zip(aug.rows, aug.pivots)
+                    if piv >= k]
             if not null:
                 continue
             vecs = []
@@ -333,12 +303,8 @@ class InclusionMatrix:
 
 def common_prime(G, H_group):
     """Smallest Dixon prime serving both G and the subgroup H."""
-    exps = lcm(_exponent(G), _exponent(H_group))
+    exps = lcm(G.exponent(), H_group.exponent())
     return dixon_prime(exps, G.order)
-
-
-def _exponent(G):
-    return lcm(*(g.order() for g in G.elements))
 
 
 def inclusion_matrix(G, H, tableG=None, tableH=None):

@@ -21,7 +21,7 @@ from . import findim
 from .analyze import analyze_pair, report_tsv_header, report_tsv_row
 from .chartable import character_table_mod_p, common_prime
 from .corpus import corpus_pairs
-from .errors import CapExceeded, SepdepthError
+from .errors import CapExceeded, InvalidAlgebra, SepdepthError
 from .groupalg import DEFAULT_LINEAR_CAP
 from .permgroup import DEFAULT_GROUP_CAP, FiniteGroup, Permutation, Subgroup
 
@@ -54,9 +54,16 @@ def _load_json(path):
 
 def _perm_from_images(images, degree):
     if (not isinstance(images, list) or len(images) != degree
-            or sorted(images) != list(range(degree))):
+            or not all(isinstance(x, int) for x in images)
+            or set(images) != set(range(degree))):
         raise SpecError(f"not a permutation of 0..{degree - 1}: {images}")
     return Permutation(tuple(images))
+
+
+def _perms(gen_lists, degree):
+    if not isinstance(gen_lists, list) or not gen_lists:
+        raise SpecError("'generators' must be a non-empty list")
+    return [_perm_from_images(g, degree) for g in gen_lists]
 
 
 def group_from_spec(spec, cap):
@@ -65,20 +72,27 @@ def group_from_spec(spec, cap):
         gen_lists = spec["generators"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"group spec needs 'degree' and 'generators': {exc}")
-    if degree < 1 or not gen_lists:
-        raise SpecError("degree must be >= 1 and generators non-empty")
-    gens = [_perm_from_images(g, degree) for g in gen_lists]
+    if degree < 1:
+        raise SpecError("degree must be >= 1")
+    gens = _perms(gen_lists, degree)
     return FiniteGroup(gens, name=spec.get("name", "G"), cap=cap)
 
 
 def subgroup_from_spec(G, spec):
     if "generators" in spec:
-        gens = [_perm_from_images(g, G.degree) for g in spec["generators"]]
+        gens = _perms(spec["generators"], G.degree)
     elif "generator_indices" in spec:
         try:
-            gens = [G.elements[int(i)] for i in spec["generator_indices"]]
-        except (IndexError, ValueError) as exc:
+            idx = [int(i) for i in spec["generator_indices"]]
+        except (TypeError, ValueError) as exc:
             raise SpecError(f"bad generator index: {exc}")
+        if not idx:
+            raise SpecError("'generator_indices' must be non-empty")
+        bad = [i for i in idx if not 0 <= i < G.order]
+        if bad:
+            raise SpecError(f"generator index {bad[0]} not in "
+                            f"0..{G.order - 1}")
+        gens = [G.elements[i] for i in idx]
     else:
         raise SpecError(
             "subgroup spec needs 'generators' or 'generator_indices'")
@@ -100,20 +114,21 @@ def algebra_from_spec(spec):
     string entries).
     """
     if "matrix_size" in spec:
-        m = int(spec["matrix_size"])
+        try:
+            m = int(spec["matrix_size"])
+            basis = list(spec["basis"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpecError(f"matrix spec needs an integer 'matrix_size' "
+                            f"and a 'basis' list: {exc!r}")
         mats = []
-        for mat in spec["basis"]:
+        for mat in basis:
             if len(mat) != m or any(len(r) != m for r in mat):
                 raise SpecError(f"matrix is not {m}x{m}")
             mats.append({(i, j): _frac(mat[i][j])
                          for i in range(m) for j in range(m)
                          if _frac(mat[i][j])})
-        try:
-            return findim._matrix_span_algebra(
-                m, mats, name=spec.get("name", ""),
-                labels=spec.get("labels"))
-        except AssertionError as exc:
-            raise SpecError(f"bad matrix basis: {exc}")
+        return findim._matrix_span_algebra(
+            m, mats, name=spec.get("name", ""), labels=spec.get("labels"))
     try:
         mult = [[[_frac(c) for c in vec] for vec in row]
                 for row in spec["structure"]]
@@ -126,11 +141,7 @@ def algebra_from_spec(spec):
     A = findim.StructureConstantAlgebra(
         dimension=n, mult=mult, unit=unit,
         labels=spec.get("labels", []), name=spec.get("name", ""))
-    try:
-        A.check_associative_and_unital()
-    except AssertionError as exc:
-        raise SpecError(f"structure constants not associative/unital "
-                        f"at basis triple {exc}")
+    A.check_associative_and_unital()
     return A
 
 
@@ -139,16 +150,12 @@ def subalgebra_from_spec(A, spec):
         m = getattr(A, "embedding_size", None)
         if m is None:
             raise SpecError("'matrices' shorthand needs a matrix ambient")
-        vectors = []
-        from .linalg import solve_affine
-        sys_mat = [[A.flat_basis[b][k] for b in range(A.dimension)]
-                   for k in range(m * m)]
-        for mat in spec["matrices"]:
-            flat = [_frac(mat[i][j]) for i in range(m) for j in range(m)]
-            sol, _ = solve_affine(sys_mat, flat)
-            if sol is None:
-                raise SpecError("subalgebra matrix outside the ambient span")
-            vectors.append(sol)
+        try:
+            vectors = [A.flat_coords([_frac(mat[i][j]) for i in range(m)
+                                      for j in range(m)])
+                       for mat in spec["matrices"]]
+        except InvalidAlgebra:
+            raise SpecError("subalgebra matrix outside the ambient span")
     elif "vectors" in spec:
         vectors = [[_frac(c) for c in v] for v in spec["vectors"]]
         if any(len(v) != A.dimension for v in vectors):
@@ -166,18 +173,18 @@ def subalgebra_from_spec(A, spec):
 
 
 def _fixture(name):
-    if name.startswith("triangular"):
-        n = int(name[len("triangular"):] or 3)
+    kind = name.rstrip("0123456789")
+    size = name[len(kind):]
+    n = int(size) if size else (1 if kind == "monoid" else 3)
+    if kind == "triangular":
         A = findim.upper_triangular_algebra(n)
         return A, findim.strict_upper_subalgebra(A, n)
-    if name.startswith("jordan"):
-        n = int(name[len("jordan"):] or 3)
+    if kind == "jordan":
         A = findim.upper_triangular_algebra(n)
         return A, findim.jordan_subalgebra(A, n)
     if name == "structural":
         return findim.structural_matrix_example()
-    if name.startswith("monoid"):
-        n = int(name[len("monoid"):] or 1)
+    if kind == "monoid" and n >= 1:
         M, e = findim.monoid_algebra(n)
         return M, findim.monoid_nilpotent_part_subalgebra(M, e)
     raise SpecError(f"unknown fixture {name!r}; try triangular3, jordan3, "
@@ -249,7 +256,8 @@ def cmd_findim_demo(args):
         A = algebra_from_spec(_load_json(args.algebra))
         inc = subalgebra_from_spec(A, _load_json(args.subalgebra))
     rad = findim.radical(A)
-    separable, witness = findim.is_separable_extension(A, inc)
+    separable, witness = findim.is_separable_extension(A, inc,
+                                                       cap=args.cap_linear)
     rad_verdict = findim.prop_rad_check(A, inc)
     report = {
         "algebra": A.name or "A",
@@ -322,7 +330,7 @@ def build_parser():
     pf.add_argument("--fixture", default=None,
                     help="built-in example: triangular<n>, jordan<n>, "
                          "structural, monoid<n>")
-    pf.set_defaults(func=cmd_findim_demo)
+    pf.set_defaults(func=cmd_findim_demo, cap_linear=None)
     return parser
 
 
@@ -330,13 +338,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "cap_group"):
-            if args.cap_group is None:
-                args.cap_group = _env_int("SEPDEPTH_CAP_GROUP",
-                                          DEFAULT_GROUP_CAP)
-            if args.cap_linear is None:
-                args.cap_linear = _env_int("SEPDEPTH_CAP_LINEAR",
-                                           DEFAULT_LINEAR_CAP)
+        if getattr(args, "cap_group", 0) is None:
+            args.cap_group = _env_int("SEPDEPTH_CAP_GROUP",
+                                      DEFAULT_GROUP_CAP)
+        if args.cap_linear is None:
+            args.cap_linear = _env_int("SEPDEPTH_CAP_LINEAR",
+                                       DEFAULT_LINEAR_CAP)
         return args.func(args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

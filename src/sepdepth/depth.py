@@ -28,20 +28,33 @@ def bimodule_matrices(M):
     return mat_mul(M, Mt), mat_mul(Mt, M)
 
 
+def _stable_exponent(step, start, M):
+    """Least n >= 0 with step^n start and step^(n+1) start sharing a zero
+    pattern; step is S or T, which commute with their own powers."""
+    power = start
+    for n in range(len(M) * len(M[0]) + 2):
+        nxt = mat_mul(step, power)
+        if zero_pattern(power) == zero_pattern(nxt):
+            return n
+        power = nxt
+    raise AssertionError("depth scan failed to stabilize")
+
+
+def _odd(S, M):
+    return 2 * _stable_exponent(S, identity_matrix(len(S)), M) + 1
+
+
+def _even(S, M):
+    return 2 * _stable_exponent(S, M, M) + 2
+
+
+def _h(T, M):
+    return 2 * _stable_exponent(T, identity_matrix(len(T)), M) + 1
+
+
 def min_odd_depth(M):
     """Least 2n+1 with S^n and S^(n+1) sharing a zero pattern (S^0 = I)."""
-    S, _ = bimodule_matrices(M)
-    r = len(S)
-    power = identity_matrix(r)
-    n = 0
-    bound = r * len(M[0]) + 2
-    while n <= bound:
-        nxt = mat_mul(power, S)
-        if zero_pattern(power) == zero_pattern(nxt):
-            return 2 * n + 1
-        power = nxt
-        n += 1
-    raise AssertionError("odd depth scan failed to stabilize")
+    return _odd(bimodule_matrices(M)[0], M)
 
 
 def min_h_depth(M):
@@ -51,18 +64,7 @@ def min_h_depth(M):
     diagonal; each later power corresponds to one more tensor factor of A
     in the A-A-bimodule comparison.
     """
-    _, T = bimodule_matrices(M)
-    s = len(T)
-    power = identity_matrix(s)
-    n = 1
-    bound = len(M) * len(M[0]) + 2
-    while n <= bound:
-        nxt = mat_mul(power, T)
-        if zero_pattern(power) == zero_pattern(nxt):
-            return 2 * n - 1
-        power = nxt
-        n += 1
-    raise AssertionError("H-depth scan failed to stabilize")
+    return _h(bimodule_matrices(M)[1], M)
 
 
 def min_even_depth(M):
@@ -71,22 +73,13 @@ def min_even_depth(M):
     Derived matrix criterion (the source rules cover only the odd and
     H-depth cases); validated against depth-2 <=> normality on the corpus.
     """
-    S, _ = bimodule_matrices(M)
-    power = [row[:] for row in M]
-    n = 1
-    bound = len(M) * len(M[0]) + 2
-    while n <= bound:
-        nxt = mat_mul(S, power)
-        if zero_pattern(power) == zero_pattern(nxt):
-            return 2 * n
-        power = nxt
-        n += 1
-    raise AssertionError("even depth scan failed to stabilize")
+    return _even(bimodule_matrices(M)[0], M)
 
 
 def min_depth(M):
     """Minimum of the odd and even depth scans; 1 iff S is diagonal."""
-    return min(min_odd_depth(M), min_even_depth(M))
+    S, _ = bimodule_matrices(M)
+    return min(_odd(S, M), _even(S, M))
 
 
 @dataclass
@@ -118,12 +111,12 @@ class DepthReport:
 def depth_report(M):
     """All depth invariants of one inclusion matrix."""
     S, T = bimodule_matrices(M)
-    odd = min_odd_depth(M)
-    even = min_even_depth(M)
+    odd = _odd(S, M)
+    even = _even(S, M)
     rep = DepthReport(matrix=M, S=S, T=T,
                       min_odd_depth=odd,
                       min_even_depth=even,
-                      min_h_depth=min_h_depth(M),
+                      min_h_depth=_h(T, M),
                       min_depth=min(odd, even))
     assert abs(rep.min_depth - rep.min_h_depth) <= 2
     assert rep.min_h_depth % 2 == 1 and rep.min_odd_depth % 2 == 1

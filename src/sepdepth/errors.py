@@ -37,3 +37,11 @@ class NotInT(SepdepthError):
 
 class UnitMissing(SepdepthError):
     pass
+
+
+class InvalidAlgebra(SepdepthError):
+    """Structure constants or a matrix basis that define no algebra."""
+
+
+class CheckFailed(SepdepthError):
+    """An exact check of a computed result (radical, witness) failed."""

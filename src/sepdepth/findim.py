@@ -10,10 +10,9 @@ algebras, and the cyclic-monoid algebra with one idempotent power relation.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CapExceeded, UnitMissing
-from .linalg import nullspace, rank, rref, solve_affine
-
-DEFAULT_FINDIM_CAP = 4096
+from .errors import CapExceeded, CheckFailed, InvalidAlgebra, UnitMissing
+from .groupalg import DEFAULT_LINEAR_CAP
+from .linalg import SparseEchelon, nullspace, rank, rref, to_dense, to_sparse
 
 
 @dataclass
@@ -57,8 +56,10 @@ class StructureConstantAlgebra:
         n = self.dimension
         for i in range(n):
             bi = _unit_vec(n, i)
-            assert self.multiply(self.unit, bi) == bi
-            assert self.multiply(bi, self.unit) == bi
+            if not self.multiply(self.unit, bi) == bi == \
+                    self.multiply(bi, self.unit):
+                raise InvalidAlgebra(f"unit is not a two-sided unit on "
+                                     f"basis element {i}")
         for i in range(n):
             for j in range(n):
                 ij = self.multiply(_unit_vec(n, i), _unit_vec(n, j))
@@ -67,7 +68,10 @@ class StructureConstantAlgebra:
                     lhs = self.multiply(ij, bk)
                     jk = self.multiply(_unit_vec(n, j), bk)
                     rhs = self.multiply(_unit_vec(n, i), jk)
-                    assert lhs == rhs, (i, j, k)
+                    if lhs != rhs:
+                        raise InvalidAlgebra(
+                            f"structure constants not associative at basis "
+                            f"triple {(i, j, k)}")
         return True
 
 
@@ -84,34 +88,30 @@ class AlgebraInclusion:
 
     def __post_init__(self):
         A = self.ambient
-        rows, _ = rref(self.sub_basis)
-        self.sub_basis = rows
-        span = _SpanChecker(rows)
-        if not span.contains(A.unit):
+        span = SparseEchelon(map(to_sparse, self.sub_basis))
+        rows = span.back_substitute()
+        self.pivots = [min(r) for r in rows]
+        self.sub_basis = [to_dense(r, A.dimension) for r in rows]
+        if not span.contains(to_sparse(A.unit)):
             raise UnitMissing("subalgebra does not contain the unit")
-        for u in rows:
-            for v in rows:
-                if not span.contains(A.multiply(u, v)):
-                    raise ValueError("subalgebra basis not closed")
+        if not _spans(span, (A.multiply(u, v) for u in self.sub_basis
+                             for v in self.sub_basis)):
+            raise ValueError("subalgebra basis not closed")
 
     @property
     def sub_dimension(self):
         return len(self.sub_basis)
 
 
-class _SpanChecker:
-    def __init__(self, rref_rows):
-        self.rows = rref_rows
-        self.pivots = [next(i for i, x in enumerate(r) if x)
-                       for r in rref_rows]
+def _spans(ech, vectors):
+    return all(ech.contains(to_sparse(v)) for v in vectors)
 
-    def contains(self, v):
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                c = v[p]
-                v = [a - c * b for a, b in zip(v, row)]
-        return not any(v)
+
+def _is_ideal(A, basis):
+    span = SparseEchelon(map(to_sparse, basis))
+    units = [_unit_vec(A.dimension, i) for i in range(A.dimension)]
+    return _spans(span, (w for v in basis for b in units
+                         for w in (A.multiply(b, v), A.multiply(v, b))))
 
 
 def radical(A):
@@ -123,8 +123,7 @@ def radical(A):
     regs = [A.left_regular_matrix(_unit_vec(n, i)) for i in range(n)]
     gram = [[_trace_prod(regs[i], regs[j]) for j in range(n)]
             for i in range(n)]
-    basis = nullspace(gram, ncols=n)
-    basis, _ = rref(basis)
+    basis, _ = rref(nullspace(gram, ncols=n))
     _check_nilpotent_ideal(A, basis)
     return basis
 
@@ -137,22 +136,15 @@ def _trace_prod(a, b):
 def _check_nilpotent_ideal(A, basis):
     if not basis:
         return
-    n = A.dimension
-    span = _SpanChecker(basis)
-    for v in basis:
-        for i in range(n):
-            bi = _unit_vec(n, i)
-            assert span.contains(A.multiply(bi, v))
-            assert span.contains(A.multiply(v, bi))
+    if not _is_ideal(A, basis):
+        raise CheckFailed("radical candidate is not an ideal")
     # nilpotency: power up the span until it dies
     current = basis
-    for _ in range(n + 1):
+    for _ in range(A.dimension + 1):
         if not current:
             return
-        prods = [A.multiply(u, v) for u in current for v in basis]
-        current, _ = rref(prods)
-        current = [r for r in current if any(r)]
-    raise AssertionError("radical candidate is not nilpotent")
+        current, _ = rref([A.multiply(u, v) for u in current for v in basis])
+    raise CheckFailed("radical candidate is not nilpotent")
 
 
 def subalgebra_closure(A, vectors):
@@ -160,18 +152,15 @@ def subalgebra_closure(A, vectors):
 
     The vectors must include the unit (raises UnitMissing otherwise).
     """
-    rows, _ = rref(vectors)
-    span = _SpanChecker(rows)
-    if not span.contains(A.unit):
+    span = SparseEchelon(map(to_sparse, vectors))
+    if not span.contains(to_sparse(A.unit)):
         raise UnitMissing("closure seed must contain the unit")
     while True:
-        prods = [A.multiply(u, v) for u in rows for v in rows]
-        new_rows, _ = rref(rows + prods)
-        new_rows = [r for r in new_rows if any(r)]
-        if len(new_rows) == len(rows):
-            return AlgebraInclusion(A, new_rows)
-        rows = new_rows
-        span = _SpanChecker(rows)
+        rows = [to_dense(r, A.dimension) for r in span.basis()]
+        grew = [span.add(to_sparse(A.multiply(u, v)))
+                for u in rows for v in rows]
+        if not any(grew):
+            return AlgebraInclusion(A, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -182,43 +171,35 @@ class RelativeTensorSquare:
     """A (x)_B A as a quotient of the n^2-dimensional plain tensor square
     by span{(a_p b) (x) a_r - a_p (x) (b a_r)} over basis triples."""
 
-    def __init__(self, A, inclusion, cap=DEFAULT_FINDIM_CAP):
+    def __init__(self, A, inclusion, cap=DEFAULT_LINEAR_CAP):
         n = A.dimension
         if n * n > cap:
             raise CapExceeded("dim(A tensor A)", n * n, cap)
         self.A = A
         self.n = n
-        rels = []
+        self.relations = SparseEchelon()
         for p in range(n):
             ap = _unit_vec(n, p)
             for b in inclusion.sub_basis:
                 left = A.multiply(ap, b)
                 for r in range(n):
-                    ar = _unit_vec(n, r)
-                    right = A.multiply(b, ar)
-                    rel = [Fraction(0)] * (n * n)
+                    right = A.multiply(b, _unit_vec(n, r))
+                    rel = {}
                     for i, c in enumerate(left):
                         if c:
-                            rel[i * n + r] += c
+                            rel[i * n + r] = rel.get(i * n + r, 0) + c
                     for j, c in enumerate(right):
                         if c:
-                            rel[p * n + j] -= c
-                    if any(rel):
-                        rels.append(rel)
-        rel_rows, rel_pivots = rref(rels)
-        self.rel_rows = rel_rows
-        self.rel_pivots = rel_pivots
-        self.free = [c for c in range(n * n) if c not in rel_pivots]
+                            rel[p * n + j] = rel.get(p * n + j, 0) - c
+                    self.relations.add(rel)
+        self.free = [c for c in range(n * n)
+                     if c not in self.relations.rows]
 
     def project(self, vec):
         """Reduce an ambient tensor vector mod the relations; returns
         coordinates on the free (quotient) positions."""
-        v = list(vec)
-        for row, p in zip(self.rel_rows, self.rel_pivots):
-            if v[p]:
-                c = v[p]
-                v = [a - c * b for a, b in zip(v, row)]
-        return [v[c] for c in self.free]
+        v = self.relations.reduce(to_sparse(vec), full=True)
+        return [v.get(c, Fraction(0)) for c in self.free]
 
     def dim(self):
         return len(self.free)
@@ -271,7 +252,7 @@ class RelativeTensorSquare:
         return v
 
 
-def is_separable_extension(A, inclusion, cap=DEFAULT_FINDIM_CAP):
+def is_separable_extension(A, inclusion, cap=DEFAULT_LINEAR_CAP):
     """Solve {t A-central in A (x)_B A, mu(t) = 1}.
 
     Returns (separable: bool, witness ambient tensor vector or None).
@@ -282,27 +263,27 @@ def is_separable_extension(A, inclusion, cap=DEFAULT_FINDIM_CAP):
     q = rts.dim()
     # quotient basis lifts
     lifts = [rts.lift(_unit_vec(q, i)) for i in range(q)]
-    rows = []
-    rhs = []
-    for a_idx in range(n):
-        a = _unit_vec(n, a_idx)
-        cols = []
-        for lv in lifts:
+    # unknowns 0..q-1 are the quotient coordinates, column q the rhs
+    rows = [{} for _ in range(n * q + n)]
+    for c, lv in enumerate(lifts):
+        for a_idx in range(n):
+            a = _unit_vec(n, a_idx)
             diff = [x - y for x, y in
                     zip(rts.left_mult_ambient(a, lv),
                         rts.right_mult_ambient(lv, a))]
-            cols.append(rts.project(diff))
-        for r in range(q):
-            rows.append([cols[c][r] for c in range(q)])
-            rhs.append(Fraction(0))
-    mu_cols = [rts.mu_ambient(lv) for lv in lifts]
-    for k in range(n):
-        rows.append([mu_cols[c][k] for c in range(q)])
-        rhs.append(A.unit[k])
-    sol, _ = solve_affine(rows, rhs)
+            for r, x in enumerate(rts.project(diff)):
+                if x:
+                    rows[a_idx * q + r][c] = x
+        for k, x in enumerate(rts.mu_ambient(lv)):
+            if x:
+                rows[n * q + k][c] = x
+    for k, x in enumerate(A.unit):
+        if x:
+            rows[n * q + k][q] = x
+    sol = SparseEchelon(rows).solution(q)
     if sol is None:
         return False, None
-    witness = rts.lift(sol)
+    witness = rts.lift(to_dense(sol, q))
     verify_separability_witness(A, rts, witness)
     return True, witness
 
@@ -315,25 +296,20 @@ def verify_separability_witness(A, rts, witness):
         diff = [x - y for x, y in
                 zip(rts.left_mult_ambient(a, witness),
                     rts.right_mult_ambient(witness, a))]
-        assert not any(rts.project(diff)), "centrality residual nonzero"
-    assert rts.mu_ambient(witness) == A.unit, "mu(e) != 1"
+        if any(rts.project(diff)):
+            raise CheckFailed("witness: centrality residual nonzero")
+    if rts.mu_ambient(witness) != A.unit:
+        raise CheckFailed("witness: mu(e) != 1")
 
 
 def prop_rad_check(A, inclusion):
     """Radical criterion: separable iff J(A) = J(B), when J(B) is an
     ideal of A.  Returns 'separable', 'inseparable' or 'not-applicable'."""
     JB_sub = _sub_radical(A, inclusion)
-    n = A.dimension
-    if JB_sub:
-        span = _SpanChecker(JB_sub)
-        for v in JB_sub:
-            for i in range(n):
-                bi = _unit_vec(n, i)
-                if not span.contains(A.multiply(bi, v)) or \
-                        not span.contains(A.multiply(v, bi)):
-                    return "not-applicable"
-    JA = radical(A)
-    if _same_span(JA, JB_sub, n):
+    if not _is_ideal(A, JB_sub):
+        return "not-applicable"
+    # both bases are reduced row echelon forms, unique for their span
+    if radical(A) == JB_sub:
         return "separable"
     return "inseparable"
 
@@ -342,20 +318,11 @@ def _sub_radical(A, inclusion):
     """J(B) expressed in ambient coordinates."""
     basis = inclusion.sub_basis
     m = len(basis)
-    # B as its own structure-constant algebra
-    span = _SpanChecker(basis)
-    pivots = span.pivots
 
+    # B as its own structure-constant algebra; its basis is in reduced
+    # row echelon form, so a coordinate is the entry at that row's pivot
     def coords(v):
-        v = list(v)
-        out = []
-        for row, p in zip(basis, pivots):
-            c = v[p]
-            out.append(c)
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        assert not any(v)
-        return out
+        return [v[p] for p in inclusion.pivots]
 
     mult = [[coords(A.multiply(basis[i], basis[j])) for j in range(m)]
             for i in range(m)]
@@ -369,14 +336,7 @@ def _sub_radical(A, inclusion):
             for k, x in enumerate(bvec):
                 amb[k] += c * x
         out.append(amb)
-    rows, _ = rref(out)
-    return [r for r in rows if any(r)]
-
-
-def _same_span(u, v, n):
-    ru = [r for r in rref(u)[0] if any(r)] if u else []
-    rv = [r for r in rref(v)[0] if any(r)] if v else []
-    return ru == rv
+    return rref(out)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -395,27 +355,28 @@ def matrix_algebra(n):
 def _matrix_span_algebra(m, basis_mats, name="", labels=None):
     """Algebra spanned inside M_m(Q) by the given sparse matrices."""
     dim = len(basis_mats)
+    mm = m * m
     flat = []
     for mat in basis_mats:
-        v = [Fraction(0)] * (m * m)
+        v = [Fraction(0)] * mm
         for (i, j), c in mat.items():
             v[i * m + j] = c
         flat.append(v)
-    rows, _ = rref(flat)
-    assert len(rows) == dim, "matrix basis not independent"
-    span = _SpanChecker(rows)
+    # rows (flat_b | e_b): the normal form of (v | 0) is (0 | -coords of v)
+    span = SparseEchelon({**to_sparse(v), mm + b: 1}
+                         for b, v in enumerate(flat))
+    if any(p >= mm for p in span.rows):
+        raise InvalidAlgebra("matrix basis not independent")
 
     def coords(vflat):
-        v = list(vflat)
-        out = [Fraction(0)] * dim
-        # express in the original (not echelon) basis by solving
-        sol, _ = solve_affine(
-            [[flat[b][k] for b in range(dim)] for k in range(m * m)], v)
-        assert sol is not None, "product left the span"
-        return sol
+        """Coordinates of a flat matrix in the given basis."""
+        v = span.reduce(to_sparse(vflat), full=True)
+        if any(k < mm for k in v):
+            raise InvalidAlgebra("matrix outside the span of the basis")
+        return [-v.get(mm + b, Fraction(0)) for b in range(dim)]
 
     def mat_mul_flat(u, v):
-        out = [Fraction(0)] * (m * m)
+        out = [Fraction(0)] * mm
         for i in range(m):
             for k in range(m):
                 a = u[i * m + k]
@@ -434,7 +395,7 @@ def _matrix_span_algebra(m, basis_mats, name="", labels=None):
     A = StructureConstantAlgebra(dimension=dim, mult=mult, unit=unit,
                                  labels=labels or [], name=name)
     A.embedding_size = m
-    A.flat_basis = flat
+    A.flat_coords = coords
     return A
 
 

@@ -1,33 +1,26 @@
 """Exact rational linear algebra.
 
-Two flavours live here: a sparse incremental echelon accumulator used for the
-large span computations in the group-algebra module, and small dense routines
-(RREF, nullspace, affine solve) used everywhere a full system has to be
-solved.  All arithmetic is exact, over :class:`fractions.Fraction`.
+One eliminator lives here: a sparse incremental echelon over
+:class:`fractions.Fraction`.  The group-algebra span tests use its
+forward reduction; back-substitution gives the reduced rows, and with them
+nullspaces and affine solutions.  The dense routines (RREF, nullspace,
+affine solve, rank) are list-in/list-out adapters over it.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
 
 
-def _to_int_vec(vec):
-    """Scale a sparse rational vector to integers with content 1."""
-    items = [(k, v) for k, v in vec.items() if v]
-    if not items:
-        return {}
-    denom = 1
-    for _, v in items:
-        d = v.denominator if isinstance(v, Fraction) else 1
-        denom = denom * d // gcd(denom, d)
-    out = {}
-    g = 0
-    for k, v in items:
-        n = int(v * denom)
-        out[k] = n
-        g = gcd(g, n)
-    if g > 1:
-        out = {k: n // g for k, n in out.items()}
+def to_sparse(vec):
+    """Sparse dict of a coordinate list."""
+    return {k: x for k, x in enumerate(vec) if x}
+
+
+def to_dense(vec, n):
+    """Coordinate list of length n of a sparse dict."""
+    out = [Fraction(0)] * n
+    for k, x in vec.items():
+        out[k] = x
     return out
 
 
@@ -36,19 +29,26 @@ class SparseEchelon:
 
     Vectors are dicts mapping coordinate index to a nonzero number
     (Fraction or int); rows are stored with pivot coefficient 1 and are
-    forward-reduced only (no back-substitution), which is all that rank
-    and membership queries need and keeps coefficient growth in check.
+    forward-reduced only until ``back_substitute`` turns them into the
+    reduced row echelon form of their span.
     """
 
-    def __init__(self):
+    def __init__(self, vectors=()):
         self.rows = {}  # pivot index -> Fraction vector dict (pivot coeff 1)
+        for vec in vectors:
+            self.add(vec)
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        """Return vec forward-reduced against the basis (Fraction dict)."""
+    def reduce(self, vec, full=False):
+        """Return vec reduced against the basis (Fraction dict).
+
+        By default only until its leading entry is off the pivots; with
+        full=True on every pivot, which gives the normal form of vec
+        modulo the span (zero on every pivot, unique for the span).
+        """
         vec = {k: Fraction(v) for k, v in vec.items() if v}
         if not vec:
             return {}
@@ -62,6 +62,8 @@ class SparseEchelon:
                 continue
             row = self.rows.get(p)
             if row is None:
+                if full:
+                    continue
                 # p is the true pivot of the reduced vector
                 heappush(heap, p)
                 break
@@ -89,52 +91,57 @@ class SparseEchelon:
         return not self.reduce(vec)
 
     def basis(self):
-        """Basis rows sorted by pivot (integer coefficient dicts)."""
+        """Basis rows sorted by pivot (Fraction coefficient dicts)."""
         return [self.rows[p] for p in sorted(self.rows)]
 
+    def back_substitute(self):
+        """Clear every pivot column outside its own row; return the rows,
+        now the reduced row echelon form, sorted by pivot."""
+        for p in sorted(self.rows, reverse=True):
+            tail = self.rows[p]
+            del tail[p]
+            # rows with a larger pivot are reduced already
+            self.rows[p] = {p: Fraction(1), **self.reduce(tail, full=True)}
+        return self.basis()
 
-def sparse_rank(vectors, stop_at=None):
-    """Rank of a family of sparse vectors; stops early at stop_at if given."""
-    ech = SparseEchelon()
-    for v in vectors:
-        ech.add(v)
-        if stop_at is not None and ech.rank >= stop_at:
-            break
-    return ech.rank
+    def kernel(self, ncols):
+        """Nullspace of the rows read as equations in unknowns
+        0..ncols-1: one vector per free unknown f, with 1 at f."""
+        rows = self.back_substitute()
+        free = {f: {f: Fraction(1)} for f in range(ncols)
+                if f not in self.rows}
+        for row in rows:
+            p = min(row)
+            for k, v in row.items():
+                if k in free:
+                    free[k][p] = -v
+        return list(free.values())
+
+    def solution(self, ncols):
+        """Particular solution, free unknowns zero, of the rows read as
+        an augmented system [A | b] with b in column ncols; None if the
+        system is inconsistent."""
+        rows = self.back_substitute()
+        if ncols in self.rows:
+            return None
+        return {min(row): row[ncols] for row in rows if ncols in row}
 
 
 # ---------------------------------------------------------------------------
-# dense routines
+# dense adapters
 
 
-def frac_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _echelon(mat):
+    return SparseEchelon(map(to_sparse, mat))
 
 
 def rref(mat):
     """Reduced row echelon form; returns (rows, pivot column list)."""
-    mat = frac_matrix(mat)
     if not mat:
         return [], []
     ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    rows = _echelon(mat).back_substitute()
+    return [to_dense(r, ncols) for r in rows], [min(r) for r in rows]
 
 
 def nullspace(mat, ncols=None):
@@ -143,16 +150,7 @@ def nullspace(mat, ncols=None):
         return [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
                 for j in range(ncols or 0)]
     ncols = len(mat[0])
-    rows, pivots = rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(v)
-    return basis
+    return [to_dense(v, ncols) for v in _echelon(mat).kernel(ncols)]
 
 
 def solve_affine(mat, rhs):
@@ -163,18 +161,14 @@ def solve_affine(mat, rhs):
     if not mat:
         return [], []
     ncols = len(mat[0])
-    aug = [row + [b] for row, b in zip(mat, rhs)]
-    rows, pivots = rref(aug)
-    if ncols in pivots:
-        return None, nullspace(mat)
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][ncols]
-    return x, nullspace(mat)
+    ech = _echelon(list(row) + [b] for row, b in zip(mat, rhs))
+    sol = ech.solution(ncols)
+    null = [to_dense(v, ncols) for v in ech.kernel(ncols)]
+    return (None if sol is None else to_dense(sol, ncols)), null
 
 
 def rank(mat):
-    return len(rref(mat)[0])
+    return _echelon(mat).rank
 
 
 # ---------------------------------------------------------------------------

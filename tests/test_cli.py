@@ -141,6 +141,12 @@ def test_findim_demo_unknown_fixture(capsys):
     assert "unknown fixture" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["triangularx", "monoid0", "structural2"])
+def test_findim_demo_malformed_fixture_exit_1(capsys, name):
+    assert main(["findim-demo", "--fixture", name]) == 1
+    assert "unknown fixture" in capsys.readouterr().err
+
+
 def test_findim_demo_spec_files(tmp_path, capsys):
     alg = {
         "name": "T2",
@@ -198,3 +204,74 @@ def test_findim_demo_bad_structure_exit_1(tmp_path, capsys):
 def test_findim_demo_missing_args(capsys):
     assert main(["findim-demo"]) == 1
     assert "need --fixture" in capsys.readouterr().err
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"generators": []}, "non-empty"),
+    ({"generators": 5}, "non-empty"),
+    ({"generators": [["a", 1, 2]]}, "not a permutation"),
+    ({"generator_indices": []}, "non-empty"),
+    ({"generator_indices": [-1]}, "generator index"),
+    ({"generator_indices": [6]}, "generator index"),
+    ({"generator_indices": ["x"]}, "generator index"),
+])
+def test_bad_subgroup_spec_exit_1(s3_files, tmp_path, capsys, spec, message):
+    g, _ = s3_files
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps(spec))
+    assert main(["analyze", g, str(h)]) == 1
+    assert message in _one_line_error(capsys)
+
+
+def test_matrix_spec_without_basis_exit_1(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"matrix_size": 2}))
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps({"vectors": [["1"]]}))
+    assert main(["findim-demo", str(a), str(b)]) == 1
+    assert "'basis'" in _one_line_error(capsys)
+
+
+def test_findim_demo_cap_linear_env_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("SEPDEPTH_CAP_LINEAR", "10")
+    assert main(["findim-demo", "--fixture", "triangular3"]) == 2
+    assert "cap exceeded" in capsys.readouterr().err
+
+
+# b0 is the unit, b1*b1 = b2, b2*b2 = b0: (b1 b1) b2 = b0 but b1 (b1 b2) = 0
+NON_ASSOCIATIVE = {
+    "structure": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                  [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+                  [["0", "0", "1"], ["0", "0", "0"], ["1", "0", "0"]]],
+    "unit": ["1", "0", "0"],
+}
+
+
+def test_non_associative_rejected_under_optimize(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import sepdepth
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(NON_ASSOCIATIVE))
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps({"vectors": [["1", "0", "0"]]}))
+    src = os.path.dirname(os.path.dirname(sepdepth.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-m", "sepdepth.cli",
+                           "findim-demo", str(a), str(b)],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        "error: structure constants not associative at basis triple "
+        "(1, 1, 2)"]

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from sepdepth.errors import UnitMissing
+from sepdepth.errors import CheckFailed, InvalidAlgebra, UnitMissing
 from sepdepth.findim import (AlgebraInclusion, RelativeTensorSquare,
+                             StructureConstantAlgebra,
+                             _check_nilpotent_ideal, _matrix_span_algebra,
                              is_separable_extension, jordan_subalgebra,
                              matrix_algebra,
                              matrix_algebra_separability_witnesses,
@@ -108,6 +110,25 @@ def test_matrix_witnesses_verify():
             verify_separability_witness(A, rts, w)
         # distinct witnesses show non-uniqueness over the ground field
         assert witnesses[0] != witnesses[1]
+
+
+def test_checks_raise_package_errors():
+    """Validation and result checks raise, so they hold under python -O."""
+    A, witnesses = matrix_algebra_separability_witnesses(2)
+    rts = RelativeTensorSquare(A, ground_field_inclusion(A))
+    with pytest.raises(CheckFailed, match="mu"):
+        verify_separability_witness(A, rts, [2 * x for x in witnesses[0]])
+    with pytest.raises(CheckFailed, match="ideal"):
+        _check_nilpotent_ideal(A, [list(A.unit)])
+    one, x = [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]
+    with pytest.raises(InvalidAlgebra, match="unit"):
+        StructureConstantAlgebra(dimension=2, mult=[[one, x], [x, one]],
+                                 unit=x).check_associative_and_unital()
+    e11, e12, e21 = ({(0, 0): 1}, {(0, 1): 1}, {(1, 0): 1})
+    with pytest.raises(InvalidAlgebra, match="independent"):
+        _matrix_span_algebra(2, [e12, {(0, 1): 2}])
+    with pytest.raises(InvalidAlgebra, match="span"):
+        _matrix_span_algebra(2, [e11, e12, e21])
 
 
 def test_subalgebra_closure():

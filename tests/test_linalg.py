@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sepdepth.linalg import (SparseEchelon, identity_matrix, mat_mul,
-                             nullspace, rank, rref, solve_affine,
-                             sparse_rank, transpose)
+                             nullspace, rank, rref, solve_affine, transpose)
 
 
 def random_matrix(rows, cols, seed):
@@ -14,11 +13,75 @@ def random_matrix(rows, cols, seed):
              for _ in range(cols)] for _ in range(rows)]
 
 
-def test_sparse_rank_matches_dense():
-    mat = random_matrix(12, 9, seed=7)
-    dense = rank(mat)
-    vecs = [{j: x for j, x in enumerate(row) if x} for row in mat]
-    assert sparse_rank(vecs) == dense
+def oracle_cases():
+    """(matrix, rhs) pairs: full rank, rank-deficient, zero, with
+    consistent and inconsistent right-hand sides."""
+    rng = random.Random(11)
+    cases = []
+    for rows, cols, inner in ((5, 5, 5), (4, 7, 4), (8, 3, 3), (6, 6, 3),
+                              (7, 5, 2), (5, 8, 1), (3, 4, 0)):
+        left = random_matrix(rows, inner, seed=rng.random())
+        right = random_matrix(inner, cols, seed=rng.random())
+        mat = ([[sum((a * b for a, b in zip(row, col)), Fraction(0))
+                 for col in zip(*right)] for row in left]
+               if inner else [[Fraction(0)] * cols for _ in range(rows)])
+        x = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
+        consistent = [sum(a * b for a, b in zip(row, x)) for row in mat]
+        arbitrary = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                     for _ in range(rows)]
+        cases += [(mat, consistent), (mat, arbitrary)]
+    return cases
+
+
+def test_dense_routines_match_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def frac(x):
+        return Fraction(int(x.p), int(x.q))
+
+    inconsistent = 0
+    for mat, rhs in oracle_cases():
+        M = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                           for x in row] for row in mat])
+        b = sympy.Matrix([sympy.Rational(x.numerator, x.denominator)
+                          for x in rhs])
+        R, pivots = M.rref()
+        rows, got_pivots = rref(mat)
+        assert got_pivots == list(pivots)
+        assert rows == [[frac(x) for x in R.row(i)]
+                        for i in range(len(pivots))]
+        assert rank(mat) == M.rank()
+        null = [[frac(x) for x in v] for v in M.nullspace()]
+        assert nullspace(mat) == null
+        sol, got_null = solve_affine(mat, rhs)
+        assert got_null == null
+        try:
+            expect, params = M.gauss_jordan_solve(b)
+        except ValueError:
+            assert sol is None
+            inconsistent += 1
+            continue
+        expect = expect.subs({t: 0 for t in params})
+        assert sol == [frac(x) for x in expect]
+    assert inconsistent >= 3
+
+
+def test_sparse_echelon_normal_form():
+    mat = random_matrix(4, 9, seed=5)
+    ech = SparseEchelon({j: x for j, x in enumerate(row) if x}
+                        for row in mat)
+    vec = {0: 1, 3: Fraction(2, 3), 8: -1}
+    nf = ech.reduce(vec, full=True)
+    assert not set(nf) & set(ech.rows)
+    diff = dict(vec)
+    for k, x in nf.items():
+        diff[k] = diff.get(k, 0) - x
+    assert ech.contains(diff)
+    # the normal form does not depend on how the span was echelonized
+    other = SparseEchelon({j: x for j, x in enumerate(row) if x}
+                          for row in reversed(mat))
+    assert other.reduce(vec, full=True) == nf
+    assert other.back_substitute() == ech.back_substitute()
 
 
 def test_sparse_echelon_membership():
