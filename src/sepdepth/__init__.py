@@ -11,8 +11,9 @@ from .depth import (DepthReport, bimodule_matrices, burciu_depth1,
                     depth_report, is_diagonal, min_depth, min_even_depth,
                     min_h_depth, min_odd_depth)
 from .errors import (CapExceeded, CheckFailed, ElementNotInGroup,
-                     InvalidAlgebra, LiftInconsistency, NotASubgroup, NotInT,
-                     SepdepthError, SplittingFailure, UnitMissing)
+                     InvalidAlgebra, InvalidArgument, LiftInconsistency,
+                     NotASubgroup, NotInT, SepdepthError, SplittingFailure,
+                     UnitMissing)
 from .findim import (AlgebraInclusion, StructureConstantAlgebra,
                      is_separable_extension, matrix_algebra, prop_rad_check,
                      radical, upper_triangular_algebra)

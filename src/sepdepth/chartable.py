@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 from math import isqrt, lcm
 
-from .errors import LiftInconsistency, SplittingFailure
+from .errors import (CheckFailed, InvalidArgument, LiftInconsistency,
+                     SplittingFailure)
 from .permgroup import conjugacy_classes
 
 MAX_SPLIT_RETRIES = 8
@@ -40,7 +41,8 @@ def class_data(G):
         for g in cls:
             index_of[g] = i
     inverse_map = tuple(index_of[cls[0].inverse()] for cls in classes)
-    assert all(inverse_map[inverse_map[i]] == i for i in range(len(classes)))
+    if any(inverse_map[inverse_map[i]] != i for i in range(len(classes))):
+        raise CheckFailed("class inversion is not an involution")
     return ClassData(classes=classes,
                      sizes=tuple(len(c) for c in classes),
                      inverse_map=inverse_map,
@@ -198,16 +200,19 @@ class CharacterTableModP:
     def check_invariants(self, order):
         p = self.prime
         cd = self.class_data
-        assert sum(d * d for d in self.degrees) == order
-        assert all(self.table[i][0] == self.degrees[i] % p
-                   for i in range(len(self.table)))
+        if sum(d * d for d in self.degrees) != order:
+            raise CheckFailed("squared degrees do not sum to the order")
+        if any(self.table[i][0] != self.degrees[i] % p
+               for i in range(len(self.table))):
+            raise CheckFailed("identity column differs from the degrees")
         inv_order = pow(order % p, -1, p)
         for i in range(len(self.table)):
             for j in range(len(self.table)):
                 s = sum(cd.sizes[k] * self.table[i][k]
                         * self.table[j][cd.inverse_map[k]]
                         for k in range(cd.num_classes))
-                assert (s * inv_order) % p == (1 if i == j else 0)
+                if (s * inv_order) % p != (1 if i == j else 0):
+                    raise CheckFailed("rows are not orthonormal")
 
     def to_json_dict(self):
         return {"prime": self.prime, "seed": self.seed,
@@ -225,7 +230,11 @@ def character_table_mod_p(G, prime=None, seed=0):
     cd = class_data(G)
     r = cd.num_classes
     p = prime if prime is not None else dixon_prime(cd.exponent, G.order)
-    assert (p - 1) % cd.exponent == 0 and p > 2 * isqrt(G.order)
+    if not (_is_prime(p) and (p - 1) % cd.exponent == 0
+            and p > 2 * isqrt(G.order)):
+        raise InvalidArgument(
+            f"{p} is not a prime = 1 mod {cd.exponent} above "
+            f"2*sqrt({G.order})")
     mats = [class_mult_coeffs(G, cd, i) for i in range(r)]
     spaces = [_Subspace([[1 if i == j else 0 for j in range(r)]
                          for i in range(r)], p)]

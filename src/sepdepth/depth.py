@@ -9,6 +9,7 @@ flagged as such in reports.
 
 from dataclasses import dataclass, field
 
+from .errors import CheckFailed
 from .linalg import identity_matrix, mat_mul, transpose
 
 
@@ -37,7 +38,7 @@ def _stable_exponent(step, start, M):
         if zero_pattern(power) == zero_pattern(nxt):
             return n
         power = nxt
-    raise AssertionError("depth scan failed to stabilize")
+    raise CheckFailed("depth scan failed to stabilize")
 
 
 def _odd(S, M):
@@ -118,8 +119,10 @@ def depth_report(M):
                       min_even_depth=even,
                       min_h_depth=_h(T, M),
                       min_depth=min(odd, even))
-    assert abs(rep.min_depth - rep.min_h_depth) <= 2
-    assert rep.min_h_depth % 2 == 1 and rep.min_odd_depth % 2 == 1
+    if abs(rep.min_depth - rep.min_h_depth) > 2:
+        raise CheckFailed("depth and H-depth differ by more than 2")
+    if rep.min_h_depth % 2 == 0 or rep.min_odd_depth % 2 == 0:
+        raise CheckFailed("odd depth or H-depth came out even")
     return rep
 
 

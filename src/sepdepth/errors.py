@@ -45,3 +45,7 @@ class InvalidAlgebra(SepdepthError):
 
 class CheckFailed(SepdepthError):
     """An exact check of a computed result (radical, witness) failed."""
+
+
+class InvalidArgument(SepdepthError, ValueError):
+    """An argument outside a function's domain."""

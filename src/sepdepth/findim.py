@@ -10,7 +10,8 @@ algebras, and the cyclic-monoid algebra with one idempotent power relation.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CapExceeded, CheckFailed, InvalidAlgebra, UnitMissing
+from .errors import (CapExceeded, CheckFailed, InvalidAlgebra,
+                     InvalidArgument, UnitMissing)
 from .groupalg import DEFAULT_LINEAR_CAP
 from .linalg import SparseEchelon, nullspace, rank, rref, to_dense, to_sparse
 
@@ -399,19 +400,31 @@ def _matrix_span_algebra(m, basis_mats, name="", labels=None):
     return A
 
 
+def _upper_units(n):
+    """Positions (i, j), 0-based, of T_n's matrix-unit basis, in order."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
 def upper_triangular_algebra(n):
     """T_n(Q), upper-triangular matrices."""
-    units = [(i, j) for i in range(n) for j in range(i, n)]
+    units = _upper_units(n)
     return _matrix_span_algebra(
         n, [{(i, j): Fraction(1)} for (i, j) in units],
         name=f"T{n}", labels=[f"e{i+1}{j+1}" for (i, j) in units])
 
 
+def _t_n_units(A, n):
+    """T_n's unit positions, indexed like A's basis; A must be T_n."""
+    units = _upper_units(n)
+    if A.dimension != len(units):
+        raise InvalidAlgebra(f"{A.name or 'algebra'} is not T{n}")
+    return units
+
+
 def strict_upper_subalgebra(A, n):
     """k1 + strictly upper triangulars inside T_n, in A's coordinates."""
     vectors = [list(A.unit)]
-    for idx, lab in enumerate(A.labels):
-        i, j = int(lab[1]), int(lab[2])
+    for idx, (i, j) in enumerate(_t_n_units(A, n)):
         if j > i:
             vectors.append(_unit_vec(A.dimension, idx))
     return AlgebraInclusion(A, vectors)
@@ -419,14 +432,11 @@ def strict_upper_subalgebra(A, n):
 
 def jordan_subalgebra(A, n):
     """k1 + k(e12 + ... + e_{n-1,n}) + ... + k e_1n inside T_n."""
+    units = _t_n_units(A, n)
     vectors = [list(A.unit)]
     for shift in range(1, n):
-        v = [Fraction(0)] * A.dimension
-        for idx, lab in enumerate(A.labels):
-            i, j = int(lab[1]), int(lab[2])
-            if j - i == shift:
-                v[idx] = Fraction(1)
-        vectors.append(v)
+        vectors.append([Fraction(1) if j - i == shift else Fraction(0)
+                        for (i, j) in units])
     return AlgebraInclusion(A, vectors)
 
 
@@ -461,7 +471,8 @@ def monoid_algebra(n):
     Returns (M, e) with e = f^n (an idempotent).  The decomposition
     e*M + (1-e)*M is a direct sum of two n-dimensional pieces.
     """
-    assert n >= 1
+    if n < 1:
+        raise InvalidArgument(f"monoid_algebra needs n >= 1, got {n}")
     dim = 2 * n
 
     def reduce_power(k):
@@ -481,7 +492,8 @@ def monoid_algebra(n):
                                  labels=[f"f^{i}" for i in range(dim)],
                                  name=f"M({2*n},{n})")
     e = _unit_vec(dim, n)
-    assert M.multiply(e, e) == e
+    if M.multiply(e, e) != e:
+        raise CheckFailed("f^n is not idempotent")
     return M, e
 
 
@@ -493,7 +505,8 @@ def monoid_decomposition_dims(M, e):
     fM = [M.multiply(one_minus_e, _unit_vec(n, i)) for i in range(n)]
     de = rank(eM)
     df = rank(fM)
-    assert rank(eM + fM) == de + df == n
+    if not rank(eM + fM) == de + df == n:
+        raise CheckFailed("e*M + (1-e)*M is not a direct sum equal to M")
     return de, df
 
 

@@ -10,9 +10,11 @@ indicator bases -- already in reduced echelon form.  The same holds for the
 bimodule endomorphism space U inside the |G| x |G| matrix coordinates.
 """
 
+from collections import Counter
 from fractions import Fraction
+from operator import add
 
-from .errors import CapExceeded, NotInT
+from .errors import CapExceeded, CheckFailed, NotInT
 from .linalg import SparseEchelon, solve_affine
 from .permgroup import h_orbits, right_transversal
 
@@ -69,6 +71,7 @@ class TensorSquare:
                 self._coset[h * rep] = (j, h)
         self._left_cache = {}
         self._right_cache = {}
+        self._hmap_cache = {}
 
     def basis_index(self, g, i):
         return self.G.index_of(g) * self.n + i
@@ -92,6 +95,14 @@ class TensorSquare:
         self._left_cache[a] = out
         return out
 
+    def hmap(self, h):
+        """Index map of g -> g * h on the elements of G (h in H)."""
+        cached = self._hmap_cache.get(h)
+        if cached is None:
+            cached = [self.G.index_of(g * h) for g in self.G.elements]
+            self._hmap_cache[h] = cached
+        return cached
+
     def right_perm(self, a):
         """Index permutation of t -> t * a."""
         cached = self._right_cache.get(a)
@@ -99,13 +110,9 @@ class TensorSquare:
             return cached
         n = self.n
         moves = [self._coset[rep * a] for rep in self.transversal]
-        hmaps = {}
         out = [0] * self.dim
         for i, (j, h) in enumerate(moves):
-            hmap = hmaps.get(h)
-            if hmap is None:
-                hmap = [self.G.index_of(g * h) for g in self.G.elements]
-                hmaps[h] = hmap
+            hmap = self.hmap(h)
             for gi in range(self.G.order):
                 out[gi * n + i] = hmap[gi] * n + j
         self._right_cache[a] = out
@@ -244,8 +251,10 @@ def separability_elements(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
     if sol is None:
         return "none", None, len(kernel)
     e = ts.canonical_separability_element()
-    assert ts.is_central(e)
-    assert ts.mu(e) == {G.index_of(G.identity): Fraction(1)}
+    if not ts.is_central(e):
+        raise CheckFailed("canonical separability element is not central")
+    if ts.mu(e) != {G.index_of(G.identity): Fraction(1)}:
+        raise CheckFailed("mu of the canonical separability element is not 1")
     kind = "unique" if not kernel else "infinite"
     return kind, e, len(kernel)
 
@@ -262,7 +271,7 @@ def idempotent_in_t(ts, e):
 
 
 def _teT_candidates(ts):
-    """Spanning set of the ideal TeT.
+    """Spanning set of the ideal TeT, as explicit tensor-square vectors.
 
     T.e = Casimir and w.r = w with the second leg right-multiplied by
     r = t^1 t^2 in A^B, so TeT is spanned by {Casimir basis} x {A^B basis}.
@@ -279,6 +288,26 @@ def _teT_candidates(ts):
             yield vec
 
 
+def _teT_counts(ts, label):
+    """The spanning set {w.r} of TeT as integer multiplicities.
+
+    w is a Casimir orbit indicator and r an H-orbit sum, so w.r hits basis
+    index perm_g[k] once for each k in w and g in r, with perm_g the cached
+    right permutation of g.  Each candidate is yielded as the counts of
+    label[index] over those hits; the identity labelling gives w.r itself.
+    """
+    orbit_perms = [[ts.right_perm(g) for g in orb]
+                   for orb in h_orbits(ts.G, ts.H)]
+    for w in ts.casimir_basis():
+        support = list(w)
+        for orb in orbit_perms:
+            counts = Counter()
+            for perm in orb:
+                counts.update(map(label.__getitem__, map(perm.__getitem__,
+                                                         support)))
+            yield counts
+
+
 def _trace_form_signatures(ts):
     """Per-basis-point values of the trace forms that separate T's blocks.
 
@@ -287,26 +316,32 @@ def _trace_form_signatures(ts):
     t -> Tr(rho(z) rho(t)) with z running over class-sum pairs K (x) K' in
     the center of A (x) A^op acting on A (x)_B A; evaluated on a basis
     point b (x) g_j that trace counts, up to the constant factor dim,
-    the h in H with (b h)^-1 in K and g_j^-1 h in K'.  Returns, for each
-    basis index, a dict {(K-index, K'-index): count}.
+    the h in H with (b h)^-1 in K and g_j^-1 h in K'.  Returns the distinct
+    signatures, each a list of (K-index * r + K'-index, count) pairs, and
+    for each basis index the position of its signature in that list.
     """
     from .permgroup import conjugacy_classes
     G, H = ts.G, ts.H
     classes = conjugacy_classes(G)
+    r = len(classes)
     class_of = {}
     for ci, cls in enumerate(classes):
         for g in cls:
             class_of[g] = ci
-    sigs = []
-    for b in G.elements:
-        for j, rep in enumerate(ts.transversal):
-            sig = {}
-            for h in H.elements:
-                key = (class_of[(b * h).inverse()],
-                       class_of[rep.inverse() * h])
-                sig[key] = sig.get(key, 0) + 1
-            sigs.append(sig)
-    return sigs, len(classes)
+    # r * (K-index of (b h)^-1) per element index of b, and K'-index of
+    # g_j^-1 h per transversal index j, both listed over h in H
+    inv_class = [r * class_of[g.inverse()] for g in G.elements]
+    hmaps = [ts.hmap(h) for h in H.elements]
+    left = [[inv_class[hm[bi]] for hm in hmaps] for bi in range(G.order)]
+    right = [[class_of[rep.inverse() * h] for h in H.elements]
+             for rep in ts.transversal]
+    position = {}
+    sig_of = []
+    for lrow in left:
+        for rrow in right:
+            sig = frozenset(Counter(map(add, lrow, rrow)).items())
+            sig_of.append(position.setdefault(sig, len(position)))
+    return [list(sig) for sig in position], sig_of
 
 
 def is_full_in_T(G, H, e=None, ts=None, cap=DEFAULT_LINEAR_CAP):
@@ -316,7 +351,9 @@ def is_full_in_T(G, H, e=None, ts=None, cap=DEFAULT_LINEAR_CAP):
     zero) holds iff the trace-form image of 1 lies in the span of the
     trace-form images of a spanning set of TeT.  That image space has one
     coordinate per pair of conjugacy classes of G, so the membership test
-    stays small no matter how large the tensor square is.
+    stays small no matter how large the tensor square is.  Every image is
+    an integer vector; repeated images are skipped and the test stops as
+    soon as the image of 1 is in the span.
     """
     if ts is None:
         ts = TensorSquare(G, H, cap=cap)
@@ -324,20 +361,27 @@ def is_full_in_T(G, H, e=None, ts=None, cap=DEFAULT_LINEAR_CAP):
         e = ts.canonical_separability_element()
     if not idempotent_in_t(ts, e):
         raise NotInT("e is not an idempotent of T")
-    sigs, r = _trace_form_signatures(ts)
+    sigs, sig_of = _trace_form_signatures(ts)
 
-    def project(vec):
+    def project(counts):
         out = {}
-        for idx, coeff in vec.items():
-            for (ki, kj), cnt in sigs[idx].items():
-                key = ki * r + kj
-                out[key] = out.get(key, 0) + coeff * cnt
+        for s, mult in counts.items():
+            for key, cnt in sigs[s]:
+                out[key] = out.get(key, 0) + mult * cnt
         return out
 
+    one = project({sig_of[ts.basis_index(G.identity, 0)]: 1})
     ech = SparseEchelon()
-    for vec in _teT_candidates(ts):
-        ech.add(project(vec))
-    return ech.contains(project(ts.unit()))
+    seen = set()
+    for counts in _teT_counts(ts, sig_of):
+        image = project(counts)
+        key = frozenset(image.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        if ech.add(image) and ech.contains(one):
+            return True
+    return False
 
 
 def is_full_in_T_span(G, H, e=None, ts=None, cap=DEFAULT_LINEAR_CAP):
@@ -526,10 +570,12 @@ def e_index(G, H):
         coset = {h * g for h in H.elements}
         alt.append(max(coset))
         seen |= coset
-    assert _transversal_index_sum(G, alt) == out
+    if _transversal_index_sum(G, alt) != out:
+        raise CheckFailed("e-index depends on the transversal")
     for g in G.generators:
         gi = {G.index_of(g): Fraction(1)}
-        assert group_vec_mul(G, gi, out) == group_vec_mul(G, out, gi)
+        if group_vec_mul(G, gi, out) != group_vec_mul(G, out, gi):
+            raise CheckFailed("e-index is not central")
     return out
 
 

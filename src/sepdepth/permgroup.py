@@ -7,7 +7,8 @@ fully enumerated element list.  Elements are ordered lexicographically by
 image sequence so every partition and transversal is reproducible.
 """
 
-from .errors import CapExceeded, ElementNotInGroup, NotASubgroup
+from .errors import (CapExceeded, CheckFailed, ElementNotInGroup,
+                     InvalidArgument, NotASubgroup)
 
 DEFAULT_GROUP_CAP = 20000
 
@@ -214,7 +215,8 @@ def right_transversal(G, H):
         reps.append(min(coset))
         seen |= coset
     reps.sort(key=lambda p: p.images)
-    assert reps[0].is_identity()
+    if not reps[0].is_identity():
+        raise CheckFailed("transversal does not start with the identity")
     return reps
 
 
@@ -338,7 +340,9 @@ def quaternion_group(m=4):
     Presentation <a, b | a^m = 1, b^2 = a^(m/2), b a b^-1 = a^-1>,
     elements (k, eps) = a^k b^eps.
     """
-    assert m % 2 == 0
+    if m < 2 or m % 2:
+        raise InvalidArgument(
+            f"quaternion_group needs an even m >= 2, got {m}")
     elems = [(k, e) for e in (0, 1) for k in range(m)]
 
     def mul(x, y):

@@ -3,7 +3,7 @@ import pytest
 from sepdepth.chartable import (character_table_mod_p, class_data,
                                 class_mult_coeffs, common_prime, dixon_prime,
                                 inclusion_matrix, induction_matrix_mod_p)
-from sepdepth.errors import LiftInconsistency
+from sepdepth.errors import InvalidArgument, LiftInconsistency
 from sepdepth.permgroup import (Permutation, alternating_group, cyclic_group,
                                 extraspecial_27, quaternion_group,
                                 symmetric_group)
@@ -91,6 +91,13 @@ def test_prime_mismatch_rejected():
     th = character_table_mod_p(H.as_group(), prime=5)
     with pytest.raises(LiftInconsistency):
         inclusion_matrix(G, H, tableG=tg, tableH=th)
+
+
+def test_bad_prime_rejected():
+    G = symmetric_group(3)
+    for p in (11, 25, 3):   # not 1 mod 6; not prime; not above 2*sqrt(6)
+        with pytest.raises(InvalidArgument):
+            character_table_mod_p(G, prime=p)
 
 
 def test_frobenius_reciprocity():

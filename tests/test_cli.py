@@ -275,3 +275,18 @@ def test_non_associative_rejected_under_optimize(tmp_path):
     assert proc.stderr.strip().splitlines() == [
         "error: structure constants not associative at basis triple "
         "(1, 1, 2)"]
+
+
+def test_no_assert_in_package_source():
+    """Checks written as assert vanish under python -O; src has none."""
+    import ast
+    import pathlib
+
+    import sepdepth
+    files = sorted(pathlib.Path(sepdepth.__file__).parent.glob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Assert)]
+        assert not asserts, f"{path.name}: assert at lines {asserts}"

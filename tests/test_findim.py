@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from sepdepth.errors import CheckFailed, InvalidAlgebra, UnitMissing
+from sepdepth.errors import (CheckFailed, InvalidAlgebra, InvalidArgument,
+                             UnitMissing)
 from sepdepth.findim import (AlgebraInclusion, RelativeTensorSquare,
                              StructureConstantAlgebra,
                              _check_nilpotent_ideal, _matrix_span_algebra,
@@ -99,6 +100,21 @@ def test_monoid_fixture():
         incl = monoid_nilpotent_part_subalgebra(M, e)
         sep, witness = is_separable_extension(M, incl)
         assert sep and witness is not None
+
+
+def test_monoid_algebra_needs_n_at_least_1():
+    with pytest.raises(InvalidArgument):
+        monoid_algebra(0)
+
+
+def test_triangular_subalgebras_for_two_digit_n():
+    """Positions come from T_n's unit pattern, not from the labels, which
+    are ambiguous once n >= 10 (e111 could be (1, 11) or (11, 1))."""
+    A = upper_triangular_algebra(10)
+    assert strict_upper_subalgebra(A, 10).sub_dimension == 1 + 45
+    assert jordan_subalgebra(A, 10).sub_dimension == 10
+    with pytest.raises(InvalidAlgebra):
+        strict_upper_subalgebra(upper_triangular_algebra(3), 4)
 
 
 def test_matrix_witnesses_verify():

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from sepdepth.errors import CapExceeded, NotInT
-from sepdepth.groupalg import (TensorSquare, TProductTable, casimir_space,
+from sepdepth.groupalg import (TensorSquare, TProductTable, _teT_candidates,
+                               _teT_counts, casimir_space,
                                centralizer_basis, corner_dims, e_index,
                                idempotent_in_t, is_full_in_T,
                                is_full_in_T_span, is_full_in_U,
@@ -119,10 +120,24 @@ def test_fullness_in_t():
 
 
 def test_fullness_in_t_cross_check():
-    """Trace-form criterion agrees with the explicit ideal span."""
+    """Trace-form criterion agrees with the explicit ideal span and with
+    the span of the T-basis products t_a . e . t_b."""
     for G in (symmetric_group(3), quaternion_group(), dihedral_group(4)):
         for H in all_subgroups(G):
-            assert is_full_in_T(G, H) == is_full_in_T_span(G, H)
+            full = is_full_in_T(G, H)
+            assert full == is_full_in_T_span(G, H)
+            ts = TensorSquare(G, H)
+            e = ts.canonical_separability_element()
+            assert full == (t_span_brute(ts, e).rank == len(ts.t_basis()))
+
+
+def test_teT_counts_are_the_explicit_candidates():
+    """Integer multiplicities of w.r equal the right_action vectors."""
+    D = dihedral_group(4)
+    for G, H in (s3_pair(2), q8_i_pair(), (D, D.trivial_subgroup())):
+        ts = TensorSquare(G, H)
+        counts = _teT_counts(ts, list(range(ts.dim)))
+        assert [dict(c) for c in counts] == list(_teT_candidates(ts))
 
 
 def test_t_ideal_brute_cross_check():

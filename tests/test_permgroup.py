@@ -1,6 +1,7 @@
 import pytest
 
-from sepdepth.errors import CapExceeded, ElementNotInGroup, NotASubgroup
+from sepdepth.errors import (CapExceeded, ElementNotInGroup, InvalidArgument,
+                             NotASubgroup)
 from sepdepth.permgroup import (FiniteGroup, Permutation, all_subgroups,
                                 alternating_group, center, centralizer,
                                 conjugacy_classes, cyclic_group,
@@ -46,6 +47,11 @@ def test_standard_group_orders():
     assert cyclic_group(12).order == 12
     assert extraspecial_27().order == 27
     assert direct_product(symmetric_group(3), cyclic_group(2)).order == 12
+
+
+def test_quaternion_group_needs_even_m():
+    with pytest.raises(InvalidArgument):
+        quaternion_group(3)
 
 
 def test_exponents():

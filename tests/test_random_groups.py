@@ -1,0 +1,33 @@
+"""Property tests on random small permutation groups (needs hypothesis)."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from sepdepth.chartable import inclusion_matrix  # noqa: E402
+from sepdepth.depth import (bimodule_matrices, is_diagonal,  # noqa: E402
+                            min_h_depth)
+from sepdepth.groupalg import is_full_in_T  # noqa: E402
+from sepdepth.permgroup import FiniteGroup, Permutation  # noqa: E402
+
+
+@st.composite
+def group_pairs(draw):
+    """G generated by 1-2 random permutations of at most 4 points, and H
+    generated by 1-2 random elements of G."""
+    perms = st.permutations(range(4)).map(Permutation)
+    G = FiniteGroup(draw(st.lists(perms, min_size=1, max_size=2)))
+    sub = draw(st.lists(st.sampled_from(G.elements), min_size=1,
+                        max_size=2))
+    return G, G.subgroup(sub)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(group_pairs())
+def test_full_in_t_iff_h_depth_one(pair):
+    """e full in T, T diagonal and H-depth 1 are one condition."""
+    G, H = pair
+    M = inclusion_matrix(G, H).as_lists()
+    _, T = bimodule_matrices(M)
+    assert is_full_in_T(G, H) == is_diagonal(T) == (min_h_depth(M) == 1)
