@@ -118,7 +118,7 @@ def _implies(premise, conclusion):
 def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
                  matrix_only=False, table_g=None):
     """Full invariant report for the group-algebra extension kH in kG."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     HG = H.as_group()
     classes_g = conjugacy_classes(G)
     classes_h = conjugacy_classes(HG)
@@ -190,7 +190,7 @@ def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
     ag["depth_gap_at_most_2"] = (
         AGREE if abs(rep.min_depth - rep.min_h_depth) <= 2 else DISAGREE)
 
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 

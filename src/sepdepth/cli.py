@@ -136,7 +136,8 @@ def algebra_from_spec(spec):
     except (KeyError, TypeError) as exc:
         raise SpecError(f"algebra spec needs 'structure' and 'unit': {exc}")
     n = len(mult)
-    if any(len(row) != n for row in mult) or len(unit) != n:
+    if (any(len(row) != n or any(len(vec) != n for vec in row)
+            for row in mult) or len(unit) != n):
         raise SpecError("structure constants must form an n x n x n cube")
     A = findim.StructureConstantAlgebra(
         dimension=n, mult=mult, unit=unit,
@@ -258,7 +259,7 @@ def cmd_findim_demo(args):
     rad = findim.radical(A)
     separable, witness = findim.is_separable_extension(A, inc,
                                                        cap=args.cap_linear)
-    rad_verdict = findim.prop_rad_check(A, inc)
+    rad_verdict = findim.prop_rad_check(A, inc, rad)
     report = {
         "algebra": A.name or "A",
         "dimension": A.dimension,

@@ -31,6 +31,8 @@ class StructureConstantAlgebra:
         self.mult = [[[Fraction(c) for c in vec] for vec in row]
                      for row in self.mult]
         self.unit = [Fraction(c) for c in self.unit]
+        # table[i][j] = {k: c} for b_i * b_j, the nonzero constants only
+        self.table = [[to_sparse(vec) for vec in row] for row in self.mult]
 
     def multiply(self, u, v):
         n = self.dimension
@@ -47,33 +49,41 @@ class StructureConstantAlgebra:
                         out[k] += ab * c
         return out
 
-    def left_regular_matrix(self, u):
-        """Matrix of x -> u * x in the given basis (columns = images)."""
-        n = self.dimension
-        cols = [self.multiply(u, _unit_vec(n, j)) for j in range(n)]
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-
     def check_associative_and_unital(self):
-        n = self.dimension
+        n, S = self.dimension, self.table
+        cols = self.table_columns()
+        unit = to_sparse(self.unit)
         for i in range(n):
-            bi = _unit_vec(n, i)
-            if not self.multiply(self.unit, bi) == bi == \
-                    self.multiply(bi, self.unit):
+            left = _combine(unit, cols[i])
+            right = _combine(unit, S[i])
+            if not left == {i: 1} == right:
                 raise InvalidAlgebra(f"unit is not a two-sided unit on "
                                      f"basis element {i}")
         for i in range(n):
             for j in range(n):
-                ij = self.multiply(_unit_vec(n, i), _unit_vec(n, j))
+                ij = S[i][j]
                 for k in range(n):
-                    bk = _unit_vec(n, k)
-                    lhs = self.multiply(ij, bk)
-                    jk = self.multiply(_unit_vec(n, j), bk)
-                    rhs = self.multiply(_unit_vec(n, i), jk)
+                    # (b_i b_j) b_k against b_i (b_j b_k)
+                    lhs = _combine(ij, cols[k])
+                    rhs = _combine(S[j][k], S[i])
                     if lhs != rhs:
                         raise InvalidAlgebra(
                             f"structure constants not associative at basis "
                             f"triple {(i, j, k)}")
         return True
+
+    def table_columns(self):
+        """cols[j][i] = table[i][j]: the products b_i * b_j for fixed j."""
+        return [list(col) for col in zip(*self.table)]
+
+
+def _combine(coeffs, products):
+    """Sparse sum of c * products[m] over the sparse coefficients {m: c}."""
+    out = {}
+    for m, c in coeffs.items():
+        for k, x in products[m].items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
 
 
 def _unit_vec(n, i):
@@ -115,23 +125,27 @@ def _is_ideal(A, basis):
                          for w in (A.multiply(b, v), A.multiply(v, b))))
 
 
-def radical(A):
-    """Basis of J(A) = kernel of the regular trace form (char 0).
+def trace_form(A):
+    """Gram matrix of the regular trace form, Tr(L_{b_i} L_{b_j}).
 
-    The returned basis is verified to span a nilpotent ideal.
+    A must be associative: then L_{b_i} L_{b_j} = L_{b_i b_j}, so the
+    entry is sum_k c_ij^k Tr(L_{b_k}), read off the structure constants.
     """
-    n = A.dimension
-    regs = [A.left_regular_matrix(_unit_vec(n, i)) for i in range(n)]
-    gram = [[_trace_prod(regs[i], regs[j]) for j in range(n)]
+    n, S = A.dimension, A.table
+    # Tr(L_{b_k}) = sum_l c_kl^l
+    tau = [sum(S[k][l].get(l, 0) for l in range(n)) for k in range(n)]
+    return [[sum(c * tau[k] for k, c in S[i][j].items()) for j in range(n)]
             for i in range(n)]
-    basis, _ = rref(nullspace(gram, ncols=n))
+
+
+def radical(A):
+    """Basis of J(A) = kernel of the regular trace form (char 0; A
+    associative).  The returned basis is verified to span a nilpotent
+    ideal.
+    """
+    basis, _ = rref(nullspace(trace_form(A), ncols=A.dimension))
     _check_nilpotent_ideal(A, basis)
     return basis
-
-
-def _trace_prod(a, b):
-    n = len(a)
-    return sum(a[i][k] * b[k][i] for i in range(n) for k in range(n))
 
 
 def _check_nilpotent_ideal(A, basis):
@@ -178,20 +192,18 @@ class RelativeTensorSquare:
             raise CapExceeded("dim(A tensor A)", n * n, cap)
         self.A = A
         self.n = n
+        S, cols = A.table, A.table_columns()
+        subs = [to_sparse(b) for b in inclusion.sub_basis]
+        # a_p b and b a_r for every sub-basis vector b
+        left = [[_combine(b, S[p]) for b in subs] for p in range(n)]
+        right = [[_combine(b, cols[r]) for r in range(n)] for b in subs]
         self.relations = SparseEchelon()
         for p in range(n):
-            ap = _unit_vec(n, p)
-            for b in inclusion.sub_basis:
-                left = A.multiply(ap, b)
+            for ap_b, b_right in zip(left[p], right):
                 for r in range(n):
-                    right = A.multiply(b, _unit_vec(n, r))
-                    rel = {}
-                    for i, c in enumerate(left):
-                        if c:
-                            rel[i * n + r] = rel.get(i * n + r, 0) + c
-                    for j, c in enumerate(right):
-                        if c:
-                            rel[p * n + j] = rel.get(p * n + j, 0) - c
+                    rel = {i * n + r: c for i, c in ap_b.items()}
+                    for j, c in b_right[r].items():
+                        rel[p * n + j] = rel.get(p * n + j, 0) - c
                     self.relations.add(rel)
         self.free = [c for c in range(n * n)
                      if c not in self.relations.rows]
@@ -260,28 +272,8 @@ def is_separable_extension(A, inclusion, cap=DEFAULT_LINEAR_CAP):
     The witness is verified against the defining relations exactly.
     """
     rts = RelativeTensorSquare(A, inclusion, cap=cap)
-    n = A.dimension
     q = rts.dim()
-    # quotient basis lifts
-    lifts = [rts.lift(_unit_vec(q, i)) for i in range(q)]
-    # unknowns 0..q-1 are the quotient coordinates, column q the rhs
-    rows = [{} for _ in range(n * q + n)]
-    for c, lv in enumerate(lifts):
-        for a_idx in range(n):
-            a = _unit_vec(n, a_idx)
-            diff = [x - y for x, y in
-                    zip(rts.left_mult_ambient(a, lv),
-                        rts.right_mult_ambient(lv, a))]
-            for r, x in enumerate(rts.project(diff)):
-                if x:
-                    rows[a_idx * q + r][c] = x
-        for k, x in enumerate(rts.mu_ambient(lv)):
-            if x:
-                rows[n * q + k][c] = x
-    for k, x in enumerate(A.unit):
-        if x:
-            rows[n * q + k][q] = x
-    sol = SparseEchelon(rows).solution(q)
+    sol = SparseEchelon(separability_system(A, rts)).solution(q)
     if sol is None:
         return False, None
     witness = rts.lift(to_dense(sol, q))
@@ -289,8 +281,41 @@ def is_separable_extension(A, inclusion, cap=DEFAULT_LINEAR_CAP):
     return True, witness
 
 
+def separability_system(A, rts):
+    """Rows of the system {b_a t - t b_a = 0 in A (x)_B A, mu(t) = 1}.
+
+    Unknowns 0..q-1 are the quotient coordinates of t, column q the rhs:
+    row a*q + i is coordinate i of the commutator with b_a, row n*q + k is
+    coordinate k of mu(t) - 1.
+    """
+    n, S = A.dimension, A.table
+    q = rts.dim()
+    column = {pos: c for c, pos in enumerate(rts.free)}
+    # the quotient basis element c is the basis tensor b_p (x) b_r at free[c]
+    rows = [{} for _ in range(n * q + n)]
+    for c, pos in enumerate(rts.free):
+        p, r = divmod(pos, n)
+        for a_idx in range(n):
+            # b_a (b_p (x) b_r) - (b_p (x) b_r) b_a
+            diff = {k * n + r: x for k, x in S[a_idx][p].items()}
+            for k, x in S[r][a_idx].items():
+                diff[p * n + k] = diff.get(p * n + k, 0) - x
+            for at, x in rts.relations.reduce(diff, full=True).items():
+                rows[a_idx * q + column[at]][c] = x
+        for k, x in S[p][r].items():
+            rows[n * q + k][c] = x
+    for k, x in enumerate(A.unit):
+        if x:
+            rows[n * q + k][q] = x
+    return rows
+
+
 def verify_separability_witness(A, rts, witness):
-    """Exact check: A-centrality residual zero in the quotient, mu = 1."""
+    """Exact check: A-centrality residual zero in the quotient, mu = 1.
+
+    It acts on the witness through A.multiply (the dense ambient actions
+    below), not through separability_system's table reads, so a slip in
+    either one cannot verify itself."""
     n = A.dimension
     for a_idx in range(n):
         a = _unit_vec(n, a_idx)
@@ -303,14 +328,17 @@ def verify_separability_witness(A, rts, witness):
         raise CheckFailed("witness: mu(e) != 1")
 
 
-def prop_rad_check(A, inclusion):
+def prop_rad_check(A, inclusion, JA=None):
     """Radical criterion: separable iff J(A) = J(B), when J(B) is an
-    ideal of A.  Returns 'separable', 'inseparable' or 'not-applicable'."""
+    ideal of A.  Returns 'separable', 'inseparable' or 'not-applicable'.
+    JA is radical(A) when the caller has it already."""
     JB_sub = _sub_radical(A, inclusion)
     if not _is_ideal(A, JB_sub):
         return "not-applicable"
+    if JA is None:
+        JA = radical(A)
     # both bases are reduced row echelon forms, unique for their span
-    if radical(A) == JB_sub:
+    if JA == JB_sub:
         return "separable"
     return "inseparable"
 

@@ -457,22 +457,27 @@ class USpace:
 
     def compose(self, f, g):
         """Matrix product f . g in sparse entry coordinates."""
+        return self.compose_indexed(self.by_column(f), g)
+
+    def by_column(self, f):
+        """The entries of f grouped by column: x -> [(y, f[y][x])], the
+        left operand of compose_indexed."""
         N = self.G.order
-        # column -> entries of g
-        gcols = {}
-        for idx, v in g.items():
-            y, x = divmod(idx, N)
-            gcols.setdefault(x, []).append((y, v))
-        frows = {}
+        cols = {}
         for idx, v in f.items():
             y, x = divmod(idx, N)
-            frows.setdefault(x, []).append((y, v))
+            cols.setdefault(x, []).append((y, v))
+        return cols
+
+    def compose_indexed(self, fcols, g):
+        """f . g for f given as by_column(f)."""
+        N = self.G.order
         out = {}
-        for x, col in gcols.items():
-            for (z, gv) in col:
-                for (y, fv) in frows.get(z, ()):
-                    k = y * N + x
-                    out[k] = out.get(k, 0) + fv * gv
+        for idx, gv in g.items():
+            z, x = divmod(idx, N)
+            for (y, fv) in fcols.get(z, ()):
+                k = y * N + x
+                out[k] = out.get(k, 0) + fv * gv
         return {k: v for k, v in out.items() if v}
 
     def left_mul_matrix(self, vec):
@@ -501,16 +506,16 @@ def is_full_in_U(G, H, U=None, cap=DEFAULT_LINEAR_CAP):
     """
     if U is None:
         U = USpace(G, H, cap=cap)
-    E = U.projection_E()
+    E = U.by_column(U.projection_E())
     # V = span{E . beta}
     vech = SparseEchelon()
     for beta in U.basis():
-        vech.add(U.compose(E, beta))
+        vech.add(U.compose_indexed(E, beta))
     ech = SparseEchelon()
     for c in centralizer_basis(G, H):
-        lam = U.left_mul_matrix(c)
+        lam = U.by_column(U.left_mul_matrix(c))
         for f in vech.basis():
-            ech.add(U.compose(lam, f))
+            ech.add(U.compose_indexed(lam, f))
             if ech.rank == U.dim:
                 return True
     return ech.rank == U.dim

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -201,6 +202,20 @@ def test_findim_demo_bad_structure_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_findim_demo_ragged_structure_exit_1(tmp_path, capsys):
+    """A product vector of the wrong length is rejected, not read as a
+    sparse product with a coordinate outside the algebra."""
+    alg = {"structure": [[["1", "0", "0"], ["0", "1"]],
+                         [["0", "1"], ["0", "0"]]],
+           "unit": ["1", "0"]}
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(alg))
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps({"vectors": [["1", "0"]]}))
+    assert main(["findim-demo", str(a), str(b)]) == 1
+    assert "n x n x n cube" in _one_line_error(capsys)
+
+
 def test_findim_demo_missing_args(capsys):
     assert main(["findim-demo"]) == 1
     assert "need --fixture" in capsys.readouterr().err
@@ -290,3 +305,34 @@ def test_no_assert_in_package_source():
         asserts = [node.lineno for node in ast.walk(tree)
                    if isinstance(node, ast.Assert)]
         assert not asserts, f"{path.name}: assert at lines {asserts}"
+
+
+FIXTURE_OUTPUTS = os.path.join(os.path.dirname(__file__), "data",
+                               "findim_fixtures.json")
+
+
+def test_findim_demo_fixture_output_unchanged(capsys):
+    """findim-demo --fixture prints byte for byte what the dense
+    regular-representation code printed (recorded in tests/data)."""
+    with open(FIXTURE_OUTPUTS) as fh:
+        expected = json.load(fh)
+    assert len(expected) == 11
+    for name, text in sorted(expected.items()):
+        assert main(["findim-demo", "--fixture", name]) == 0
+        assert capsys.readouterr().out == text, name
+
+
+def test_findim_demo_computes_radical_of_a_once(monkeypatch, capsys):
+    from sepdepth import findim
+    seen = []
+    original = findim.radical
+
+    def counting(alg):
+        seen.append(alg.name)
+        return original(alg)
+
+    monkeypatch.setattr(findim, "radical", counting)
+    assert main(["findim-demo", "--fixture", "triangular3"]) == 0
+    capsys.readouterr()
+    # J(A) once; the other call is J(B), on the subalgebra "sub"
+    assert sorted(seen) == ["T3", "sub"]
