@@ -16,7 +16,7 @@ from operator import add
 
 from .errors import CapExceeded, CheckFailed, NotInT
 from .linalg import SparseEchelon, solve_affine
-from .permgroup import h_orbits, right_transversal
+from .permgroup import conjugacy_classes, h_orbits, right_transversal
 
 DEFAULT_LINEAR_CAP = 4096
 
@@ -71,7 +71,6 @@ class TensorSquare:
                 self._coset[h * rep] = (j, h)
         self._left_cache = {}
         self._right_cache = {}
-        self._hmap_cache = {}
 
     def basis_index(self, g, i):
         return self.G.index_of(g) * self.n + i
@@ -88,20 +87,12 @@ class TensorSquare:
         if cached is not None:
             return cached
         n = self.n
-        gmap = [self.G.index_of(a * g) for g in self.G.elements]
+        gmap = self.G.left_mul_map(a)
         out = [0] * self.dim
         for idx in range(self.dim):
             out[idx] = gmap[idx // n] * n + idx % n
         self._left_cache[a] = out
         return out
-
-    def hmap(self, h):
-        """Index map of g -> g * h on the elements of G (h in H)."""
-        cached = self._hmap_cache.get(h)
-        if cached is None:
-            cached = [self.G.index_of(g * h) for g in self.G.elements]
-            self._hmap_cache[h] = cached
-        return cached
 
     def right_perm(self, a):
         """Index permutation of t -> t * a."""
@@ -112,7 +103,7 @@ class TensorSquare:
         moves = [self._coset[rep * a] for rep in self.transversal]
         out = [0] * self.dim
         for i, (j, h) in enumerate(moves):
-            hmap = self.hmap(h)
+            hmap = self.G.right_mul_map(h)
             for gi in range(self.G.order):
                 out[gi * n + i] = hmap[gi] * n + j
         self._right_cache[a] = out
@@ -146,39 +137,29 @@ class TensorSquare:
                 del out[k]
         return out
 
-    def t_product_index(self, idx1, idx2):
-        """Index of the T-product of two basis elements.
+    def t_square(self, t):
+        """The T-product t . t, from the cached index maps.
 
-        (g (x) g_i) . (g' (x) g_j) = g' g h (x) g_k  where g_i g_j = h g_k.
+        (g (x) g_i) . (g' (x) g_j) = g' g h (x) g_k  where g_i g_j = h g_k,
+        that is g' times the right action of g_j on g (x) g_i.
         """
-        g, i = self.basis_pair(idx1)
-        gp, j = self.basis_pair(idx2)
-        k, h = self._coset[self.transversal[i] * self.transversal[j]]
-        return self.basis_index(gp * g * h, k)
-
-    def t_product(self, t1, t2):
+        n = self.n
         out = {}
-        for i1, c1 in t1.items():
-            for i2, c2 in t2.items():
-                k = self.t_product_index(i1, i2)
-                out[k] = out.get(k, 0) + c1 * c2
+        for idx2, c2 in t.items():
+            gp, j = divmod(idx2, n)
+            lmap = self.G.left_mul_map(self.G.elements[gp])
+            rperm = self.right_perm(self.transversal[j])
+            for idx1, c1 in t.items():
+                gi, k = divmod(rperm[idx1], n)
+                key = lmap[gi] * n + k
+                out[key] = out.get(key, 0) + c1 * c2
         return {k: v for k, v in out.items() if v}
-
-    def unit(self):
-        """1 (x) 1."""
-        return {self.basis_index(self.G.identity, 0): Fraction(1)}
 
     # --- distinguished subspaces (orbit bases) ---
 
     def casimir_basis(self):
         """Orbit-indicator basis of (A (x)_B A)^A."""
         perms = self.conj_perms(self.G.generators)
-        return [_indicator(o) for o in _orbit_partition(self.dim, perms)]
-
-    def t_basis(self):
-        """Orbit-indicator basis of T = (A (x)_B A)^B."""
-        gens = self.H.generators or [self.G.identity]
-        perms = self.conj_perms(gens)
         return [_indicator(o) for o in _orbit_partition(self.dim, perms)]
 
     def in_t(self, t):
@@ -267,25 +248,25 @@ def unique_separable(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
 def idempotent_in_t(ts, e):
     if not ts.in_t(e):
         raise NotInT("element is not H-central")
-    return ts.t_product(e, e) == e
+    return ts.t_square(e) == e
 
 
-def _teT_candidates(ts):
-    """Spanning set of the ideal TeT, as explicit tensor-square vectors.
+def _one_in_span(one, images):
+    """True iff the vector one lies in the span of the images.
 
-    T.e = Casimir and w.r = w with the second leg right-multiplied by
-    r = t^1 t^2 in A^B, so TeT is spanned by {Casimir basis} x {A^B basis}.
+    Repeated images are skipped, and the test stops as soon as one is in
+    the span of the images seen so far.
     """
-    G = ts.G
-    cent = centralizer_basis(G, ts.H)
-    for w in ts.casimir_basis():
-        for r in cent:
-            vec = {}
-            for gi in r:       # orbit sums have coefficient 1
-                moved = ts.right_action(w, G.elements[gi])
-                for k, v in moved.items():
-                    vec[k] = vec.get(k, 0) + v
-            yield vec
+    ech = SparseEchelon()
+    seen = set()
+    for image in images:
+        key = frozenset(image.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        if ech.add(image) and ech.contains(one):
+            return True
+    return False
 
 
 def _teT_counts(ts, label):
@@ -320,7 +301,6 @@ def _trace_form_signatures(ts):
     signatures, each a list of (K-index * r + K'-index, count) pairs, and
     for each basis index the position of its signature in that list.
     """
-    from .permgroup import conjugacy_classes
     G, H = ts.G, ts.H
     classes = conjugacy_classes(G)
     r = len(classes)
@@ -331,7 +311,7 @@ def _trace_form_signatures(ts):
     # r * (K-index of (b h)^-1) per element index of b, and K'-index of
     # g_j^-1 h per transversal index j, both listed over h in H
     inv_class = [r * class_of[g.inverse()] for g in G.elements]
-    hmaps = [ts.hmap(h) for h in H.elements]
+    hmaps = [G.right_mul_map(h) for h in H.elements]
     left = [[inv_class[hm[bi]] for hm in hmaps] for bi in range(G.order)]
     right = [[class_of[rep.inverse() * h] for h in H.elements]
              for rep in ts.transversal]
@@ -371,46 +351,7 @@ def is_full_in_T(G, H, e=None, ts=None, cap=DEFAULT_LINEAR_CAP):
         return out
 
     one = project({sig_of[ts.basis_index(G.identity, 0)]: 1})
-    ech = SparseEchelon()
-    seen = set()
-    for counts in _teT_counts(ts, sig_of):
-        image = project(counts)
-        key = frozenset(image.items())
-        if key in seen:
-            continue
-        seen.add(key)
-        if ech.add(image) and ech.contains(one):
-            return True
-    return False
-
-
-def is_full_in_T_span(G, H, e=None, ts=None, cap=DEFAULT_LINEAR_CAP):
-    """Fullness via the explicit span of TeT inside T (small pairs only)."""
-    if ts is None:
-        ts = TensorSquare(G, H, cap=cap)
-    if e is None:
-        e = ts.canonical_separability_element()
-    if not idempotent_in_t(ts, e):
-        raise NotInT("e is not an idempotent of T")
-    tdim = len(ts.t_basis())
-    ech = SparseEchelon()
-    for vec in _teT_candidates(ts):
-        ech.add(vec)
-        if ech.rank == tdim:
-            return True
-    return ech.rank == tdim
-
-
-def t_span_brute(ts, e):
-    """Span of {t_a . e . t_b} over the T-basis, for cross-checking the
-    reduced TeT computation on small pairs."""
-    basis = ts.t_basis()
-    ech = SparseEchelon()
-    for ta in basis:
-        left = ts.t_product(ta, e)
-        for tb in basis:
-            ech.add(ts.t_product(left, tb))
-    return ech
+    return _one_in_span(one, map(project, _teT_counts(ts, sig_of)))
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +392,6 @@ class USpace:
         return {self.G.index_of(h) * N + self.G.index_of(h): Fraction(1)
                 for h in self.H.elements}
 
-    def identity_map(self):
-        N = self.G.order
-        return {i * N + i: Fraction(1) for i in range(N)}
-
     def compose(self, f, g):
         """Matrix product f . g in sparse entry coordinates."""
         return self.compose_indexed(self.by_column(f), g)
@@ -480,57 +417,84 @@ class USpace:
                 out[k] = out.get(k, 0) + fv * gv
         return {k: v for k, v in out.items() if v}
 
-    def left_mul_matrix(self, vec):
-        """lambda_c for a kG coefficient dict c."""
-        N = self.G.order
-        out = {}
-        for zi, coeff in vec.items():
-            z = self.G.elements[zi]
-            for x in range(N):
-                y = self.G.index_of(z * self.G.elements[x])
-                k = y * N + x
-                out[k] = out.get(k, 0) + coeff
-        return {k: v for k, v in out.items() if v}
 
+def is_full_in_U(G, H, cap=DEFAULT_LINEAR_CAP):
+    """Fullness of the H-support projection E in U = End_{kH-kH}(kG).
 
-def u_space(G, H, cap=DEFAULT_LINEAR_CAP):
-    return USpace(G, H, cap=cap)
+    U is semisimple in characteristic zero and its center is spanned by the
+    H-class-sum pairs K (x) K' acting on kG by y -> sum k y k'.  So, as for
+    T, 1 lies in the ideal UEU iff the trace-form image of 1 lies in the
+    span of the images of a spanning set of UEU, and the images have one
+    coordinate per pair of conjugacy classes of H.  The spanning set is
+    {lambda_c . f_O}: c runs over the H-orbit sums (a basis of A^B) and f_O
+    over the basis of V = E . U (bimodule maps A -> B), one 0/1 map per
+    H-orbit O with the entries (y, y o), y in H and o in O.
 
-
-def is_full_in_U(G, H, U=None, cap=DEFAULT_LINEAR_CAP):
-    """Fullness of the H-support projection E in U.
-
-    UEU = span{lambda_c . f} with c over a basis of A^B and f over a basis
-    of V = E . U (bimodule maps A -> B): alpha . E . beta factors through
-    alpha(1) in A^B.
+    The images are integer counts (``_u_trace_form_counts``); repeated
+    ones are skipped and the test stops as soon as the image of 1 is in
+    their span.
     """
-    if U is None:
-        U = USpace(G, H, cap=cap)
-    E = U.by_column(U.projection_E())
-    # V = span{E . beta}
-    vech = SparseEchelon()
-    for beta in U.basis():
-        vech.add(U.compose_indexed(E, beta))
-    ech = SparseEchelon()
-    for c in centralizer_basis(G, H):
-        lam = U.by_column(U.left_mul_matrix(c))
-        for f in vech.basis():
-            ech.add(U.compose_indexed(lam, f))
-            if ech.rank == U.dim:
-                return True
-    return ech.rank == U.dim
+    ambient = G.order * G.order
+    if ambient > cap:
+        raise CapExceeded("dim(U ambient)", ambient, cap)
+    one, images = _u_trace_form_counts(G, H)
+    return _one_in_span(one, images)
 
 
-def u_span_brute(U):
-    """Span of {alpha . E . beta} over the U basis (small pairs only)."""
-    E = U.projection_E()
-    ech = SparseEchelon()
-    basis = U.basis()
-    for a in basis:
-        left = U.compose(a, E)
-        for b in basis:
-            ech.add(U.compose(left, b))
-    return ech
+def _u_trace_form_counts(G, H):
+    """The trace-form images for ``is_full_in_U``, as integer vectors keyed
+    by K * r + K' for the r classes of H.
+
+    Tr((K (x) K') . lambda_c . f_O) is |H| times the number of triples
+    (w, k, k') with w in c, k in K, k' in K' and k w k' in O; the image of
+    1 counts the triples (x, k, k') with k x k' = x.  Conjugation by H
+    permutes these triples, so each image is counted at one representative
+    w (or x) per H-orbit: the candidates are rescaled by 1 / (|H| |c|),
+    which leaves their span alone, and the image of 1 is |orbit of x|
+    times the count at x.  Returns the image of 1 and a generator of the
+    nonzero candidate images, c by c.
+    """
+    orbits = h_orbits(G, H)
+    orbit_of = [0] * G.order
+    for oi, orb in enumerate(orbits):
+        for g in orb:
+            orbit_of[G.index_of(g)] = oi
+    classes = conjugacy_classes(H.as_group())
+    r = len(classes)
+    class_of = {k: ci for ci, cls in enumerate(classes) for k in cls}
+    hclass = [class_of[k] for k in H.elements]
+    # coordinate (K, K') is K * r + K'; candidate (c, O) counts go under
+    # O * r * r + K * r + K' while c is fixed
+    orbit_key = [oi * r * r for oi in orbit_of]
+    pair_keys = [[K * r + Kp for Kp in hclass] for K in range(r)]
+    # row y: the element indices of y k' for k' in H
+    rows = list(zip(*(G.right_mul_map(k) for k in H.elements)))
+
+    one = {}
+    for orb in orbits:
+        x = orb[0]
+        xinv = x.inverse()
+        for k, K in zip(H.elements, hclass):
+            kp = xinv * k.inverse() * x        # the k' with k x k' = x
+            if kp in H:
+                key = K * r + class_of[kp]
+                one[key] = one.get(key, 0) + len(orb)
+
+    def images():
+        for orb in orbits:
+            w = orb[0]
+            counts = Counter()
+            for k, K in zip(H.elements, hclass):
+                row = rows[G.index_of(k * w)]
+                counts.update(map(add, map(orbit_key.__getitem__, row),
+                                  pair_keys[K]))
+            by_orbit = {}
+            for key, cnt in counts.items():
+                oi, coord = divmod(key, r * r)
+                by_orbit.setdefault(oi, {})[coord] = cnt
+            yield from by_orbit.values()
+
+    return one, images()
 
 
 def corner_dims(G, H, ts=None, U=None, cap=DEFAULT_LINEAR_CAP):
@@ -590,35 +554,3 @@ def _transversal_index_sum(G, trans):
         k = G.index_of(rep.inverse() * rep)
         out[k] = out.get(k, 0) + Fraction(1)
     return {k: v for k, v in out.items() if v}
-
-
-class TProductTable:
-    """T with structure constants over its orbit basis (small pairs)."""
-
-    def __init__(self, ts):
-        self.ts = ts
-        self.basis = ts.t_basis()
-        ech = SparseEchelon()
-        for b in self.basis:
-            ech.add(b)
-        self._ech = ech
-
-    def product(self, i, j):
-        return self.ts.t_product(self.basis[i], self.basis[j])
-
-    def coords(self, vec):
-        """Coordinates over the orbit basis (supports are disjoint)."""
-        out = {}
-        for b_idx, b in enumerate(self.basis):
-            rep = min(b)
-            if rep in vec:
-                out[b_idx] = vec[rep]
-        # verify the vector is truly in T
-        recon = {}
-        for b_idx, c in out.items():
-            for k in self.basis[b_idx]:
-                recon[k] = recon.get(k, 0) + c
-        if {k: v for k, v in recon.items() if v} != \
-                {k: v for k, v in vec.items() if v}:
-            raise NotInT("product left the H-central subspace")
-        return out

@@ -30,14 +30,13 @@ class Permutation:
 
     def __mul__(self, other):
         # (p * q)(x) = p(q(x))
-        im = other.images
-        return Permutation(tuple(self.images[im[x]] for x in range(len(im))))
+        return _trusted(tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self):
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(tuple(inv))
+        return _trusted(tuple(inv))
 
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.images))
@@ -52,7 +51,7 @@ class Permutation:
 
     @staticmethod
     def identity(degree):
-        return Permutation(tuple(range(degree)))
+        return _trusted(tuple(range(degree)))
 
     @staticmethod
     def from_cycles(degree, cycles):
@@ -73,6 +72,14 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({list(self.images)})"
+
+
+def _trusted(images):
+    """The Permutation with an image tuple already known to be a
+    permutation: products and inverses of valid ones skip the check."""
+    p = object.__new__(Permutation)
+    p.images = images
+    return p
 
 
 def enumerate_closure(generators, cap=DEFAULT_GROUP_CAP):
@@ -113,12 +120,33 @@ class FiniteGroup:
         self.order = len(self.elements)
         self.identity = Permutation.identity(self.degree)
         self._index = {p: i for i, p in enumerate(self.elements)}
+        self._classes = None
+        self._left_maps = {}
+        self._right_maps = {}
 
     def __contains__(self, p):
         return p in self.element_set
 
     def index_of(self, p):
         return self._index[p]
+
+    def left_mul_map(self, a):
+        """Index map of g -> a * g on the elements (cached per a)."""
+        cached = self._left_maps.get(a)
+        if cached is None:
+            index = self._index
+            cached = self._left_maps[a] = [index[a * g]
+                                           for g in self.elements]
+        return cached
+
+    def right_mul_map(self, a):
+        """Index map of g -> g * a on the elements (cached per a)."""
+        cached = self._right_maps.get(a)
+        if cached is None:
+            index = self._index
+            cached = self._right_maps[a] = [index[g * a]
+                                            for g in self.elements]
+        return cached
 
     def exponent(self):
         from math import lcm
@@ -152,6 +180,8 @@ class Subgroup:
         self.order = len(self.elements)
         if parent.order % self.order != 0:
             raise NotASubgroup("Lagrange check failed")
+        self._group = None
+        self._h_orbits = {}   # G -> the H-orbits on G
 
     def __contains__(self, p):
         return p in self.element_set
@@ -161,9 +191,12 @@ class Subgroup:
         return self.parent.order // self.order
 
     def as_group(self):
-        """The same subgroup viewed as a standalone FiniteGroup."""
-        return FiniteGroup(self.generators, name=self.name,
-                           cap=self.parent.order)
+        """The same subgroup viewed as a standalone FiniteGroup (built
+        once per subgroup)."""
+        if self._group is None:
+            self._group = FiniteGroup(self.generators, name=self.name,
+                                      cap=self.parent.order)
+        return self._group
 
     def __repr__(self):
         return f"Subgroup({self.name or 'unnamed'}, order={self.order})"
@@ -175,16 +208,25 @@ def _sorted_partition(classes):
     return tuple(classes)
 
 
-def conjugacy_classes(G):
-    """Conjugacy classes of G, sorted by (size, minimal element)."""
-    remaining = set(G.elements)
-    classes = []
+def _conjugation_orbits(elements, by):
+    """Orbits of elements under conjugation by the elements of by."""
+    pairs = [(g, g.inverse()) for g in by]
+    remaining = set(elements)
+    orbits = []
     while remaining:
         a = min(remaining)
-        cls = {g * a * g.inverse() for g in G.elements}
-        classes.append(cls)
-        remaining -= cls
-    return _sorted_partition(classes)
+        orb = {g * a * ginv for g, ginv in pairs}
+        orbits.append(orb)
+        remaining -= orb
+    return _sorted_partition(orbits)
+
+
+def conjugacy_classes(G):
+    """Conjugacy classes of G, sorted by (size, minimal element); computed
+    once per group."""
+    if G._classes is None:
+        G._classes = _conjugation_orbits(G.elements, G.elements)
+    return G._classes
 
 
 def centralizer(G, a):
@@ -221,16 +263,14 @@ def right_transversal(G, H):
 
 
 def h_orbits(G, H):
-    """Orbits of G under conjugation by H; refines conjugacy_classes(G)."""
+    """Orbits of G under conjugation by H; refines conjugacy_classes(G).
+    Computed once per (G, H), and kept on H."""
     _check_subgroup(G, H)
-    remaining = set(G.elements)
-    orbits = []
-    while remaining:
-        a = min(remaining)
-        orb = {h * a * h.inverse() for h in H.elements}
-        orbits.append(orb)
-        remaining -= orb
-    return _sorted_partition(orbits)
+    orbits = H._h_orbits.get(G)
+    if orbits is None:
+        orbits = H._h_orbits[G] = _conjugation_orbits(G.elements,
+                                                      H.elements)
+    return orbits
 
 
 def property_S(G, H):

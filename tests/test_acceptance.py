@@ -5,6 +5,8 @@ asserts it, so `pytest -v` doubles as the acceptance report.  The heavy
 corpus sweep is computed once by the session fixture in conftest.py.
 """
 
+import json
+import os
 import time
 
 import pytest
@@ -80,6 +82,25 @@ def test_criterion_03_property_s_equals_unique_separable(corpus_reports):
     ok = not bad and not skipped and elapsed < 600
     _verdict(3, f"property_S == unique_separable on {len(reports)} pairs, "
              f"disagreements={bad}, corpus {elapsed:.1f}s < 600s", ok)
+
+
+CORPUS_REPORTS = os.path.join(os.path.dirname(__file__), "data",
+                              "corpus_reports.json")
+
+
+def test_corpus_reports_unchanged(corpus_reports):
+    """Every corpus report (at the default caps, seed 0) equals the one
+    recorded in tests/data before the fullness tests moved to integer
+    counts, field for field, the caps_hit strings included."""
+    with open(CORPUS_REPORTS) as fh:
+        expected = json.load(fh)
+    reports, _ = corpus_reports
+    got = {name: r.to_json_dict() for name, _, _, r in reports}
+    assert len(got) == len(reports) == len(expected) == 142
+    changed = sorted(name for name in expected if got.get(name)
+                     != expected[name])
+    assert not changed, f"reports differ on {changed}"
+    assert sum(len(r["caps_hit"]) for r in got.values()) == 13
 
 
 def test_criterion_04_property_s_equals_centralizer_lemma(corpus_reports):

@@ -1,15 +1,19 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from groupalg_oracles import (TProductTable, is_full_in_T_span,
+                              is_full_in_U_span, t_basis, t_product,
+                              t_span_brute, teT_candidates, u_span_brute,
+                              u_trace_images, unit)
 from sepdepth.errors import CapExceeded, NotInT
-from sepdepth.groupalg import (TensorSquare, TProductTable, _teT_candidates,
-                               _teT_counts, casimir_space,
-                               centralizer_basis, corner_dims, e_index,
-                               idempotent_in_t, is_full_in_T,
-                               is_full_in_T_span, is_full_in_U,
-                               separability_elements, t_span_brute,
-                               u_span_brute, u_space, unique_separable)
+from sepdepth.groupalg import (TensorSquare, USpace, _teT_counts,
+                               _u_trace_form_counts,
+                               casimir_space, centralizer_basis, corner_dims,
+                               e_index, idempotent_in_t, is_full_in_T,
+                               is_full_in_U, separability_elements,
+                               unique_separable)
 from sepdepth.permgroup import (Permutation, all_subgroups,
                                 alternating_group, cyclic_group,
                                 dihedral_group, direct_product, h_orbits,
@@ -41,11 +45,11 @@ class TestTensorSquare:
     def test_unit_is_neutral(self):
         G, H = s3_pair(2)
         ts = TensorSquare(G, H)
-        one = ts.unit()
+        one = unit(ts)
         for t in (ts.canonical_separability_element(),
                   {3: Fraction(2), 7: Fraction(-1)}):
-            assert ts.t_product(one, t) == t
-            assert ts.t_product(t, one) == t
+            assert t_product(ts, one, t) == t
+            assert t_product(ts, t, one) == t
 
     def test_t_product_associative_on_basis(self):
         G, H = s3_pair(3)
@@ -54,8 +58,8 @@ class TestTensorSquare:
         idxs = range(0, ts.dim, 5)
         for i, j, k in itertools.product(idxs, repeat=3):
             a, b, c = ({i: 1}, {j: 1}, {k: 1})
-            assert ts.t_product(ts.t_product(a, b), c) == \
-                ts.t_product(a, ts.t_product(b, c))
+            assert t_product(ts, t_product(ts, a, b), c) == \
+                t_product(ts, a, t_product(ts, b, c))
 
     def test_canonical_element_is_separability_idempotent(self):
         for G, H in (s3_pair(2), s3_pair(3), q8_i_pair()):
@@ -128,7 +132,7 @@ def test_fullness_in_t_cross_check():
             assert full == is_full_in_T_span(G, H)
             ts = TensorSquare(G, H)
             e = ts.canonical_separability_element()
-            assert full == (t_span_brute(ts, e).rank == len(ts.t_basis()))
+            assert full == (t_span_brute(ts, e).rank == len(t_basis(ts)))
 
 
 def test_teT_counts_are_the_explicit_candidates():
@@ -137,7 +141,7 @@ def test_teT_counts_are_the_explicit_candidates():
     for G, H in (s3_pair(2), q8_i_pair(), (D, D.trivial_subgroup())):
         ts = TensorSquare(G, H)
         counts = _teT_counts(ts, list(range(ts.dim)))
-        assert [dict(c) for c in counts] == list(_teT_candidates(ts))
+        assert [dict(c) for c in counts] == list(teT_candidates(ts))
 
 
 def test_t_ideal_brute_cross_check():
@@ -145,7 +149,7 @@ def test_t_ideal_brute_cross_check():
     ts = TensorSquare(G, H3)
     e = ts.canonical_separability_element()
     brute = t_span_brute(ts, e)
-    assert brute.rank == 6 < len(ts.t_basis())
+    assert brute.rank == 6 < len(t_basis(ts))
 
 
 def test_fullness_in_u():
@@ -159,13 +163,63 @@ def test_fullness_in_u():
     assert not is_full_in_U(Q, Hi)
 
 
+def test_fullness_in_u_cross_check():
+    """The trace-form test agrees with the explicit span of UEU on every
+    subgroup, not only up to conjugacy."""
+    checked = 0
+    for G in (symmetric_group(3), quaternion_group(), dihedral_group(4),
+              alternating_group(4), symmetric_group(4), dihedral_group(6)):
+        for H in all_subgroups(G, up_to_conjugacy=False):
+            assert is_full_in_U(G, H) == is_full_in_U_span(G, H), (G, H)
+            checked += 1
+    assert checked == 78
+
+
+def test_u_trace_form_counts_are_the_explicit_traces():
+    """The counted images of 1 and of the lambda_c . f_O equal the traces
+    of explicit |G| x |G| matrices against the class-pair operators."""
+    for G in (symmetric_group(3), quaternion_group(), dihedral_group(4),
+              alternating_group(4)):
+        for H in all_subgroups(G):
+            one, images = _u_trace_form_counts(G, H)
+            want_one, want_images = u_trace_images(G, H)
+            assert one == want_one
+            assert Counter(frozenset(i.items()) for i in images) == \
+                Counter(frozenset(i.items()) for i in want_images)
+
+
+def test_fullness_in_u_cap():
+    """The cap still bounds |G|^2, with the same message as the span."""
+    G, H2 = s3_pair(2)
+    with pytest.raises(CapExceeded) as fast:
+        is_full_in_U(G, H2, cap=35)
+    assert str(fast.value) == "dim(U ambient) = 36 exceeds cap 35"
+    with pytest.raises(CapExceeded) as span:
+        is_full_in_U_span(G, H2, cap=35)
+    assert str(span.value) == str(fast.value)
+    assert is_full_in_U(G, H2, cap=36) is False
+
+
+def test_t_square_is_the_t_product():
+    """e . e from the cached index maps equals the product computed from
+    group elements, on elements inside and outside T."""
+    D = dihedral_group(4)
+    for G, H in (s3_pair(2), s3_pair(3), q8_i_pair(),
+                 (D, D.trivial_subgroup())):
+        ts = TensorSquare(G, H)
+        e = ts.canonical_separability_element()
+        for t in (e, {k: 2 * v for k, v in e.items()},
+                  {3: Fraction(2), 7: Fraction(-1), 11: Fraction(1, 3)}):
+            assert ts.t_square(t) == t_product(ts, t, t)
+
+
 def test_u_span_brute_cross_check():
     G, H3 = s3_pair(3)
-    U = u_space(G, H3)
+    U = USpace(G, H3)
     brute = u_span_brute(U)
     assert brute.rank == 6 < U.dim == 8
-    full = u_span_brute(u_space(G, G.full_subgroup()))
-    assert full.rank == u_space(G, G.full_subgroup()).dim
+    full = USpace(G, G.full_subgroup())
+    assert u_span_brute(full).rank == full.dim
 
 
 def test_corner_dims():
@@ -200,6 +254,6 @@ def test_t_product_table():
     e = ts.canonical_separability_element()
     coords = table.coords(e)
     assert any(coords)
-    big_orbit = next(b for b in ts.t_basis() if len(b) > 1)
+    big_orbit = next(b for b in t_basis(ts) if len(b) > 1)
     with pytest.raises(NotInT):
         table.coords({min(big_orbit): Fraction(1)})   # not H-central

@@ -30,6 +30,40 @@ class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Permutation((0, 0, 1))
+        with pytest.raises(ValueError):
+            Permutation([0, 0, 1])
+
+    def test_unchecked_products_are_permutations(self):
+        """Products and inverses skip the check; they must still be
+        genuine permutations of the group."""
+        G = dihedral_group(5)
+        for p in G.elements:
+            assert type(p.inverse()) is Permutation
+            assert p.inverse() * p == G.identity
+            for q in G.elements:
+                r = p * q
+                assert type(r) is Permutation and r in G
+                assert r.images == tuple(p.images[x] for x in q.images)
+
+
+def test_analyze_pair_enumerates_class_partitions_once(monkeypatch):
+    """One analyze_pair call enumerates the classes of G, the classes of H
+    and the H-orbits on G once each, and builds H as a group once."""
+    from sepdepth import analyze, permgroup
+    calls = []
+    enumerate_orbits = permgroup._conjugation_orbits
+
+    def counting(elements, by):
+        calls.append((len(elements), len(by)))
+        return enumerate_orbits(elements, by)
+
+    monkeypatch.setattr(permgroup, "_conjugation_orbits", counting)
+    G = symmetric_group(4)
+    H = G.subgroup([Permutation.from_cycles(4, [[0, 1]]),
+                    Permutation.from_cycles(4, [[0, 1, 2]])])
+    analyze.analyze_pair(G, H)
+    assert sorted(calls) == [(6, 6), (24, 6), (24, 24)]
+    assert H.as_group() is H.as_group()
 
 
 def test_enumerate_closure_cap():

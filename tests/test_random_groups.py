@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from sepdepth.chartable import inclusion_matrix  # noqa: E402
 from sepdepth.depth import (bimodule_matrices, is_diagonal,  # noqa: E402
-                            min_h_depth)
-from sepdepth.groupalg import is_full_in_T  # noqa: E402
-from sepdepth.permgroup import FiniteGroup, Permutation  # noqa: E402
+                            min_depth, min_h_depth)
+from sepdepth.groupalg import is_full_in_T, is_full_in_U  # noqa: E402
+from sepdepth.permgroup import (FiniteGroup, Permutation,  # noqa: E402
+                                depth1_group)
 
 
 @st.composite
@@ -31,3 +32,15 @@ def test_full_in_t_iff_h_depth_one(pair):
     M = inclusion_matrix(G, H).as_lists()
     _, T = bimodule_matrices(M)
     assert is_full_in_T(G, H) == is_diagonal(T) == (min_h_depth(M) == 1)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(group_pairs())
+def test_full_in_u_iff_depth_one(pair):
+    """E full in U, H C_G(h) = G for all h in H, S diagonal and depth 1 are
+    one condition."""
+    G, H = pair
+    M = inclusion_matrix(G, H).as_lists()
+    S, _ = bimodule_matrices(M)
+    assert is_full_in_U(G, H) == depth1_group(G, H) == is_diagonal(S) \
+        == (min_depth(M) == 1)
