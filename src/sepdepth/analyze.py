@@ -161,7 +161,7 @@ def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
             kind, _witness, _kdim = separability_elements(G, H, ts=ts)
             rep.separability_kind = kind
             rep.unique_separable = kind == "unique"
-            rep.casimir_dim = len(ts.casimir_basis())
+            rep.casimir_dim = len(ts.casimir)
             rep.full_in_t = is_full_in_T(G, H, ts=ts)
         except CapExceeded as exc:
             rep.caps_hit.append(str(exc))

@@ -222,6 +222,8 @@ def cmd_corpus(args):
     reports = []
     tables = {}
     for name, G, H in corpus_pairs(args.corpus_filter):
+        if G.order > args.cap_group:
+            raise CapExceeded("group order", G.order, args.cap_group)
         if G.name not in tables:
             prime = common_prime(G, G)
             tables[G.name] = character_table_mod_p(G, prime=prime,

@@ -6,8 +6,9 @@ a fixed right transversal of H, with the rewrite g_i * a = h * g_j pulling
 everything back onto the canonical basis.  Left/right multiplications by
 group elements permute that basis, so the A-central (Casimir) and H-central
 (T) subspaces are fixed spaces of permutation actions and come out as orbit
-indicator bases -- already in reduced echelon form.  The same holds for the
-bimodule endomorphism space U inside the |G| x |G| matrix coordinates.
+indicator bases -- already in reduced echelon form.  Fullness of the
+separability idempotent in T, and of the H-support projection in the
+bimodule endomorphism ring U, are decided by integer trace-form counts.
 """
 
 from collections import Counter
@@ -16,7 +17,8 @@ from operator import add
 
 from .errors import CapExceeded, CheckFailed, NotInT
 from .linalg import SparseEchelon, solve_affine
-from .permgroup import conjugacy_classes, h_orbits, right_transversal
+from .permgroup import (conjugacy_classes, h_orbits, right_cosets,
+                        right_transversal)
 
 DEFAULT_LINEAR_CAP = 4096
 
@@ -44,15 +46,13 @@ def _orbit_partition(size, perms):
     return orbits
 
 
-def _indicator(orbit):
-    return {i: Fraction(1) for i in orbit}
-
-
 class TensorSquare:
     """Canonical-basis model of A (x)_B A for A = kG, B = kH.
 
     Basis index of g (x) g_i is  g_index * n + i  with elements of G sorted
-    and the transversal identity-first.
+    and the transversal identity-first.  Everything runs on the index data
+    of G: the coset table x = h * g_j, the right maps of the transversal
+    and G.mul for single products.
     """
 
     def __init__(self, G, H, cap=DEFAULT_LINEAR_CAP):
@@ -63,151 +63,116 @@ class TensorSquare:
         self.dim = G.order * self.n
         if self.dim > cap:
             raise CapExceeded("dim(A tensor_B A)", self.dim, cap)
-        self.cap = cap
-        # coset factorization x = h * g_j for every x in G
-        self._coset = {}
-        for j, rep in enumerate(self.transversal):
-            for h in H.elements:
-                self._coset[h * rep] = (j, h)
-        self._left_cache = {}
+        self.reps = [G.index_of(rep) for rep in self.transversal]
+        # coset factorization: _coset[x] = (j, h) with x = h * g_j
+        self._coset = list(zip(*right_cosets(G, H)))
+        self._casimir = None
         self._right_cache = {}
 
     def basis_index(self, g, i):
         return self.G.index_of(g) * self.n + i
 
-    def basis_pair(self, idx):
-        g = self.G.elements[idx // self.n]
-        return g, idx % self.n
-
-    # --- actions (all permutations of the basis, memoized per element) ---
-
-    def left_perm(self, a):
-        """Index permutation of t -> a * t."""
-        cached = self._left_cache.get(a)
-        if cached is not None:
-            return cached
-        n = self.n
-        gmap = self.G.left_mul_map(a)
-        out = [0] * self.dim
-        for idx in range(self.dim):
-            out[idx] = gmap[idx // n] * n + idx % n
-        self._left_cache[a] = out
-        return out
+    # --- actions on the basis ---
 
     def right_perm(self, a):
-        """Index permutation of t -> t * a."""
+        """Index permutation of t -> t * a (memoized per element)."""
         cached = self._right_cache.get(a)
         if cached is not None:
             return cached
-        n = self.n
-        moves = [self._coset[rep * a] for rep in self.transversal]
+        G, n = self.G, self.n
+        ai = G.index_of(a)
         out = [0] * self.dim
-        for i, (j, h) in enumerate(moves):
-            hmap = self.G.right_mul_map(h)
-            for gi in range(self.G.order):
+        for i, rep in enumerate(self.reps):
+            j, h = self._coset[G.mul(rep, ai)]
+            hmap = G.right_map(h)
+            for gi in range(G.order):
                 out[gi * n + i] = hmap[gi] * n + j
         self._right_cache[a] = out
         return out
 
-    def right_action(self, t, a):
-        perm = self.right_perm(a)
-        return {perm[k]: v for k, v in t.items()}
-
-    def left_action(self, t, a):
-        perm = self.left_perm(a)
-        return {perm[k]: v for k, v in t.items()}
-
     def conj_perms(self, elements):
         """Permutations t -> s^-1 * t * s for s in elements."""
+        G, n = self.G, self.n
         perms = []
         for s in elements:
-            lp = self.left_perm(s.inverse())
-            rp = self.right_perm(s)
-            perms.append([lp[rp[i]] for i in range(self.dim)])
+            gmap = G.left_map(G.inverse[G.index_of(s)])
+            perms.append([gmap[k // n] * n + k % n
+                          for k in self.right_perm(s)])
         return perms
+
+    def _conj_index(self, idx, s):
+        """Basis index of s^-1 * b * s for the basis point b = idx and the
+        element index s, from single products (no basis permutation)."""
+        G, n = self.G, self.n
+        g, i = divmod(idx, n)
+        # (g (x) g_i) s = g h (x) g_j  where g_i s = h g_j
+        j, h = self._coset[G.mul(self.reps[i], s)]
+        return G.mul(G.mul(G.inverse[s], g), h) * n + j
+
+    def _invariant(self, t, elements):
+        """True iff s^-1 * t * s = t for every s in elements; looks only at
+        the support of t."""
+        G = self.G
+        for s in map(G.index_of, elements):
+            for idx, c in t.items():
+                if t.get(self._conj_index(idx, s)) != c:
+                    return False
+        return True
 
     def mu(self, t):
         """Multiplication map g (x) g_i -> g * g_i, as a kG vector."""
+        G, n = self.G, self.n
+        rep_maps = [G.right_map(rep) for rep in self.reps]
         out = {}
         for idx, c in t.items():
-            g, i = self.basis_pair(idx)
-            k = self.G.index_of(g * self.transversal[i])
+            g, i = divmod(idx, n)
+            k = rep_maps[i][g]
             out[k] = out.get(k, 0) + c
-            if not out[k]:
-                del out[k]
-        return out
+        return {k: v for k, v in out.items() if v}
 
     def t_square(self, t):
-        """The T-product t . t, from the cached index maps.
+        """The T-product t . t, from single products on indices.
 
-        (g (x) g_i) . (g' (x) g_j) = g' g h (x) g_k  where g_i g_j = h g_k,
-        that is g' times the right action of g_j on g (x) g_i.
+        (g (x) g_i) . (g' (x) g_j) = g' g h (x) g_k  where g_i g_j = h g_k.
         """
-        n = self.n
+        G, n, reps = self.G, self.n, self.reps
         out = {}
         for idx2, c2 in t.items():
             gp, j = divmod(idx2, n)
-            lmap = self.G.left_mul_map(self.G.elements[gp])
-            rperm = self.right_perm(self.transversal[j])
             for idx1, c1 in t.items():
-                gi, k = divmod(rperm[idx1], n)
-                key = lmap[gi] * n + k
+                g, i = divmod(idx1, n)
+                k, h = self._coset[G.mul(reps[i], reps[j])]
+                key = G.mul(G.mul(gp, g), h) * n + k
                 out[key] = out.get(key, 0) + c1 * c2
         return {k: v for k, v in out.items() if v}
 
     # --- distinguished subspaces (orbit bases) ---
 
     def casimir_basis(self):
-        """Orbit-indicator basis of (A (x)_B A)^A."""
-        perms = self.conj_perms(self.G.generators)
-        return [_indicator(o) for o in _orbit_partition(self.dim, perms)]
+        """Orbit basis of (A (x)_B A)^A: the orbits of conjugation by G on
+        the basis, each a sorted index tuple standing for its 0/1
+        indicator."""
+        return _orbit_partition(self.dim, self.conj_perms(self.G.generators))
+
+    @property
+    def casimir(self):
+        """casimir_basis(), computed once per tensor square."""
+        if self._casimir is None:
+            self._casimir = self.casimir_basis()
+        return self._casimir
 
     def in_t(self, t):
-        gens = self.H.generators or [self.G.identity]
-        for perm in self.conj_perms(gens):
-            moved = {perm[k]: v for k, v in t.items()}
-            if moved != t:
-                return False
-        return True
+        return self._invariant(t, self.H.generators or [self.G.identity])
 
     def is_central(self, t):
         """A-centrality: invariance under conjugation by all generators."""
-        for perm in self.conj_perms(self.G.generators):
-            moved = {perm[k]: v for k, v in t.items()}
-            if moved != t:
-                return False
-        return True
+        return self._invariant(t, self.G.generators)
 
     def canonical_separability_element(self):
         """(1/[G:H]) sum_i g_i^-1 (x) g_i."""
         c = Fraction(1, self.n)
-        out = {}
-        for i, rep in enumerate(self.transversal):
-            idx = self.basis_index(rep.inverse(), i)
-            out[idx] = out.get(idx, 0) + c
-        return out
-
-
-def centralizer_basis(G, H):
-    """H-orbit sums spanning A^B, as kG coefficient dicts."""
-    orbits = h_orbits(G, H)
-    return [{G.index_of(g): Fraction(1) for g in orb} for orb in orbits]
-
-
-def group_vec_mul(G, u, v):
-    """Product of two kG coefficient dicts."""
-    out = {}
-    for i, a in u.items():
-        gi = G.elements[i]
-        for j, b in v.items():
-            k = G.index_of(gi * G.elements[j])
-            out[k] = out.get(k, 0) + a * b
-    return {k: v for k, v in out.items() if v}
-
-
-def casimir_space(G, H, cap=DEFAULT_LINEAR_CAP):
-    ts = TensorSquare(G, H, cap=cap)
-    return ts, ts.casimir_basis()
+        inv = self.G.inverse
+        return {inv[rep] * self.n + i: c for i, rep in enumerate(self.reps)}
 
 
 def separability_elements(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
@@ -219,22 +184,18 @@ def separability_elements(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
     """
     if ts is None:
         ts = TensorSquare(G, H, cap=cap)
-    cas = ts.casimir_basis()
-    # affine system: sum_a c_a mu(w_a) = 1 in kG
-    mus = [ts.mu(w) for w in cas]
-    rows = []
-    rhs = []
-    for gi in range(G.order):
-        rows.append([m.get(gi, Fraction(0)) for m in mus])
-        rhs.append(Fraction(1) if gi == G.index_of(G.identity)
-                   else Fraction(0))
+    # affine system: sum_a c_a mu(w_a) = 1 in kG, with integer mu(w_a)
+    mus = [ts.mu(dict.fromkeys(w, 1)) for w in ts.casimir]
+    one = G.index_of(G.identity)
+    rows = [[m.get(gi, 0) for m in mus] for gi in range(G.order)]
+    rhs = [int(gi == one) for gi in range(G.order)]
     sol, kernel = solve_affine(rows, rhs)
     if sol is None:
         return "none", None, len(kernel)
     e = ts.canonical_separability_element()
     if not ts.is_central(e):
         raise CheckFailed("canonical separability element is not central")
-    if ts.mu(e) != {G.index_of(G.identity): Fraction(1)}:
+    if ts.mu(e) != {one: 1}:
         raise CheckFailed("mu of the canonical separability element is not 1")
     kind = "unique" if not kernel else "infinite"
     return kind, e, len(kernel)
@@ -269,71 +230,103 @@ def _one_in_span(one, images):
     return False
 
 
-def _teT_counts(ts, label):
-    """The spanning set {w.r} of TeT as integer multiplicities.
+def _teT_images(ts):
+    """Trace-form images of 1 and of the spanning set {w.r} of TeT.
 
-    w is a Casimir orbit indicator and r an H-orbit sum, so w.r hits basis
-    index perm_g[k] once for each k in w and g in r, with perm_g the cached
-    right permutation of g.  Each candidate is yielded as the counts of
-    label[index] over those hits; the identity labelling gives w.r itself.
+    w runs over the Casimir orbits (outer loop) and r over the H-orbits on
+    G (inner loop); an image has one integer coordinate K * c + K' per pair
+    of the c conjugacy classes of G.  On a basis point b (x) g_j the trace
+    form (see is_full_in_T) takes the value
+
+        sigma(b (x) g_j)[K, K'] = #{h in H : (b h)^-1 in K, g_j^-1 h in K'}.
+
+    The images are counted from class and H-orbit data, without moving
+    any basis point.  Take a basis point b (x) g_i and g in G, and write
+    g_i g = h0 g_j.  Then (b (x) g_i) . g = b h0 (x) g_j, and substituting
+    h -> h0^-1 h in the count (g_j^-1 h0^-1 = g^-1 g_i^-1) gives
+
+        sigma((b (x) g_i) . g)[K, K'] =
+            #{h in H : (b h)^-1 in K, g^-1 g_i^-1 h in K'}.
+
+    Summed over g in r, each h adds [(b h)^-1 in K] * N_r(x)[K'] with
+    x = g_i^-1 h and N_r(x)[K'] = #{g in r : g^-1 x in K'}.  N_r(x) depends
+    only on the H-orbit O of x: for x' = k x k^-1 with k in H, g -> k g k^-1
+    permutes r (an H-orbit), and (k g k^-1)^-1 x' = k (g^-1 x) k^-1 lies in
+    the G-class of g^-1 x.  Summing over the points (b, i) of w then gives
+    tau(w.r)[K, K'] = sum over O of M_w[K, O] N_r[O][K'], where
+
+        M_w[K, O] = #{((b, i) in w, h in H) : (b h)^-1 in K, g_i^-1 h in O}
+
+    and N_r[O] = N_r(x) at any x in O.  Building every M_w takes
+    dim * |H| = |G|^2 steps and N takes |G| steps per H-orbit; no right
+    permutation of the basis is formed.
+    Returns the image of 1 (the point 1 (x) 1) and a generator of the
+    images, in the order w.r above.
     """
-    orbit_perms = [[ts.right_perm(g) for g in orb]
-                   for orb in h_orbits(ts.G, ts.H)]
-    for w in ts.casimir_basis():
-        support = list(w)
-        for orb in orbit_perms:
-            counts = Counter()
-            for perm in orb:
-                counts.update(map(label.__getitem__, map(perm.__getitem__,
-                                                         support)))
-            yield counts
-
-
-def _trace_form_signatures(ts):
-    """Per-basis-point values of the trace forms that separate T's blocks.
-
-    T is semisimple, so 1 lies in an ideal I iff every trace functional
-    vanishing on I vanishes at 1.  The trace forms on T are spanned by
-    t -> Tr(rho(z) rho(t)) with z running over class-sum pairs K (x) K' in
-    the center of A (x) A^op acting on A (x)_B A; evaluated on a basis
-    point b (x) g_j that trace counts, up to the constant factor dim,
-    the h in H with (b h)^-1 in K and g_j^-1 h in K'.  Returns the distinct
-    signatures, each a list of (K-index * r + K'-index, count) pairs, and
-    for each basis index the position of its signature in that list.
-    """
-    G, H = ts.G, ts.H
+    G, H, n = ts.G, ts.H, ts.n
+    inv = G.inverse
     classes = conjugacy_classes(G)
-    r = len(classes)
-    class_of = {}
+    c = len(classes)
+    class_of = [0] * G.order
     for ci, cls in enumerate(classes):
         for g in cls:
-            class_of[g] = ci
-    # r * (K-index of (b h)^-1) per element index of b, and K'-index of
-    # g_j^-1 h per transversal index j, both listed over h in H
-    inv_class = [r * class_of[g.inverse()] for g in G.elements]
-    hmaps = [G.right_mul_map(h) for h in H.elements]
-    left = [[inv_class[hm[bi]] for hm in hmaps] for bi in range(G.order)]
-    right = [[class_of[rep.inverse() * h] for h in H.elements]
-             for rep in ts.transversal]
-    position = {}
-    sig_of = []
-    for lrow in left:
-        for rrow in right:
-            sig = frozenset(Counter(map(add, lrow, rrow)).items())
-            sig_of.append(position.setdefault(sig, len(position)))
-    return [list(sig) for sig in position], sig_of
+            class_of[G.index_of(g)] = ci
+    orbits = [list(map(G.index_of, orb)) for orb in h_orbits(G, H)]
+    norb = len(orbits)
+    orbit_of = [0] * G.order
+    for oi, orb in enumerate(orbits):
+        for g in orb:
+            orbit_of[g] = oi
+    hidx = [G.index_of(h) for h in H.elements]
+    # M_w keys K * norb + O: the K part per element index b and the O part
+    # per transversal index i, both listed over h in H
+    hmaps = [G.right_map(h) for h in hidx]
+    kpart = [[class_of[inv[hm[b]]] * norb for hm in hmaps]
+             for b in range(G.order)]
+    opart = [[orbit_of[G.mul(inv[rep], h)] for h in hidx] for rep in ts.reps]
+    # N[r][O]: the (K', count) pairs of N_r[O], counted at x = min of O
+    xmaps = [G.right_map(orb[0]) for orb in orbits]
+    N = []
+    for r in orbits:
+        rinv = [inv[g] for g in r]
+        N.append([list(Counter(class_of[xm[g]] for g in rinv).items())
+                  for xm in xmaps])
+    one = Counter(class_of[inv[h]] * c + class_of[h] for h in hidx)
+
+    def images():
+        for w in ts.casimir:
+            m = Counter()
+            for idx in w:
+                b, i = divmod(idx, n)
+                m.update(map(add, kpart[b], opart[i]))
+            terms = [(divmod(key, norb), cnt) for key, cnt in m.items()]
+            for Nr in N:
+                out = {}
+                for (K, O), cnt in terms:
+                    base = K * c
+                    for Kp, v in Nr[O]:
+                        out[base + Kp] = out.get(base + Kp, 0) + cnt * v
+                yield out
+
+    return dict(one), images()
 
 
 def is_full_in_T(G, H, e=None, ts=None, cap=DEFAULT_LINEAR_CAP):
     """Fullness of a separability idempotent in T = (A (x)_B A)^B.
 
     TeT = T iff 1 is in TeT, which (T being semisimple in characteristic
-    zero) holds iff the trace-form image of 1 lies in the span of the
-    trace-form images of a spanning set of TeT.  That image space has one
-    coordinate per pair of conjugacy classes of G, so the membership test
-    stays small no matter how large the tensor square is.  Every image is
-    an integer vector; repeated images are skipped and the test stops as
-    soon as the image of 1 is in the span.
+    zero) holds iff every trace functional on T vanishing on TeT vanishes
+    at 1.  The trace forms on T are spanned by t -> Tr(rho(z) rho(t)) with
+    z running over the class-sum pairs K (x) K' in the center of
+    A (x) A^op acting on A (x)_B A; on a basis point b (x) g_j that trace
+    counts, up to the constant factor dim, the h in H with (b h)^-1 in K
+    and g_j^-1 h in K'.  So 1 is in TeT iff the trace-form image of 1 lies
+    in the span of the images of the spanning set {w.r} (w a Casimir orbit,
+    r an H-orbit sum) of TeT.  Those images have one integer coordinate
+    per pair of conjugacy classes of G and are counted from class and
+    H-orbit data (``_teT_images``), so the test stays small no matter how
+    large the tensor square is.  Repeated images are skipped and the test
+    stops as soon as the image of 1 is in the span.
     """
     if ts is None:
         ts = TensorSquare(G, H, cap=cap)
@@ -341,81 +334,8 @@ def is_full_in_T(G, H, e=None, ts=None, cap=DEFAULT_LINEAR_CAP):
         e = ts.canonical_separability_element()
     if not idempotent_in_t(ts, e):
         raise NotInT("e is not an idempotent of T")
-    sigs, sig_of = _trace_form_signatures(ts)
-
-    def project(counts):
-        out = {}
-        for s, mult in counts.items():
-            for key, cnt in sigs[s]:
-                out[key] = out.get(key, 0) + mult * cnt
-        return out
-
-    one = project({sig_of[ts.basis_index(G.identity, 0)]: 1})
-    return _one_in_span(one, map(project, _teT_counts(ts, sig_of)))
-
-
-# ---------------------------------------------------------------------------
-# U = End of A as an H-bimodule, in |G| x |G| matrix coordinates.
-# Index of matrix entry (y, x) -- image coefficient y of basis element x --
-# is  y_index * |G| + x_index.
-
-
-class USpace:
-    def __init__(self, G, H, cap=DEFAULT_LINEAR_CAP):
-        self.G = G
-        self.H = H
-        self.ambient = G.order * G.order
-        if self.ambient > cap:
-            raise CapExceeded("dim(U ambient)", self.ambient, cap)
-        perms = []
-        N = G.order
-        for h in (H.generators or [G.identity]):
-            # F[y][x] = F[h y][h x]  and  F[y][x] = F[y h][x h]
-            lp = [G.index_of(h * g) for g in G.elements]
-            rp = [G.index_of(g * h) for g in G.elements]
-            perms.append([lp[idx // N] * N + lp[idx % N]
-                          for idx in range(self.ambient)])
-            perms.append([rp[idx // N] * N + rp[idx % N]
-                          for idx in range(self.ambient)])
-        self.orbits = _orbit_partition(self.ambient, perms)
-
-    def basis(self):
-        return [_indicator(o) for o in self.orbits]
-
-    @property
-    def dim(self):
-        return len(self.orbits)
-
-    def projection_E(self):
-        """The H-support projection as a matrix vector."""
-        N = self.G.order
-        return {self.G.index_of(h) * N + self.G.index_of(h): Fraction(1)
-                for h in self.H.elements}
-
-    def compose(self, f, g):
-        """Matrix product f . g in sparse entry coordinates."""
-        return self.compose_indexed(self.by_column(f), g)
-
-    def by_column(self, f):
-        """The entries of f grouped by column: x -> [(y, f[y][x])], the
-        left operand of compose_indexed."""
-        N = self.G.order
-        cols = {}
-        for idx, v in f.items():
-            y, x = divmod(idx, N)
-            cols.setdefault(x, []).append((y, v))
-        return cols
-
-    def compose_indexed(self, fcols, g):
-        """f . g for f given as by_column(f)."""
-        N = self.G.order
-        out = {}
-        for idx, gv in g.items():
-            z, x = divmod(idx, N)
-            for (y, fv) in fcols.get(z, ()):
-                k = y * N + x
-                out[k] = out.get(k, 0) + fv * gv
-        return {k: v for k, v in out.items() if v}
+    one, images = _teT_images(ts)
+    return _one_in_span(one, images)
 
 
 def is_full_in_U(G, H, cap=DEFAULT_LINEAR_CAP):
@@ -462,31 +382,33 @@ def _u_trace_form_counts(G, H):
     classes = conjugacy_classes(H.as_group())
     r = len(classes)
     class_of = {k: ci for ci, cls in enumerate(classes) for k in cls}
+    hidx = [G.index_of(k) for k in H.elements]
     hclass = [class_of[k] for k in H.elements]
+    hclass_of = dict(zip(hidx, hclass))    # G-index of k in H -> its class
     # coordinate (K, K') is K * r + K'; candidate (c, O) counts go under
     # O * r * r + K * r + K' while c is fixed
     orbit_key = [oi * r * r for oi in orbit_of]
     pair_keys = [[K * r + Kp for Kp in hclass] for K in range(r)]
     # row y: the element indices of y k' for k' in H
-    rows = list(zip(*(G.right_mul_map(k) for k in H.elements)))
+    rows = list(zip(*(G.right_map(k) for k in hidx)))
+    inv = G.inverse
+    reps = [G.index_of(orb[0]) for orb in orbits]
 
     one = {}
-    for orb in orbits:
-        x = orb[0]
-        xinv = x.inverse()
-        for k, K in zip(H.elements, hclass):
-            kp = xinv * k.inverse() * x        # the k' with k x k' = x
-            if kp in H:
-                key = K * r + class_of[kp]
+    for x, orb in zip(reps, orbits):
+        for k, K in zip(hidx, hclass):
+            # the k' with k x k' = x
+            Kp = hclass_of.get(G.mul(G.mul(inv[x], inv[k]), x))
+            if Kp is not None:
+                key = K * r + Kp
                 one[key] = one.get(key, 0) + len(orb)
 
     def images():
-        for orb in orbits:
-            w = orb[0]
+        for w in reps:
             counts = Counter()
-            for k, K in zip(H.elements, hclass):
-                row = rows[G.index_of(k * w)]
-                counts.update(map(add, map(orbit_key.__getitem__, row),
+            for k, K in zip(hidx, hclass):
+                counts.update(map(add, map(orbit_key.__getitem__,
+                                           rows[G.mul(k, w)]),
                                   pair_keys[K]))
             by_orbit = {}
             for key, cnt in counts.items():
@@ -495,62 +417,3 @@ def _u_trace_form_counts(G, H):
             yield from by_orbit.values()
 
     return one, images()
-
-
-def corner_dims(G, H, ts=None, U=None, cap=DEFAULT_LINEAR_CAP):
-    """(dim eTe, dim EUE) for the canonical e and E.
-
-    eTe = mu(Casimir) . e -- left multiplication on the first tensor leg;
-    EUE is the H x H matrix block of U.
-    """
-    if ts is None:
-        ts = TensorSquare(G, H, cap=cap)
-    e = ts.canonical_separability_element()
-    ech = SparseEchelon()
-    for w in ts.casimir_basis():
-        z = ts.mu(w)
-        vec = {}
-        for gi, coeff in z.items():
-            moved = ts.left_action(e, G.elements[gi])
-            for k, v in moved.items():
-                vec[k] = vec.get(k, 0) + coeff * v
-        ech.add(vec)
-    dim_eTe = ech.rank
-    if U is None:
-        U = USpace(G, H, cap=cap)
-    E = U.projection_E()
-    ech2 = SparseEchelon()
-    for beta in U.basis():
-        ech2.add(U.compose(E, U.compose(beta, E)))
-    return dim_eTe, ech2.rank
-
-
-def e_index(G, H):
-    """sum_i g_i^-1 g_i as a kG vector; checked central and
-    transversal-independent."""
-    trans = right_transversal(G, H)
-    out = _transversal_index_sum(G, trans)
-    # second transversal: maximal coset representatives
-    alt = []
-    seen = set()
-    for g in G.elements:
-        if g in seen:
-            continue
-        coset = {h * g for h in H.elements}
-        alt.append(max(coset))
-        seen |= coset
-    if _transversal_index_sum(G, alt) != out:
-        raise CheckFailed("e-index depends on the transversal")
-    for g in G.generators:
-        gi = {G.index_of(g): Fraction(1)}
-        if group_vec_mul(G, gi, out) != group_vec_mul(G, out, gi):
-            raise CheckFailed("e-index is not central")
-    return out
-
-
-def _transversal_index_sum(G, trans):
-    out = {}
-    for rep in trans:
-        k = G.index_of(rep.inverse() * rep)
-        out[k] = out.get(k, 0) + Fraction(1)
-    return {k: v for k, v in out.items() if v}

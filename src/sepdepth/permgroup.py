@@ -109,7 +109,15 @@ def enumerate_closure(generators, cap=DEFAULT_GROUP_CAP):
 
 
 class FiniteGroup:
-    """A finitely generated permutation group, fully enumerated."""
+    """A finitely generated permutation group, fully enumerated.
+
+    Its integer index data is built on first use: the inverse of each
+    element and the maps g -> g * a and g -> a * g, as index lists.  Only
+    the generators' maps come from image tuples; every other map is its
+    parent's map in a breadth-first tree composed with a generator's, so no
+    Permutation product is formed.  Maps are cached per element as they
+    are asked for, never built as one eager |G| x |G| table.
+    """
 
     def __init__(self, generators, name=None, cap=DEFAULT_GROUP_CAP):
         self.generators = list(generators)
@@ -121,8 +129,9 @@ class FiniteGroup:
         self.identity = Permutation.identity(self.degree)
         self._index = {p: i for i, p in enumerate(self.elements)}
         self._classes = None
-        self._left_maps = {}
+        self._tree = None
         self._right_maps = {}
+        self._left_maps = {}
 
     def __contains__(self, p):
         return p in self.element_set
@@ -130,23 +139,93 @@ class FiniteGroup:
     def index_of(self, p):
         return self._index[p]
 
+    def _build_index_data(self):
+        """The tree over the generators and their inverses, and inverses.
+
+        The identity is element 0 (the least image tuple); element y = x * s
+        has up[y] = x and via[y] = the position of s among the generators.
+        """
+        pos = {p.images: i for p, i in self._index.items()}
+        ids = list(pos.values())    # the index ints, shared by every map
+        rows = [p.images for p in self.elements]
+        right, left = [], []
+        for s in self.generators:
+            si = s.images
+            rmap = [pos[tuple(map(r.__getitem__, si))] for r in rows]
+            lmap = [pos[tuple(map(si.__getitem__, r))] for r in rows]
+            right += [rmap, _inverted(rmap, ids)]
+            left += [lmap, _inverted(lmap, ids)]
+        up = [None] * self.order
+        up[0] = 0
+        via = [0] * self.order
+        inverse = [0] * self.order
+        queue = [0]
+        for x in queue:
+            for k, rmap in enumerate(right):
+                y = rmap[x]
+                if up[y] is None:
+                    up[y] = x
+                    via[y] = k
+                    # (x s)^-1 = s^-1 x^-1; k ^ 1 is the position of s^-1
+                    inverse[y] = left[k ^ 1][inverse[x]]
+                    queue.append(y)
+        self._tree = (up, via, right, left, inverse)
+        self._right_maps[0] = self._left_maps[0] = ids
+
+    def _index_data(self):
+        if self._tree is None:
+            self._build_index_data()
+        return self._tree
+
+    @property
+    def inverse(self):
+        """Index list: inverse[i] is the index of elements[i]^-1."""
+        return self._index_data()[4]
+
+    def mul(self, i, j):
+        """Index of elements[i] * elements[j]: i moved by the generators
+        on the tree path from the identity to j."""
+        up, via, right = self._index_data()[:3]
+        path = []
+        while j:
+            path.append(right[via[j]])
+            j = up[j]
+        for rmap in reversed(path):
+            i = rmap[i]
+        return i
+
+    def right_map(self, a):
+        """Index map of g -> g * elements[a] (cached per a)."""
+        return self._map(a, self._right_maps, True)
+
+    def left_map(self, a):
+        """Index map of g -> elements[a] * g (cached per a)."""
+        return self._map(a, self._left_maps, False)
+
+    def _map(self, a, cache, right):
+        cached = cache.get(a)
+        if cached is not None:
+            return cached
+        up, via, rgen, lgen, _ = self._index_data()
+        path = []
+        while a not in cache:
+            path.append(a)
+            a = up[a]
+        prev = cache[a]
+        for y in reversed(path):
+            # R_{x s} = R_s o R_x and L_{x s} = L_x o L_s
+            prev = cache[y] = (list(map(rgen[via[y]].__getitem__, prev))
+                               if right else
+                               list(map(prev.__getitem__, lgen[via[y]])))
+        return prev
+
     def left_mul_map(self, a):
         """Index map of g -> a * g on the elements (cached per a)."""
-        cached = self._left_maps.get(a)
-        if cached is None:
-            index = self._index
-            cached = self._left_maps[a] = [index[a * g]
-                                           for g in self.elements]
-        return cached
+        return self.left_map(self._index[a])
 
     def right_mul_map(self, a):
         """Index map of g -> g * a on the elements (cached per a)."""
-        cached = self._right_maps.get(a)
-        if cached is None:
-            index = self._index
-            cached = self._right_maps[a] = [index[g * a]
-                                            for g in self.elements]
-        return cached
+        return self.right_map(self._index[a])
 
     def exponent(self):
         from math import lcm
@@ -165,8 +244,17 @@ class FiniteGroup:
         return f"FiniteGroup({self.name or 'unnamed'}, order={self.order})"
 
 
+def _inverted(perm, ids):
+    """The inverse of an index permutation (entries taken from ids)."""
+    out = [0] * len(perm)
+    for x, y in zip(ids, perm):
+        out[y] = x
+    return out
+
+
 class Subgroup:
-    """A subgroup of a FiniteGroup, enumerated from its own generators."""
+    """A subgroup of a FiniteGroup, enumerated from its own generators on
+    the parent's index data."""
 
     def __init__(self, parent, generators, name=None):
         self.parent = parent
@@ -175,13 +263,15 @@ class Subgroup:
         for g in self.generators:
             if g not in parent:
                 raise NotASubgroup(f"generator {g} not in parent group")
-        self.elements = enumerate_closure(self.generators, cap=parent.order)
+        found = _closure(parent, [parent.index_of(g) for g in self.generators])
+        self.elements = tuple(map(parent.elements.__getitem__, sorted(found)))
         self.element_set = frozenset(self.elements)
         self.order = len(self.elements)
         if parent.order % self.order != 0:
             raise NotASubgroup("Lagrange check failed")
         self._group = None
         self._h_orbits = {}   # G -> the H-orbits on G
+        self._cosets = {}     # G -> the right cosets of H in G
 
     def __contains__(self, p):
         return p in self.element_set
@@ -200,6 +290,20 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup({self.name or 'unnamed'}, order={self.order})"
+
+
+def _closure(G, gens):
+    """Element indices of the subgroup of G generated by the indices gens."""
+    gens = list(dict.fromkeys(gens))
+    seen = {0}
+    queue = [0]
+    for x in queue:
+        for s in gens:
+            y = G.mul(x, s)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
 
 
 def _sorted_partition(classes):
@@ -229,34 +333,61 @@ def conjugacy_classes(G):
     return G._classes
 
 
+def _centralizer_indices(G, a):
+    """Indices of C_G(a) for the element index a: g with g a = a g."""
+    return [g for g, (r, l) in enumerate(zip(G.right_map(a), G.left_map(a)))
+            if r == l]
+
+
 def centralizer(G, a):
     """C_G(a) as a Subgroup."""
     if a not in G:
         raise ElementNotInGroup(repr(a))
-    elems = [g for g in G.elements if g * a == a * g]
-    return Subgroup(G, elems, name=f"C({G.name})")
+    elems = _centralizer_indices(G, G.index_of(a))
+    return Subgroup(G, [G.elements[g] for g in elems], name=f"C({G.name})")
+
+
+def _center_indices(G):
+    gens = [(G.right_map(s), G.left_map(s))
+            for s in map(G.index_of, G.generators)]
+    return [g for g in range(G.order)
+            if all(r[g] == l[g] for r, l in gens)]
 
 
 def center(G):
     """Z(G) as a Subgroup."""
-    elems = [g for g in G.elements
-             if all(g * s == s * g for s in G.generators)]
-    return Subgroup(G, elems, name=f"Z({G.name})")
+    return Subgroup(G, [G.elements[g] for g in _center_indices(G)],
+                    name=f"Z({G.name})")
+
+
+def right_cosets(G, H):
+    """The right cosets of H in G as two index lists (label, factor):
+    elements[x] = elements[factor[x]] * g_j with j = label[x], where g_j is
+    the least element of the j-th right coset and the cosets are numbered
+    by least element.  Computed once per (G, H), and kept on H."""
+    _check_subgroup(G, H)
+    cosets = H._cosets.get(G)
+    if cosets is None:
+        hidx = [G.index_of(h) for h in H.elements]
+        label = [None] * G.order
+        factor = [0] * G.order
+        j = 0
+        for g in range(G.order):
+            if label[g] is None:
+                for h in hidx:
+                    x = G.mul(h, g)
+                    label[x] = j
+                    factor[x] = h
+                j += 1
+        cosets = H._cosets[G] = (label, factor)
+    return cosets
 
 
 def right_transversal(G, H):
     """One representative per right coset Hg; identity first, then the
     lexicographically minimal element of each remaining coset."""
-    _check_subgroup(G, H)
-    seen = set()
-    reps = []
-    for g in G.elements:
-        if g in seen:
-            continue
-        coset = {h * g for h in H.elements}
-        reps.append(min(coset))
-        seen |= coset
-    reps.sort(key=lambda p: p.images)
+    _, factor = right_cosets(G, H)
+    reps = [G.elements[x] for x, h in enumerate(factor) if h == 0]
     if not reps[0].is_identity():
         raise CheckFailed("transversal does not start with the identity")
     return reps
@@ -278,43 +409,35 @@ def property_S(G, H):
     return h_orbits(G, H) == conjugacy_classes(G)
 
 
-def _product_set_is_G(G, H, C):
-    prods = set()
-    target = G.order
-    for h in H.elements:
-        for c in C:
-            prods.add(h * c)
-            if len(prods) == target:
-                return True
-    return len(prods) == target
+def _covers_cosets(G, H, elems):
+    """True iff the element indices elems meet every right coset of H."""
+    label, _ = right_cosets(G, H)
+    return len({label[x] for x in elems}) == G.order // H.order
 
 
 def lemma_S_via_centralizers(G, H):
-    """True iff H * C_G(a) = G for every a in G."""
+    """True iff H * C_G(a) = G for every a in G.
+
+    H * C is the union of the right cosets H c for c in C, so it is G
+    exactly when C meets every right coset of H.
+    """
     _check_subgroup(G, H)
-    for a in G.elements:
-        C = [g for g in G.elements if g * a == a * g]
-        if not _product_set_is_G(G, H, C):
-            return False
-    return True
+    return all(_covers_cosets(G, H, _centralizer_indices(G, a))
+               for a in range(G.order))
 
 
 def depth1_group(G, H):
-    """True iff H * C_G(h) = G for every h in H (characteristic zero)."""
+    """True iff H * C_G(h) = G for every h in H (characteristic zero);
+    the product set is tested as in lemma_S_via_centralizers."""
     _check_subgroup(G, H)
-    for h in H.elements:
-        C = [g for g in G.elements if g * h == h * g]
-        if not _product_set_is_G(G, H, C):
-            return False
-    return True
+    return all(_covers_cosets(G, H, _centralizer_indices(G, G.index_of(h)))
+               for h in H.elements)
 
 
 def hz_condition(G, H):
     """True iff H * Z(G) = G."""
     _check_subgroup(G, H)
-    Z = center(G)
-    prods = {h * z for h in H.elements for z in Z.elements}
-    return len(prods) == G.order
+    return _covers_cosets(G, H, _center_indices(G))
 
 
 def is_normal(G, H):
@@ -427,17 +550,27 @@ def direct_product(G, K, name=None):
 
 
 def derived_subgroup(G):
-    comms = {a * b * a.inverse() * b.inverse()
-             for a in G.elements for b in G.elements}
-    return Subgroup(G, sorted(comms), name=f"[{G.name},{G.name}]")
+    inv = G.inverse
+    right_inv = [G.right_map(b) for b in inv]
+    comms = set()
+    for a in range(G.order):
+        # a b a^-1 b^-1, read off the left map of a and right maps
+        la, rinv = G.left_map(a), right_inv[a]
+        comms.update(right_inv[b][rinv[la[b]]] for b in range(G.order))
+    return Subgroup(G, [G.elements[c] for c in sorted(comms)],
+                    name=f"[{G.name},{G.name}]")
 
 
 def _conjugacy_key(G, elems):
-    """Canonical key of a subgroup under conjugation in G."""
+    """Canonical key of a subgroup, given by element indices, under
+    conjugation in G: the least sorted index tuple of its conjugates.
+    Indices order as the elements' image tuples do, so these keys sort
+    exactly as the sorted image tuples of the conjugates would."""
+    inv = G.inverse
     best = None
-    for g in G.elements:
-        ginv = g.inverse()
-        key = tuple(sorted((g * h * ginv).images for h in elems))
+    for g in range(G.order):
+        lg, rginv = G.left_map(g), G.right_map(inv[g])
+        key = tuple(sorted(lg[rginv[h]] for h in elems))
         if best is None or key < best:
             best = key
     return best
@@ -445,30 +578,32 @@ def _conjugacy_key(G, elems):
 
 def cyclic_subgroups(G, up_to_conjugacy=True):
     subs = {}
-    for g in G.elements:
-        elems = enumerate_closure([g], cap=G.order)
-        key = _conjugacy_key(G, elems) if up_to_conjugacy else \
-            tuple(p.images for p in elems)
+    keys = {}
+    for g in range(G.order):
+        elems = frozenset(_closure(G, [g]))
+        key = keys.get(elems)
+        if key is None:
+            key = keys[elems] = (_conjugacy_key(G, elems) if up_to_conjugacy
+                                 else tuple(sorted(elems)))
         if key not in subs:
-            subs[key] = Subgroup(G, [g], name=f"<{list(g.images)}>")
+            p = G.elements[g]
+            subs[key] = Subgroup(G, [p], name=f"<{list(p.images)}>")
     return [subs[k] for k in sorted(subs)]
 
 
 def all_subgroups(G, up_to_conjugacy=True):
     """Every subgroup of G (up to conjugacy by default).  Desk scale only."""
-    found = {}  # frozenset of elements -> generator list
-    frontier = []
-    triv = frozenset([G.identity])
-    found[triv] = [G.identity]
-    frontier.append(triv)
+    triv = frozenset([0])
+    found = {triv: [0]}  # frozenset of element indices -> generator list
+    frontier = [triv]
     while frontier:
         nxt = []
         for elems in frontier:
             gens = found[elems]
-            for g in G.elements:
+            for g in range(G.order):
                 if g in elems:
                     continue
-                new = frozenset(enumerate_closure(gens + [g], cap=G.order))
+                new = frozenset(_closure(G, gens + [g]))
                 if new not in found:
                     found[new] = gens + [g]
                     nxt.append(new)
@@ -476,12 +611,13 @@ def all_subgroups(G, up_to_conjugacy=True):
     subs = {}
     for elems, gens in found.items():
         key = _conjugacy_key(G, elems) if up_to_conjugacy else \
-            tuple(sorted(p.images for p in elems))
+            tuple(sorted(elems))
         if key not in subs or len(found[subs[key]]) > len(gens):
             subs[key] = elems
     out = []
     for key in sorted(subs):
         elems = subs[key]
-        out.append(Subgroup(G, sorted(elems), name=f"order{len(elems)}"))
+        out.append(Subgroup(G, [G.elements[i] for i in sorted(elems)],
+                            name=f"order{len(elems)}"))
     out.sort(key=lambda H: (H.order, tuple(p.images for p in H.elements)))
     return out

@@ -1,20 +1,79 @@
-"""Spanning routes for the group-algebra fullness tests, for tests only.
+"""Spanning routes for the group-algebra fullness tests, and the explicit
+kG, tensor-square and U computations they use, for tests only.
 
 Each one spans an ideal explicitly -- TeT inside the tensor square, UEU
 inside the |G| x |G| matrix coordinates of U -- so the tests can hold the
 integer trace-form tests ``is_full_in_T`` and ``is_full_in_U`` against
 them.  They share no code with those tests beyond the group data, the
-idempotent check on e and the echelon kernel.
+idempotent check on e and the echelon kernel.  The T-product and the
+per-basis-point trace forms here are computed from Permutation products.
 """
 
+from collections import Counter
 from fractions import Fraction
+from operator import add
 
-from sepdepth.errors import NotInT
-from sepdepth.groupalg import (DEFAULT_LINEAR_CAP, TensorSquare, USpace,
-                               _indicator, _orbit_partition,
-                               centralizer_basis, idempotent_in_t)
+from sepdepth.errors import CapExceeded, CheckFailed, NotInT
+from sepdepth.groupalg import (DEFAULT_LINEAR_CAP, TensorSquare,
+                               _orbit_partition, idempotent_in_t)
 from sepdepth.linalg import SparseEchelon
-from sepdepth.permgroup import conjugacy_classes, h_orbits
+from sepdepth.permgroup import conjugacy_classes, h_orbits, right_transversal
+
+
+def _indicator(orbit):
+    return {i: Fraction(1) for i in orbit}
+
+
+# ---------------------------------------------------------------------------
+# kG
+
+
+def centralizer_basis(G, H):
+    """H-orbit sums spanning A^B, as kG coefficient dicts."""
+    orbits = h_orbits(G, H)
+    return [{G.index_of(g): Fraction(1) for g in orb} for orb in orbits]
+
+
+def group_vec_mul(G, u, v):
+    """Product of two kG coefficient dicts."""
+    out = {}
+    for i, a in u.items():
+        gi = G.elements[i]
+        for j, b in v.items():
+            k = G.index_of(gi * G.elements[j])
+            out[k] = out.get(k, 0) + a * b
+    return {k: v for k, v in out.items() if v}
+
+
+def e_index(G, H):
+    """sum_i g_i^-1 g_i as a kG vector; checked central and
+    transversal-independent."""
+    trans = right_transversal(G, H)
+    out = _transversal_index_sum(G, trans)
+    # second transversal: maximal coset representatives
+    alt = []
+    seen = set()
+    for g in G.elements:
+        if g in seen:
+            continue
+        coset = {h * g for h in H.elements}
+        alt.append(max(coset))
+        seen |= coset
+    if _transversal_index_sum(G, alt) != out:
+        raise CheckFailed("e-index depends on the transversal")
+    for g in G.generators:
+        gi = {G.index_of(g): Fraction(1)}
+        if group_vec_mul(G, gi, out) != group_vec_mul(G, out, gi):
+            raise CheckFailed("e-index is not central")
+    return out
+
+
+def _transversal_index_sum(G, trans):
+    out = {}
+    for rep in trans:
+        k = G.index_of(rep.inverse() * rep)
+        out[k] = out.get(k, 0) + Fraction(1)
+    return {k: v for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -26,10 +85,31 @@ def unit(ts):
     return {ts.basis_index(ts.G.identity, 0): Fraction(1)}
 
 
+def right_action(ts, t, a):
+    """t * a for the group element a."""
+    perm = ts.right_perm(a)
+    return {perm[k]: v for k, v in t.items()}
+
+
+def casimir_space(G, H, cap=DEFAULT_LINEAR_CAP):
+    """The tensor square and its Casimir basis as 0/1 indicator vectors."""
+    ts = TensorSquare(G, H, cap=cap)
+    return ts, [dict.fromkeys(orbit, 1) for orbit in ts.casimir]
+
+
 def t_basis(ts):
     """Orbit-indicator basis of T."""
     perms = ts.conj_perms(ts.H.generators or [ts.G.identity])
     return [_indicator(o) for o in _orbit_partition(ts.dim, perms)]
+
+
+def coset_factor(ts, x):
+    """(k, h) with x = h * g_k, by group products."""
+    for k, rep in enumerate(ts.transversal):
+        h = x * rep.inverse()
+        if h in ts.H:
+            return k, h
+    raise ValueError(f"{x} lies in no coset")
 
 
 def t_product_index(ts, idx1, idx2):
@@ -37,9 +117,10 @@ def t_product_index(ts, idx1, idx2):
 
     (g (x) g_i) . (g' (x) g_j) = g' g h (x) g_k  where g_i g_j = h g_k.
     """
-    g, i = ts.basis_pair(idx1)
-    gp, j = ts.basis_pair(idx2)
-    k, h = ts._coset[ts.transversal[i] * ts.transversal[j]]
+    gi, i = divmod(idx1, ts.n)
+    gpi, j = divmod(idx2, ts.n)
+    g, gp = ts.G.elements[gi], ts.G.elements[gpi]
+    k, h = coset_factor(ts, ts.transversal[i] * ts.transversal[j])
     return ts.basis_index(gp * g * h, k)
 
 
@@ -60,14 +141,73 @@ def teT_candidates(ts):
     """
     G = ts.G
     cent = centralizer_basis(G, ts.H)
-    for w in ts.casimir_basis():
+    for orbit in ts.casimir_basis():
+        w = dict.fromkeys(orbit, 1)
         for r in cent:
             vec = {}
             for gi in r:       # orbit sums have coefficient 1
-                moved = ts.right_action(w, G.elements[gi])
+                moved = right_action(ts, w, G.elements[gi])
                 for k, v in moved.items():
                     vec[k] = vec.get(k, 0) + v
             yield vec
+
+
+def trace_form_signatures(ts):
+    """Per-basis-point values of the trace forms that separate T's blocks,
+    from group products: on b (x) g_j the form of the class pair (K, K')
+    counts the h in H with (b h)^-1 in K and g_j^-1 h in K'.  Returns the
+    distinct signatures, each a list of (K-index * r + K'-index, count)
+    pairs, and for each basis index the position of its signature."""
+    G, H = ts.G, ts.H
+    classes = conjugacy_classes(G)
+    r = len(classes)
+    class_of = {g: ci for ci, cls in enumerate(classes) for g in cls}
+    left = [[r * class_of[(b * h).inverse()] for h in H.elements]
+            for b in G.elements]
+    right = [[class_of[rep.inverse() * h] for h in H.elements]
+             for rep in ts.transversal]
+    position = {}
+    sig_of = []
+    for lrow in left:
+        for rrow in right:
+            sig = frozenset(Counter(map(add, lrow, rrow)).items())
+            sig_of.append(position.setdefault(sig, len(position)))
+    return [list(sig) for sig in position], sig_of
+
+
+def teT_counts(ts, label):
+    """The spanning set {w.r} of TeT as integer multiplicities, from the
+    right permutations of the tensor square: w.r hits basis index
+    perm_g[k] once for each k in w and g in r.  Each candidate is yielded
+    as the counts of label[index] over those hits."""
+    orbit_perms = [[ts.right_perm(g) for g in orb]
+                   for orb in h_orbits(ts.G, ts.H)]
+    for w in ts.casimir_basis():
+        support = list(w)
+        for orb in orbit_perms:
+            counts = Counter()
+            for perm in orb:
+                counts.update(map(label.__getitem__, map(perm.__getitem__,
+                                                         support)))
+            yield counts
+
+
+def project(sigs, counts):
+    """The trace-form image of a vector given as counts per signature."""
+    out = {}
+    for s, mult in counts.items():
+        for key, cnt in sigs[s]:
+            out[key] = out.get(key, 0) + mult * cnt
+    return out
+
+
+def trace_image(ts, vec, signatures=None):
+    """The trace-form image of a tensor-square vector, point by point."""
+    sigs, sig_of = signatures or trace_form_signatures(ts)
+    counts = Counter()
+    for idx, v in vec.items():
+        counts[sig_of[idx]] += v
+    return project(sigs, counts)
 
 
 def is_full_in_T_span(G, H, e=None, ts=None, cap=DEFAULT_LINEAR_CAP):
@@ -127,7 +267,98 @@ class TProductTable:
 
 
 # ---------------------------------------------------------------------------
-# U = End of A as an H-bimodule, in |G| x |G| matrix coordinates
+# U = End of A as an H-bimodule, in |G| x |G| matrix coordinates.
+# Index of matrix entry (y, x) -- image coefficient y of basis element x --
+# is  y_index * |G| + x_index.
+
+
+class USpace:
+    def __init__(self, G, H, cap=DEFAULT_LINEAR_CAP):
+        self.G = G
+        self.H = H
+        self.ambient = G.order * G.order
+        if self.ambient > cap:
+            raise CapExceeded("dim(U ambient)", self.ambient, cap)
+        perms = []
+        N = G.order
+        for h in (H.generators or [G.identity]):
+            # F[y][x] = F[h y][h x]  and  F[y][x] = F[y h][x h]
+            lp = [G.index_of(h * g) for g in G.elements]
+            rp = [G.index_of(g * h) for g in G.elements]
+            perms.append([lp[idx // N] * N + lp[idx % N]
+                          for idx in range(self.ambient)])
+            perms.append([rp[idx // N] * N + rp[idx % N]
+                          for idx in range(self.ambient)])
+        self.orbits = _orbit_partition(self.ambient, perms)
+
+    def basis(self):
+        return [_indicator(o) for o in self.orbits]
+
+    @property
+    def dim(self):
+        return len(self.orbits)
+
+    def projection_E(self):
+        """The H-support projection as a matrix vector."""
+        N = self.G.order
+        return {self.G.index_of(h) * N + self.G.index_of(h): Fraction(1)
+                for h in self.H.elements}
+
+    def compose(self, f, g):
+        """Matrix product f . g in sparse entry coordinates."""
+        return self.compose_indexed(self.by_column(f), g)
+
+    def by_column(self, f):
+        """The entries of f grouped by column: x -> [(y, f[y][x])], the
+        left operand of compose_indexed."""
+        N = self.G.order
+        cols = {}
+        for idx, v in f.items():
+            y, x = divmod(idx, N)
+            cols.setdefault(x, []).append((y, v))
+        return cols
+
+    def compose_indexed(self, fcols, g):
+        """f . g for f given as by_column(f)."""
+        N = self.G.order
+        out = {}
+        for idx, gv in g.items():
+            z, x = divmod(idx, N)
+            for (y, fv) in fcols.get(z, ()):
+                k = y * N + x
+                out[k] = out.get(k, 0) + fv * gv
+        return {k: v for k, v in out.items() if v}
+
+
+def corner_dims(G, H, ts=None, U=None, cap=DEFAULT_LINEAR_CAP):
+    """(dim eTe, dim EUE) for the canonical e and E.
+
+    eTe = mu(Casimir) . e -- left multiplication on the first tensor leg;
+    EUE is the H x H matrix block of U.
+    """
+    if ts is None:
+        ts = TensorSquare(G, H, cap=cap)
+    e = ts.canonical_separability_element()
+    n = ts.n
+    ech = SparseEchelon()
+    for w in ts.casimir:
+        z = ts.mu(dict.fromkeys(w, 1))
+        vec = {}
+        for gi, coeff in z.items():
+            g = G.elements[gi]
+            for k, v in e.items():
+                b, i = divmod(k, n)
+                key = G.index_of(g * G.elements[b]) * n + i
+                vec[key] = vec.get(key, 0) + coeff * v
+        ech.add(vec)
+    dim_eTe = ech.rank
+    if U is None:
+        U = USpace(G, H, cap=cap)
+    E = U.projection_E()
+    ech2 = SparseEchelon()
+    for beta in U.basis():
+        ech2.add(U.compose(E, U.compose(beta, E)))
+    return dim_eTe, ech2.rank
 
 
 def left_mul_matrix(U, vec):

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from groupalg_oracles import centralizer_basis
 from sepdepth.analyze import AGREE, DISAGREE, SKIPPED
 from sepdepth.chartable import (character_table_mod_p, common_prime,
                                 inclusion_matrix)
@@ -24,8 +25,7 @@ from sepdepth.findim import (RelativeTensorSquare, AlgebraInclusion,
                              structural_matrix_example,
                              upper_triangular_algebra,
                              verify_separability_witness)
-from sepdepth.groupalg import (TensorSquare, centralizer_basis,
-                               idempotent_in_t, unique_separable)
+from sepdepth.groupalg import TensorSquare, idempotent_in_t, unique_separable
 from sepdepth.permgroup import (Permutation, conjugacy_classes, property_S,
                                 quaternion_group, symmetric_group)
 

@@ -88,6 +88,20 @@ def test_cap_group_exit_2(s3_files, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+def test_corpus_honours_cap_group(capsys, monkeypatch):
+    """corpus exits 2 when a selected pair's group is over the group cap,
+    from the flag or from SEPDEPTH_CAP_GROUP, and prints no report."""
+    assert main(["corpus", "--cap-group", "10",
+                 "--corpus-filter", "S5/full"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "cap exceeded: group order = 120 exceeds cap 10\n"
+    monkeypatch.setenv("SEPDEPTH_CAP_GROUP", "10")
+    assert main(["corpus", "--corpus-filter", "S5/full"]) == 2
+    assert capsys.readouterr().err == err
+    assert main(["corpus", "--corpus-filter", "S3/full"]) == 0
+
+
 def test_cap_linear_env(s3_files, capsys, monkeypatch):
     monkeypatch.setenv("SEPDEPTH_CAP_LINEAR", "2")
     g, h = s3_files

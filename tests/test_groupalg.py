@@ -3,17 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from groupalg_oracles import (TProductTable, is_full_in_T_span,
-                              is_full_in_U_span, t_basis, t_product,
-                              t_span_brute, teT_candidates, u_span_brute,
-                              u_trace_images, unit)
+from groupalg_oracles import (TProductTable, USpace, casimir_space,
+                              centralizer_basis, corner_dims, e_index,
+                              is_full_in_T_span, is_full_in_U_span, project,
+                              t_basis, t_product, t_span_brute,
+                              teT_candidates, teT_counts,
+                              trace_form_signatures, trace_image,
+                              u_span_brute, u_trace_images, unit)
 from sepdepth.errors import CapExceeded, NotInT
-from sepdepth.groupalg import (TensorSquare, USpace, _teT_counts,
-                               _u_trace_form_counts,
-                               casimir_space, centralizer_basis, corner_dims,
-                               e_index, idempotent_in_t, is_full_in_T,
-                               is_full_in_U, separability_elements,
-                               unique_separable)
+from sepdepth.groupalg import (TensorSquare, _teT_images,
+                               _u_trace_form_counts, idempotent_in_t,
+                               is_full_in_T, is_full_in_U,
+                               separability_elements, unique_separable)
 from sepdepth.permgroup import (Permutation, all_subgroups,
                                 alternating_group, cyclic_group,
                                 dihedral_group, direct_product, h_orbits,
@@ -135,13 +136,26 @@ def test_fullness_in_t_cross_check():
             assert full == (t_span_brute(ts, e).rank == len(t_basis(ts)))
 
 
-def test_teT_counts_are_the_explicit_candidates():
-    """Integer multiplicities of w.r equal the right_action vectors."""
+def test_teT_images_are_the_projected_candidates():
+    """The factored images of 1 and of every w.r equal, vector for vector
+    and in order, the point-by-point trace forms of the explicit
+    right_action candidates and of the counts over right permutations."""
     D = dihedral_group(4)
-    for G, H in (s3_pair(2), q8_i_pair(), (D, D.trivial_subgroup())):
+    A = alternating_group(4)
+    pairs = [s3_pair(2), s3_pair(3), q8_i_pair(), (D, D.trivial_subgroup()),
+             (A, A.trivial_subgroup())]
+    pairs += [(G, H) for G in (quaternion_group(), D, A)
+              for H in all_subgroups(G)]
+    for G, H in pairs:
         ts = TensorSquare(G, H)
-        counts = _teT_counts(ts, list(range(ts.dim)))
-        assert [dict(c) for c in counts] == list(teT_candidates(ts))
+        signatures = trace_form_signatures(ts)
+        one, images = _teT_images(ts)
+        images = list(images)
+        assert one == trace_image(ts, unit(ts), signatures)
+        assert images == [trace_image(ts, vec, signatures)
+                          for vec in teT_candidates(ts)]
+        sigs, sig_of = signatures
+        assert images == [project(sigs, c) for c in teT_counts(ts, sig_of)]
 
 
 def test_t_ideal_brute_cross_check():

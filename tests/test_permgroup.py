@@ -1,5 +1,6 @@
 import pytest
 
+from permgroup_oracles import depth1_by_products, lemma_S_by_products
 from sepdepth.errors import (CapExceeded, ElementNotInGroup, InvalidArgument,
                              NotASubgroup)
 from sepdepth.permgroup import (FiniteGroup, Permutation, all_subgroups,
@@ -161,6 +162,66 @@ def test_property_s_matches_centralizer_criterion():
               dihedral_group(4), alternating_group(4)):
         for H in all_subgroups(G):
             assert property_S(G, H) == lemma_S_via_centralizers(G, H)
+
+
+def test_centralizer_criteria_match_products():
+    """The coset-label criteria agree with the product-set oracles on
+    every subgroup, not only up to conjugacy, and both verdicts occur."""
+    seen = set()
+    for G in (symmetric_group(3), quaternion_group(), dihedral_group(4),
+              alternating_group(4), symmetric_group(4), dihedral_group(6)):
+        for H in all_subgroups(G, up_to_conjugacy=False):
+            lem, d1 = lemma_S_via_centralizers(G, H), depth1_group(G, H)
+            assert lem == lemma_S_by_products(G, H), (G, H)
+            assert d1 == depth1_by_products(G, H), (G, H)
+            hz = len({h * z for h in H.elements
+                      for z in center(G).elements}) == G.order
+            assert hz_condition(G, H) == hz, (G, H)
+            seen.add((lem, d1))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_index_maps_are_the_products():
+    """right/left maps, inverses and mul on indices equal Permutation
+    products, on a group whose generators include a redundant one."""
+    G = FiniteGroup([Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0)),
+                     Permutation((0, 1, 3, 2))])
+    E = G.elements
+    for a in range(G.order):
+        assert E[G.inverse[a]] == E[a].inverse()
+        assert G.right_map(a) == [E.index(g * E[a]) for g in E]
+        assert G.left_map(a) == [E.index(E[a] * g) for g in E]
+        assert all(E[G.mul(b, a)] == E[b] * E[a] for b in range(G.order))
+    assert G.right_mul_map(E[5]) is G.right_map(5)
+    assert G.left_mul_map(E[5]) is G.left_map(5)
+
+
+def test_criteria_form_no_permutation_products(monkeypatch):
+    """Once a group's index and class data exist, the centralizer criteria
+    and both fullness tests on S5/o4.0 build no Permutation."""
+    from sepdepth import permgroup
+    from sepdepth.corpus import corpus_pairs
+    from sepdepth.groupalg import is_full_in_T, is_full_in_U
+    (_, G, H), = corpus_pairs("S5/o4.0")
+    conjugacy_classes(G)
+    conjugacy_classes(H.as_group())
+    h_orbits(G, H)
+    G.inverse
+    made = []
+    trusted = permgroup._trusted
+
+    def counting(images):
+        made.append(images)
+        return trusted(images)
+
+    monkeypatch.setattr(permgroup, "_trusted", counting)
+    assert not lemma_S_via_centralizers(G, H)
+    assert not depth1_group(G, H)
+    assert not is_full_in_T(G, H)
+    assert not is_full_in_U(G, H, cap=G.order ** 2)
+    assert made == []
+    G.elements[1] * G.elements[2]
+    assert len(made) == 1
 
 
 def test_depth1_and_hz():

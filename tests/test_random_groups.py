@@ -5,12 +5,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from permgroup_oracles import (depth1_by_products,  # noqa: E402
+                               lemma_S_by_products)
 from sepdepth.chartable import inclusion_matrix  # noqa: E402
 from sepdepth.depth import (bimodule_matrices, is_diagonal,  # noqa: E402
                             min_depth, min_h_depth)
 from sepdepth.groupalg import is_full_in_T, is_full_in_U  # noqa: E402
 from sepdepth.permgroup import (FiniteGroup, Permutation,  # noqa: E402
-                                depth1_group)
+                                depth1_group, lemma_S_via_centralizers)
 
 
 @st.composite
@@ -44,3 +46,12 @@ def test_full_in_u_iff_depth_one(pair):
     S, _ = bimodule_matrices(M)
     assert is_full_in_U(G, H) == depth1_group(G, H) == is_diagonal(S) \
         == (min_depth(M) == 1)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(group_pairs())
+def test_centralizer_criteria_match_products(pair):
+    """The coset-label criteria equal the product-set oracles."""
+    G, H = pair
+    assert lemma_S_via_centralizers(G, H) == lemma_S_by_products(G, H)
+    assert depth1_group(G, H) == depth1_by_products(G, H)
