@@ -52,9 +52,20 @@ def _load_json(path):
         raise SpecError(f"{path}: {exc.strerror}") from exc
 
 
+_KINDS = {dict: "a JSON object", int: "an integer", list: "a list"}
+
+
+def _typed(x, kind, what):
+    """x if it is of the JSON kind (dict, int or list), else a SpecError;
+    floats, strings and booleans are not cast to int."""
+    if not isinstance(x, kind) or isinstance(x, bool):
+        raise SpecError(f"{what} must be {_KINDS[kind]}, got {x!r}")
+    return x
+
+
 def _perm_from_images(images, degree):
     if (not isinstance(images, list) or len(images) != degree
-            or not all(isinstance(x, int) for x in images)
+            or not all(type(x) is int for x in images)
             or set(images) != set(range(degree))):
         raise SpecError(f"not a permutation of 0..{degree - 1}: {images}")
     return Permutation(tuple(images))
@@ -67,10 +78,11 @@ def _perms(gen_lists, degree):
 
 
 def group_from_spec(spec, cap):
+    _typed(spec, dict, "group spec")
     try:
-        degree = int(spec["degree"])
+        degree = _typed(spec["degree"], int, "degree")
         gen_lists = spec["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise SpecError(f"group spec needs 'degree' and 'generators': {exc}")
     if degree < 1:
         raise SpecError("degree must be >= 1")
@@ -79,13 +91,12 @@ def group_from_spec(spec, cap):
 
 
 def subgroup_from_spec(G, spec):
+    _typed(spec, dict, "subgroup spec")
     if "generators" in spec:
         gens = _perms(spec["generators"], G.degree)
     elif "generator_indices" in spec:
-        try:
-            idx = [int(i) for i in spec["generator_indices"]]
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"bad generator index: {exc}")
+        idx = [_typed(i, int, "generator index") for i in
+               _typed(spec["generator_indices"], list, "'generator_indices'")]
         if not idx:
             raise SpecError("'generator_indices' must be non-empty")
         bad = [i for i in idx if not 0 <= i < G.order]
@@ -113,20 +124,15 @@ def algebra_from_spec(spec):
     matrix shorthand ('matrix_size' + 'basis' of matrices with rational
     string entries).
     """
+    _typed(spec, dict, "algebra spec")
     if "matrix_size" in spec:
-        try:
-            m = int(spec["matrix_size"])
-            basis = list(spec["basis"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"matrix spec needs an integer 'matrix_size' "
-                            f"and a 'basis' list: {exc!r}")
-        mats = []
-        for mat in basis:
-            if len(mat) != m or any(len(r) != m for r in mat):
-                raise SpecError(f"matrix is not {m}x{m}")
-            mats.append({(i, j): _frac(mat[i][j])
-                         for i in range(m) for j in range(m)
-                         if _frac(mat[i][j])})
+        if "basis" not in spec:
+            raise SpecError("matrix spec needs an integer 'matrix_size' "
+                            "and a 'basis' list")
+        m = _typed(spec["matrix_size"], int, "'matrix_size'")
+        mats = [{(i, j): x for i, row in enumerate(_matrix(mat, m))
+                 for j, x in enumerate(row) if x}
+                for mat in _typed(spec["basis"], list, "'basis'")]
         return findim._matrix_span_algebra(
             m, mats, name=spec.get("name", ""), labels=spec.get("labels"))
     try:
@@ -146,19 +152,29 @@ def algebra_from_spec(spec):
     return A
 
 
+def _matrix(mat, m):
+    """An m x m matrix spec as rows of Fractions."""
+    if (not isinstance(mat, list) or len(mat) != m
+            or not all(isinstance(r, list) and len(r) == m for r in mat)):
+        raise SpecError(f"matrix is not {m}x{m}: {mat!r}")
+    return [[_frac(x) for x in row] for row in mat]
+
+
 def subalgebra_from_spec(A, spec):
+    _typed(spec, dict, "subalgebra spec")
     if "matrices" in spec:
         m = getattr(A, "embedding_size", None)
         if m is None:
             raise SpecError("'matrices' shorthand needs a matrix ambient")
         try:
-            vectors = [A.flat_coords([_frac(mat[i][j]) for i in range(m)
-                                      for j in range(m)])
-                       for mat in spec["matrices"]]
+            vectors = [A.flat_coords([x for row in _matrix(mat, m)
+                                      for x in row])
+                       for mat in _typed(spec["matrices"], list, "'matrices'")]
         except InvalidAlgebra:
             raise SpecError("subalgebra matrix outside the ambient span")
     elif "vectors" in spec:
-        vectors = [[_frac(c) for c in v] for v in spec["vectors"]]
+        vectors = [[_frac(c) for c in _typed(v, list, "subalgebra vector")]
+                   for v in _typed(spec["vectors"], list, "'vectors'")]
         if any(len(v) != A.dimension for v in vectors):
             raise SpecError(f"vectors must have length {A.dimension}")
     else:

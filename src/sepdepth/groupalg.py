@@ -8,11 +8,13 @@ group elements permute that basis, so the A-central (Casimir) and H-central
 (T) subspaces are fixed spaces of permutation actions and come out as orbit
 indicator bases -- already in reduced echelon form.  Fullness of the
 separability idempotent in T, and of the H-support projection in the
-bimodule endomorphism ring U, are decided by integer trace-form counts.
+bimodule endomorphism ring U, are decided by integer trace-form counts;
+for T one count per Casimir orbit suffices (proof in ``_teT_images``).
 """
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .errors import CapExceeded, CheckFailed, NotInT
@@ -184,11 +186,14 @@ def separability_elements(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
     """
     if ts is None:
         ts = TensorSquare(G, H, cap=cap)
-    # affine system: sum_a c_a mu(w_a) = 1 in kG, with integer mu(w_a)
+    # affine system: sum_a c_a mu(w_a) = 1 in kG, with integer mu(w_a);
+    # each mu(w_a) is central, so conjugate elements give equal equations
+    # and one copy of each is kept
     mus = [ts.mu(dict.fromkeys(w, 1)) for w in ts.casimir]
     one = G.index_of(G.identity)
-    rows = [[m.get(gi, 0) for m in mus] for gi in range(G.order)]
-    rhs = [int(gi == one) for gi in range(G.order)]
+    system = dict.fromkeys((tuple(m.get(gi, 0) for m in mus), int(gi == one))
+                           for gi in range(G.order))
+    rows, rhs = zip(*system)
     sol, kernel = solve_affine(rows, rhs)
     if sol is None:
         return "none", None, len(kernel)
@@ -207,9 +212,13 @@ def unique_separable(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
 
 
 def idempotent_in_t(ts, e):
+    """True iff e . e = e, tested on integers: with d the lcm of the
+    denominators of e and s = d e, e is idempotent iff s . s = d s."""
     if not ts.in_t(e):
         raise NotInT("element is not H-central")
-    return ts.t_square(e) == e
+    d = lcm(*(v.denominator for v in e.values()))
+    s = {k: int(v * d) for k, v in e.items()}
+    return ts.t_square(s) == {k: d * v for k, v in s.items()}
 
 
 def _one_in_span(one, images):
@@ -231,84 +240,54 @@ def _one_in_span(one, images):
 
 
 def _teT_images(ts):
-    """Trace-form images of 1 and of the spanning set {w.r} of TeT.
+    """Trace-form images of 1 and of the Casimir orbits w, which span the
+    trace-form image of TeT.
 
-    w runs over the Casimir orbits (outer loop) and r over the H-orbits on
-    G (inner loop); an image has one integer coordinate K * c + K' per pair
-    of the c conjugacy classes of G.  On a basis point b (x) g_j the trace
-    form (see is_full_in_T) takes the value
+    An image has one integer coordinate K * c + K' per pair of the c
+    conjugacy classes of G.  On a basis point b (x) g_j the trace form (see
+    is_full_in_T) counts the h in H with (b h)^-1 in K and g_j^-1 h in K',
+    so the image of w is the direct count
 
-        sigma(b (x) g_j)[K, K'] = #{h in H : (b h)^-1 in K, g_j^-1 h in K'}.
+        tau(w)[K, K'] = #{((b, i) in w, h in H) : (b h)^-1 in K,
+                                                  g_i^-1 h in K'}.
 
-    The images are counted from class and H-orbit data, without moving
-    any basis point.  Take a basis point b (x) g_i and g in G, and write
-    g_i g = h0 g_j.  Then (b (x) g_i) . g = b h0 (x) g_j, and substituting
-    h -> h0^-1 h in the count (g_j^-1 h0^-1 = g^-1 g_i^-1) gives
+    TeT is spanned by the w.r with w Casimir and r in A^B, and tau(w.r)
+    lies in the span of the tau(w):
 
-        sigma((b (x) g_i) . g)[K, K'] =
-            #{h in H : (b h)^-1 in K, g^-1 g_i^-1 h in K'}.
+    - kG is a Frobenius extension of kH with dual bases g_i^-1 and g_i, so
+      every Casimir element is w_d = sum_i g_i^-1 d (x) g_i with d in A^B.
+    - w is A-central, so rho(w.r)(x (x) y) = w^1 (x) w^2 x r y, and the
+      trace form of w.r is tau_{K,K'}(w.r) = Tr_A(a -> K (w^1 r w^2) a K').
+    - For w = w_d, w^1 r w^2 = sum_i g_i^-1 (d r) g_i = mu(w_{dr}) with
+      d r in A^B, hence tau(w_d.r) = tau(w_{dr}).
 
-    Summed over g in r, each h adds [(b h)^-1 in K] * N_r(x)[K'] with
-    x = g_i^-1 h and N_r(x)[K'] = #{g in r : g^-1 x in K'}.  N_r(x) depends
-    only on the H-orbit O of x: for x' = k x k^-1 with k in H, g -> k g k^-1
-    permutes r (an H-orbit), and (k g k^-1)^-1 x' = k (g^-1 x) k^-1 lies in
-    the G-class of g^-1 x.  Summing over the points (b, i) of w then gives
-    tau(w.r)[K, K'] = sum over O of M_w[K, O] N_r[O][K'], where
-
-        M_w[K, O] = #{((b, i) in w, h in H) : (b h)^-1 in K, g_i^-1 h in O}
-
-    and N_r[O] = N_r(x) at any x in O.  Building every M_w takes
-    dim * |H| = |G|^2 steps and N takes |G| steps per H-orbit; no right
-    permutation of the basis is formed.
+    The w themselves lie in TeT (r = 1), so span tau(TeT) = span{tau(w)}.
+    All the images take dim * |H| = |G|^2 steps, moving no basis point.
     Returns the image of 1 (the point 1 (x) 1) and a generator of the
-    images, in the order w.r above.
+    images, one per Casimir orbit in the order of ts.casimir.
     """
-    G, H, n = ts.G, ts.H, ts.n
-    inv = G.inverse
+    G, inv = ts.G, ts.G.inverse
     classes = conjugacy_classes(G)
     c = len(classes)
-    class_of = [0] * G.order
-    for ci, cls in enumerate(classes):
-        for g in cls:
-            class_of[G.index_of(g)] = ci
-    orbits = [list(map(G.index_of, orb)) for orb in h_orbits(G, H)]
-    norb = len(orbits)
-    orbit_of = [0] * G.order
-    for oi, orb in enumerate(orbits):
-        for g in orb:
-            orbit_of[g] = oi
-    hidx = [G.index_of(h) for h in H.elements]
-    # M_w keys K * norb + O: the K part per element index b and the O part
-    # per transversal index i, both listed over h in H
-    hmaps = [G.right_map(h) for h in hidx]
-    kpart = [[class_of[inv[hm[b]]] * norb for hm in hmaps]
-             for b in range(G.order)]
-    opart = [[orbit_of[G.mul(inv[rep], h)] for h in hidx] for rep in ts.reps]
-    # N[r][O]: the (K', count) pairs of N_r[O], counted at x = min of O
-    xmaps = [G.right_map(orb[0]) for orb in orbits]
-    N = []
-    for r in orbits:
-        rinv = [inv[g] for g in r]
-        N.append([list(Counter(class_of[xm[g]] for g in rinv).items())
-                  for xm in xmaps])
+    class_of = {G.index_of(g): ci for ci, cls in enumerate(classes)
+                for g in cls}
+    hidx = [G.index_of(h) for h in ts.H.elements]
+    # the K part per element index b (row b of the maps g -> g h) and the
+    # K' part per transversal index i, both listed over h in H
+    kpart = [[class_of[inv[x]] * c for x in row]
+             for row in zip(*map(G.right_map, hidx))]
+    kppart = [[class_of[G.mul(inv[rep], h)] for h in hidx]
+              for rep in ts.reps]
     one = Counter(class_of[inv[h]] * c + class_of[h] for h in hidx)
 
-    def images():
-        for w in ts.casimir:
-            m = Counter()
-            for idx in w:
-                b, i = divmod(idx, n)
-                m.update(map(add, kpart[b], opart[i]))
-            terms = [(divmod(key, norb), cnt) for key, cnt in m.items()]
-            for Nr in N:
-                out = {}
-                for (K, O), cnt in terms:
-                    base = K * c
-                    for Kp, v in Nr[O]:
-                        out[base + Kp] = out.get(base + Kp, 0) + cnt * v
-                yield out
+    def image(w):
+        counts = Counter()
+        for idx in w:
+            b, i = divmod(idx, ts.n)
+            counts.update(map(add, kpart[b], kppart[i]))
+        return dict(counts)
 
-    return dict(one), images()
+    return dict(one), map(image, ts.casimir)
 
 
 def is_full_in_T(G, H, e=None, ts=None, cap=DEFAULT_LINEAR_CAP):
@@ -321,12 +300,12 @@ def is_full_in_T(G, H, e=None, ts=None, cap=DEFAULT_LINEAR_CAP):
     A (x) A^op acting on A (x)_B A; on a basis point b (x) g_j that trace
     counts, up to the constant factor dim, the h in H with (b h)^-1 in K
     and g_j^-1 h in K'.  So 1 is in TeT iff the trace-form image of 1 lies
-    in the span of the images of the spanning set {w.r} (w a Casimir orbit,
-    r an H-orbit sum) of TeT.  Those images have one integer coordinate
-    per pair of conjugacy classes of G and are counted from class and
-    H-orbit data (``_teT_images``), so the test stays small no matter how
-    large the tensor square is.  Repeated images are skipped and the test
-    stops as soon as the image of 1 is in the span.
+    in the span of the images of TeT, and those are spanned by the images
+    of the Casimir orbits (proof in ``_teT_images``).  The images have one
+    integer coordinate per pair of conjugacy classes of G and are counted
+    from class data, so the test stays small no matter how large the
+    tensor square is.  Repeated images are skipped and the test stops as
+    soon as the image of 1 is in the span.
     """
     if ts is None:
         ts = TensorSquare(G, H, cap=cap)

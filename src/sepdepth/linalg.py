@@ -9,6 +9,7 @@ affine solve, rank) are list-in/list-out adapters over it.
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import mul
 
 
 def to_sparse(vec):
@@ -176,11 +177,8 @@ def rank(mat):
 
 
 def mat_mul(a, b):
-    n, m = len(a), len(b[0])
-    inner = len(b)
-    bt = [[b[k][j] for k in range(inner)] for j in range(m)]
-    return [[sum(row[k] * col[k] for k in range(inner)) for col in bt]
-            for row in a]
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def transpose(a):

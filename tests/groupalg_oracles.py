@@ -175,23 +175,6 @@ def trace_form_signatures(ts):
     return [list(sig) for sig in position], sig_of
 
 
-def teT_counts(ts, label):
-    """The spanning set {w.r} of TeT as integer multiplicities, from the
-    right permutations of the tensor square: w.r hits basis index
-    perm_g[k] once for each k in w and g in r.  Each candidate is yielded
-    as the counts of label[index] over those hits."""
-    orbit_perms = [[ts.right_perm(g) for g in orb]
-                   for orb in h_orbits(ts.G, ts.H)]
-    for w in ts.casimir_basis():
-        support = list(w)
-        for orb in orbit_perms:
-            counts = Counter()
-            for perm in orb:
-                counts.update(map(label.__getitem__, map(perm.__getitem__,
-                                                         support)))
-            yield counts
-
-
 def project(sigs, counts):
     """The trace-form image of a vector given as counts per signature."""
     out = {}

@@ -249,6 +249,11 @@ def _one_line_error(capsys):
     ({"generator_indices": [-1]}, "generator index"),
     ({"generator_indices": [6]}, "generator index"),
     ({"generator_indices": ["x"]}, "generator index"),
+    ({"generator_indices": [0.5]}, "generator index must be an integer"),
+    ({"generator_indices": 1}, "'generator_indices' must be a list"),
+    (5, "subgroup spec must be a JSON object"),
+    ([[1, 0, 2]], "subgroup spec must be a JSON object"),
+    ({"generators": [[True, False, 2]]}, "not a permutation"),
 ])
 def test_bad_subgroup_spec_exit_1(s3_files, tmp_path, capsys, spec, message):
     g, _ = s3_files
@@ -265,6 +270,39 @@ def test_matrix_spec_without_basis_exit_1(tmp_path, capsys):
     b.write_text(json.dumps({"vectors": [["1"]]}))
     assert main(["findim-demo", str(a), str(b)]) == 1
     assert "'basis'" in _one_line_error(capsys)
+
+
+def test_group_spec_not_an_object_exit_1(s3_files, tmp_path, capsys):
+    _, h = s3_files
+    g = tmp_path / "g.json"
+    g.write_text("5")
+    assert main(["analyze", str(g), h]) == 1
+    assert "group spec must be a JSON object" in _one_line_error(capsys)
+
+
+T2_SPEC = {"matrix_size": 2,
+           "basis": [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]],
+                     [["0", "0"], ["0", "1"]]]}
+
+
+@pytest.mark.parametrize("alg, sub, message", [
+    (T2_SPEC, 5, "subalgebra spec must be a JSON object"),
+    (5, {"vectors": [["1"]]}, "algebra spec must be a JSON object"),
+    ({"matrix_size": 2, "basis": [5]}, {"vectors": [["1"]]},
+     "matrix is not 2x2"),
+    ({"matrix_size": 2.0, "basis": []}, {"vectors": [["1"]]},
+     "'matrix_size' must be an integer"),
+    (T2_SPEC, {"matrices": [5]}, "matrix is not 2x2"),
+    (T2_SPEC, {"vectors": [5]}, "subalgebra vector must be a list"),
+])
+def test_findim_demo_malformed_spec_exit_1(tmp_path, capsys, alg, sub,
+                                           message):
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(alg))
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(sub))
+    assert main(["findim-demo", str(a), str(b)]) == 1
+    assert message in _one_line_error(capsys)
 
 
 def test_findim_demo_cap_linear_env_exit_2(capsys, monkeypatch):

@@ -5,16 +5,17 @@ import pytest
 
 from groupalg_oracles import (TProductTable, USpace, casimir_space,
                               centralizer_basis, corner_dims, e_index,
-                              is_full_in_T_span, is_full_in_U_span, project,
+                              is_full_in_T_span, is_full_in_U_span,
                               t_basis, t_product, t_span_brute,
-                              teT_candidates, teT_counts,
-                              trace_form_signatures, trace_image,
-                              u_span_brute, u_trace_images, unit)
+                              teT_candidates, trace_form_signatures,
+                              trace_image, u_span_brute, u_trace_images,
+                              unit)
 from sepdepth.errors import CapExceeded, NotInT
 from sepdepth.groupalg import (TensorSquare, _teT_images,
                                _u_trace_form_counts, idempotent_in_t,
                                is_full_in_T, is_full_in_U,
                                separability_elements, unique_separable)
+from sepdepth.linalg import SparseEchelon, nullspace
 from sepdepth.permgroup import (Permutation, all_subgroups,
                                 alternating_group, cyclic_group,
                                 dihedral_group, direct_product, h_orbits,
@@ -136,26 +137,67 @@ def test_fullness_in_t_cross_check():
             assert full == (t_span_brute(ts, e).rank == len(t_basis(ts)))
 
 
-def test_teT_images_are_the_projected_candidates():
-    """The factored images of 1 and of every w.r equal, vector for vector
-    and in order, the point-by-point trace forms of the explicit
-    right_action candidates and of the counts over right permutations."""
-    D = dihedral_group(4)
-    A = alternating_group(4)
-    pairs = [s3_pair(2), s3_pair(3), q8_i_pair(), (D, D.trivial_subgroup()),
-             (A, A.trivial_subgroup())]
-    pairs += [(G, H) for G in (quaternion_group(), D, A)
-              for H in all_subgroups(G)]
-    for G, H in pairs:
+def _teT_pairs():
+    return [(G, H) for G in (symmetric_group(3), quaternion_group(),
+                             dihedral_group(4), alternating_group(4))
+            for H in all_subgroups(G)]
+
+
+def test_teT_images_are_the_casimir_traces():
+    """The counted images of 1 and of each Casimir orbit equal, in order,
+    the point-by-point trace forms of the explicit candidates w.r with
+    r = {1}; there is one image per Casimir orbit."""
+    for G, H in _teT_pairs():
         ts = TensorSquare(G, H)
         signatures = trace_form_signatures(ts)
         one, images = _teT_images(ts)
         images = list(images)
+        assert len(images) == len(ts.casimir)
         assert one == trace_image(ts, unit(ts), signatures)
+        r_sums = centralizer_basis(G, H)
+        per_w = len(r_sums)
+        r1 = r_sums.index({G.index_of(G.identity): 1})
+        candidates = list(teT_candidates(ts))[r1::per_w]
         assert images == [trace_image(ts, vec, signatures)
-                          for vec in teT_candidates(ts)]
-        sigs, sig_of = signatures
-        assert images == [project(sigs, c) for c in teT_counts(ts, sig_of)]
+                          for vec in candidates]
+
+
+def test_teT_images_span_the_w_r_images():
+    """The Casimir images span what all the w.r images span: same rank,
+    and the image of 1 lies in both spans or in neither."""
+    for G, H in _teT_pairs():
+        ts = TensorSquare(G, H)
+        signatures = trace_form_signatures(ts)
+        one, images = _teT_images(ts)
+        fast = SparseEchelon(images)
+        full = SparseEchelon(trace_image(ts, vec, signatures)
+                             for vec in teT_candidates(ts))
+        assert fast.rank == full.rank
+        assert fast.contains(one) == full.contains(one)
+
+
+def test_idempotent_in_t_on_integers():
+    """The integer test accepts the canonical e and a separability
+    idempotent with mixed denominators, and rejects 2e."""
+    G, H = s3_pair(2)
+    ts = TensorSquare(G, H)
+    e = ts.canonical_separability_element()
+    assert idempotent_in_t(ts, e)
+    assert not idempotent_in_t(ts, {k: 2 * v for k, v in e.items()})
+    # e plus a fifth of a Casimir element with mu = 0 is again a
+    # separability idempotent
+    mus = [ts.mu(dict.fromkeys(w, 1)) for w in ts.casimir]
+    kernel, = nullspace([[m.get(g, 0) for m in mus]
+                         for g in range(G.order)])
+    mixed = dict(e)
+    for w, c in zip(ts.casimir, kernel):
+        for idx in w:
+            mixed[idx] = mixed.get(idx, 0) + c / 5
+    mixed = {k: v for k, v in mixed.items() if v}
+    assert len({Fraction(v).denominator for v in mixed.values()}) > 1
+    assert t_product(ts, mixed, mixed) == mixed
+    assert idempotent_in_t(ts, mixed)
+    assert not idempotent_in_t(ts, {k: 2 * v for k, v in mixed.items()})
 
 
 def test_t_ideal_brute_cross_check():
