@@ -52,12 +52,13 @@ def _load_json(path):
         raise SpecError(f"{path}: {exc.strerror}") from exc
 
 
-_KINDS = {dict: "a JSON object", int: "an integer", list: "a list"}
+_KINDS = {dict: "a JSON object", int: "an integer", list: "a list",
+          str: "a string"}
 
 
 def _typed(x, kind, what):
-    """x if it is of the JSON kind (dict, int or list), else a SpecError;
-    floats, strings and booleans are not cast to int."""
+    """x if it is of the JSON kind (dict, int, list or str), else a
+    SpecError; floats, strings and booleans are not cast to int."""
     if not isinstance(x, kind) or isinstance(x, bool):
         raise SpecError(f"{what} must be {_KINDS[kind]}, got {x!r}")
     return x
@@ -87,7 +88,8 @@ def group_from_spec(spec, cap):
     if degree < 1:
         raise SpecError("degree must be >= 1")
     gens = _perms(gen_lists, degree)
-    return FiniteGroup(gens, name=spec.get("name", "G"), cap=cap)
+    return FiniteGroup(gens, name=_typed(spec.get("name", "G"), str, "'name'"),
+                       cap=cap)
 
 
 def subgroup_from_spec(G, spec):
@@ -107,7 +109,7 @@ def subgroup_from_spec(G, spec):
     else:
         raise SpecError(
             "subgroup spec needs 'generators' or 'generator_indices'")
-    return Subgroup(G, gens, name=spec.get("name", "H"))
+    return Subgroup(G, gens, name=_typed(spec.get("name", "H"), str, "'name'"))
 
 
 def _frac(x):
@@ -125,6 +127,7 @@ def algebra_from_spec(spec):
     string entries).
     """
     _typed(spec, dict, "algebra spec")
+    name = _typed(spec.get("name", ""), str, "'name'")
     if "matrix_size" in spec:
         if "basis" not in spec:
             raise SpecError("matrix spec needs an integer 'matrix_size' "
@@ -133,8 +136,8 @@ def algebra_from_spec(spec):
         mats = [{(i, j): x for i, row in enumerate(_matrix(mat, m))
                  for j, x in enumerate(row) if x}
                 for mat in _typed(spec["basis"], list, "'basis'")]
-        return findim._matrix_span_algebra(
-            m, mats, name=spec.get("name", ""), labels=spec.get("labels"))
+        return findim._matrix_span_algebra(m, mats, name=name,
+                                           labels=_labels(spec, len(mats)))
     try:
         mult = [[[_frac(c) for c in vec] for vec in row]
                 for row in spec["structure"]]
@@ -146,10 +149,20 @@ def algebra_from_spec(spec):
             for row in mult) or len(unit) != n):
         raise SpecError("structure constants must form an n x n x n cube")
     A = findim.StructureConstantAlgebra(
-        dimension=n, mult=mult, unit=unit,
-        labels=spec.get("labels", []), name=spec.get("name", ""))
+        dimension=n, mult=mult, unit=unit, labels=_labels(spec, n), name=name)
     A.check_associative_and_unital()
     return A
+
+
+def _labels(spec, dim):
+    """The spec's basis labels: absent, or one string per basis element."""
+    if "labels" not in spec:
+        return []
+    labels = _typed(spec["labels"], list, "'labels'")
+    if len(labels) != dim or not all(isinstance(x, str) for x in labels):
+        raise SpecError(f"'labels' must be {dim} strings, one per basis "
+                        f"element, got {labels!r}")
+    return labels
 
 
 def _matrix(mat, m):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import (CapExceeded, CheckFailed, InvalidAlgebra,
                      InvalidArgument, UnitMissing)
 from .groupalg import DEFAULT_LINEAR_CAP
-from .linalg import SparseEchelon, nullspace, rank, rref, to_dense, to_sparse
+from .linalg import SparseEchelon, nullspace, rref, to_dense, to_sparse
 
 
 @dataclass
@@ -28,9 +28,9 @@ class StructureConstantAlgebra:
     def __post_init__(self):
         if not self.labels:
             self.labels = [f"b{i}" for i in range(self.dimension)]
-        self.mult = [[[Fraction(c) for c in vec] for vec in row]
+        self.mult = [[list(map(_fraction, vec)) for vec in row]
                      for row in self.mult]
-        self.unit = [Fraction(c) for c in self.unit]
+        self.unit = list(map(_fraction, self.unit))
         # table[i][j] = {k: c} for b_i * b_j, the nonzero constants only
         self.table = [[to_sparse(vec) for vec in row] for row in self.mult]
 
@@ -77,6 +77,10 @@ class StructureConstantAlgebra:
         return [list(col) for col in zip(*self.table)]
 
 
+def _fraction(c):
+    return c if type(c) is Fraction else Fraction(c)
+
+
 def _combine(coeffs, products):
     """Sparse sum of c * products[m] over the sparse coefficients {m: c}."""
     out = {}
@@ -84,6 +88,12 @@ def _combine(coeffs, products):
         for k, x in products[m].items():
             out[k] = out.get(k, 0) + c * x
     return {k: x for k, x in out.items() if x}
+
+
+def _product(A, u, v):
+    """Sparse u * v read off A.table: sum over i of u_i (b_i v)."""
+    S = A.table
+    return _combine(u, {i: _combine(v, S[i]) for i in u})
 
 
 def _unit_vec(n, i):
@@ -105,8 +115,8 @@ class AlgebraInclusion:
         self.sub_basis = [to_dense(r, A.dimension) for r in rows]
         if not span.contains(to_sparse(A.unit)):
             raise UnitMissing("subalgebra does not contain the unit")
-        if not _spans(span, (A.multiply(u, v) for u in self.sub_basis
-                             for v in self.sub_basis)):
+        if not all(span.contains(_product(A, u, v))
+                   for u in rows for v in rows):
             raise ValueError("subalgebra basis not closed")
 
     @property
@@ -114,15 +124,13 @@ class AlgebraInclusion:
         return len(self.sub_basis)
 
 
-def _spans(ech, vectors):
-    return all(ech.contains(to_sparse(v)) for v in vectors)
-
-
 def _is_ideal(A, basis):
-    span = SparseEchelon(map(to_sparse, basis))
-    units = [_unit_vec(A.dimension, i) for i in range(A.dimension)]
-    return _spans(span, (w for v in basis for b in units
-                         for w in (A.multiply(b, v), A.multiply(v, b))))
+    """True iff b_k v and v b_k lie in span(basis) for every basis vector
+    v and every b_k; they are read off table[k] and table_columns()[k]."""
+    vecs = list(map(to_sparse, basis))
+    span = SparseEchelon(vecs)
+    return all(span.contains(_combine(v, products))
+               for products in A.table + A.table_columns() for v in vecs)
 
 
 def trace_form(A):
@@ -154,11 +162,12 @@ def _check_nilpotent_ideal(A, basis):
     if not _is_ideal(A, basis):
         raise CheckFailed("radical candidate is not an ideal")
     # nilpotency: power up the span until it dies
-    current = basis
+    current = vecs = list(map(to_sparse, basis))
     for _ in range(A.dimension + 1):
         if not current:
             return
-        current, _ = rref([A.multiply(u, v) for u in current for v in basis])
+        current = SparseEchelon(_product(A, u, v) for u in current
+                                for v in vecs).basis()
     raise CheckFailed("radical candidate is not nilpotent")
 
 
@@ -171,11 +180,11 @@ def subalgebra_closure(A, vectors):
     if not span.contains(to_sparse(A.unit)):
         raise UnitMissing("closure seed must contain the unit")
     while True:
-        rows = [to_dense(r, A.dimension) for r in span.basis()]
-        grew = [span.add(to_sparse(A.multiply(u, v)))
-                for u in rows for v in rows]
+        rows = span.basis()
+        grew = [span.add(_product(A, u, v)) for u in rows for v in rows]
         if not any(grew):
-            return AlgebraInclusion(A, rows)
+            return AlgebraInclusion(A, [to_dense(r, A.dimension)
+                                        for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -218,42 +227,44 @@ class RelativeTensorSquare:
         return len(self.free)
 
     def left_mult_ambient(self, a_vec, vec):
-        """a . (u (x) v) on the plain tensor square."""
+        """a . (u (x) v) on the plain tensor square; rows b_i (x) - where
+        vec is zero are skipped."""
         n = self.n
         out = [Fraction(0)] * (n * n)
         for i in range(n):
-            col = self.A.multiply(a_vec, _unit_vec(n, i))
-            for j in range(n):
-                c = vec[i * n + j]
-                if c:
-                    for k, x in enumerate(col):
-                        if x:
+            row = [(j, c) for j, c in enumerate(vec[i * n:(i + 1) * n]) if c]
+            if row:
+                col = self.A.multiply(a_vec, _unit_vec(n, i))
+                for k, x in enumerate(col):
+                    if x:
+                        for j, c in row:
                             out[k * n + j] += c * x
         return out
 
     def right_mult_ambient(self, vec, a_vec):
+        """(u (x) v) . a, skipping the columns - (x) b_j where vec is
+        zero."""
         n = self.n
         out = [Fraction(0)] * (n * n)
         for j in range(n):
-            row = self.A.multiply(_unit_vec(n, j), a_vec)
-            for i in range(n):
-                c = vec[i * n + j]
-                if c:
-                    for k, x in enumerate(row):
-                        if x:
+            column = [(i, c) for i, c in enumerate(vec[j::n]) if c]
+            if column:
+                row = self.A.multiply(_unit_vec(n, j), a_vec)
+                for k, x in enumerate(row):
+                    if x:
+                        for i, c in column:
                             out[i * n + k] += c * x
         return out
 
     def mu_ambient(self, vec):
         n = self.n
         out = [Fraction(0)] * n
-        for i in range(n):
-            for j in range(n):
-                c = vec[i * n + j]
-                if c:
-                    prod = self.A.multiply(_unit_vec(n, i), _unit_vec(n, j))
-                    for k, x in enumerate(prod):
-                        out[k] += c * x
+        for idx, c in enumerate(vec):
+            if c:
+                i, j = divmod(idx, n)
+                prod = self.A.multiply(_unit_vec(n, i), _unit_vec(n, j))
+                for k, x in enumerate(prod):
+                    out[k] += c * x
         return out
 
     def lift(self, coords):
@@ -315,14 +326,14 @@ def verify_separability_witness(A, rts, witness):
 
     It acts on the witness through A.multiply (the dense ambient actions
     below), not through separability_system's table reads, so a slip in
-    either one cannot verify itself."""
+    either one cannot verify itself.  The projection is linear, so the
+    residual a t - t a is zero in the quotient iff both sides project to
+    the same coordinates."""
     n = A.dimension
     for a_idx in range(n):
         a = _unit_vec(n, a_idx)
-        diff = [x - y for x, y in
-                zip(rts.left_mult_ambient(a, witness),
-                    rts.right_mult_ambient(witness, a))]
-        if any(rts.project(diff)):
+        if (rts.project(rts.left_mult_ambient(a, witness))
+                != rts.project(rts.right_mult_ambient(witness, a))):
             raise CheckFailed("witness: centrality residual nonzero")
     if rts.mu_ambient(witness) != A.unit:
         raise CheckFailed("witness: mu(e) != 1")
@@ -345,27 +356,18 @@ def prop_rad_check(A, inclusion, JA=None):
 
 def _sub_radical(A, inclusion):
     """J(B) expressed in ambient coordinates."""
-    basis = inclusion.sub_basis
-    m = len(basis)
+    rows = list(map(to_sparse, inclusion.sub_basis))
 
     # B as its own structure-constant algebra; its basis is in reduced
     # row echelon form, so a coordinate is the entry at that row's pivot
     def coords(v):
-        return [v[p] for p in inclusion.pivots]
+        return [v.get(p, 0) for p in inclusion.pivots]
 
-    mult = [[coords(A.multiply(basis[i], basis[j])) for j in range(m)]
-            for i in range(m)]
-    B = StructureConstantAlgebra(dimension=m, mult=mult,
-                                 unit=coords(A.unit), name="sub")
-    JB = radical(B)
-    out = []
-    for v in JB:
-        amb = [Fraction(0)] * A.dimension
-        for c, bvec in zip(v, basis):
-            for k, x in enumerate(bvec):
-                amb[k] += c * x
-        out.append(amb)
-    return rref(out)[0]
+    mult = [[coords(_product(A, u, v)) for v in rows] for u in rows]
+    B = StructureConstantAlgebra(dimension=len(rows), mult=mult,
+                                 unit=coords(to_sparse(A.unit)), name="sub")
+    return rref([to_dense(_combine(to_sparse(v), rows), A.dimension)
+                 for v in radical(B)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,49 +384,45 @@ def matrix_algebra(n):
 
 
 def _matrix_span_algebra(m, basis_mats, name="", labels=None):
-    """Algebra spanned inside M_m(Q) by the given sparse matrices."""
-    dim = len(basis_mats)
-    mm = m * m
-    flat = []
-    for mat in basis_mats:
-        v = [Fraction(0)] * mm
-        for (i, j), c in mat.items():
-            v[i * m + j] = c
-        flat.append(v)
+    """Algebra spanned inside M_m(Q) by the given sparse matrices
+    {(i, j): c}; each is kept as a flat sparse dict {i*m + j: c}."""
+    dim, mm = len(basis_mats), m * m
+    flat = [{i * m + j: c for (i, j), c in mat.items() if c}
+            for mat in basis_mats]
+    # by_row[b][k] = {j: c}, row k of basis matrix b
+    by_row = []
+    for v in flat:
+        rows = {}
+        for pos, c in v.items():
+            k, j = divmod(pos, m)
+            rows.setdefault(k, {})[j] = c
+        by_row.append(rows)
     # rows (flat_b | e_b): the normal form of (v | 0) is (0 | -coords of v)
-    span = SparseEchelon({**to_sparse(v), mm + b: 1}
-                         for b, v in enumerate(flat))
+    span = SparseEchelon({**v, mm + b: 1} for b, v in enumerate(flat))
     if any(p >= mm for p in span.rows):
         raise InvalidAlgebra("matrix basis not independent")
 
-    def coords(vflat):
-        """Coordinates of a flat matrix in the given basis."""
-        v = span.reduce(to_sparse(vflat), full=True)
+    def coords(v):
+        """Coordinate list of a flat sparse matrix in the basis."""
+        v = span.reduce(v, full=True)
         if any(k < mm for k in v):
             raise InvalidAlgebra("matrix outside the span of the basis")
-        return [-v.get(mm + b, Fraction(0)) for b in range(dim)]
+        return to_dense({k - mm: -x for k, x in v.items()}, dim)
 
-    def mat_mul_flat(u, v):
-        out = [Fraction(0)] * mm
-        for i in range(m):
-            for k in range(m):
-                a = u[i * m + k]
-                if a:
-                    for j in range(m):
-                        b = v[k * m + j]
-                        if b:
-                            out[i * m + j] += a * b
+    def mat_mul(u, v_rows):
+        out = {}
+        for pos, a in u.items():
+            i, k = divmod(pos, m)
+            for j, b in v_rows.get(k, {}).items():
+                out[i * m + j] = out.get(i * m + j, 0) + a * b
         return out
 
-    mult = [[coords(mat_mul_flat(flat[i], flat[j])) for j in range(dim)]
-            for i in range(dim)]
-    ident = [Fraction(1) if i == j else Fraction(0)
-             for i in range(m) for j in range(m)]
-    unit = coords(ident)
+    mult = [[coords(mat_mul(u, v_rows)) for v_rows in by_row] for u in flat]
+    unit = coords({i * m + i: 1 for i in range(m)})
     A = StructureConstantAlgebra(dimension=dim, mult=mult, unit=unit,
                                  labels=labels or [], name=name)
     A.embedding_size = m
-    A.flat_coords = coords
+    A.flat_coords = lambda vflat: coords(to_sparse(vflat))
     return A
 
 
@@ -520,46 +518,13 @@ def monoid_algebra(n):
                                  labels=[f"f^{i}" for i in range(dim)],
                                  name=f"M({2*n},{n})")
     e = _unit_vec(dim, n)
-    if M.multiply(e, e) != e:
+    if _product(M, {n: 1}, {n: 1}) != {n: 1}:
         raise CheckFailed("f^n is not idempotent")
     return M, e
 
 
-def monoid_decomposition_dims(M, e):
-    """(dim e*M, dim (1-e)*M); their direct sum is all of M."""
-    n = M.dimension
-    one_minus_e = [a - b for a, b in zip(M.unit, e)]
-    eM = [M.multiply(e, _unit_vec(n, i)) for i in range(n)]
-    fM = [M.multiply(one_minus_e, _unit_vec(n, i)) for i in range(n)]
-    de = rank(eM)
-    df = rank(fM)
-    if not rank(eM + fM) == de + df == n:
-        raise CheckFailed("e*M + (1-e)*M is not a direct sum equal to M")
-    return de, df
-
-
 def monoid_nilpotent_part_subalgebra(M, e):
     """Closure of {1, (1-e) f} -- isomorphic to Q[X]/(X^m)."""
-    n = M.dimension
-    one_minus_e = [a - b for a, b in zip(M.unit, e)]
-    f = _unit_vec(n, 1)
-    gen = M.multiply(one_minus_e, f)
+    one_minus_e = to_sparse([a - b for a, b in zip(M.unit, e)])
+    gen = to_dense(_product(M, one_minus_e, {1: 1}), M.dimension)
     return subalgebra_closure(M, [list(M.unit), gen])
-
-
-def matrix_algebra_separability_witnesses(n):
-    """The n witnesses e_j = sum_i e_ij (x) e_ji for M_n over its ground
-    field, as ambient tensor vectors over the matrix-unit basis."""
-    A = matrix_algebra(n)
-    dim = A.dimension
-
-    def unit_index(i, j):
-        return i * n + j
-
-    out = []
-    for j in range(n):
-        vec = [Fraction(0)] * (dim * dim)
-        for i in range(n):
-            vec[unit_index(i, j) * dim + unit_index(j, i)] = Fraction(1)
-        out.append(vec)
-    return A, out

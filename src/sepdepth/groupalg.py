@@ -133,18 +133,18 @@ class TensorSquare:
         return {k: v for k, v in out.items() if v}
 
     def t_square(self, t):
-        """The T-product t . t, from single products on indices.
+        """The T-product t . t, read off G's cached index maps.
 
         (g (x) g_i) . (g' (x) g_j) = g' g h (x) g_k  where g_i g_j = h g_k.
         """
         G, n, reps = self.G, self.n, self.reps
+        terms = [(divmod(idx, n), c) for idx, c in t.items()]
         out = {}
-        for idx2, c2 in t.items():
-            gp, j = divmod(idx2, n)
-            for idx1, c1 in t.items():
-                g, i = divmod(idx1, n)
-                k, h = self._coset[G.mul(reps[i], reps[j])]
-                key = G.mul(G.mul(gp, g), h) * n + k
+        for (gp, j), c2 in terms:
+            rep_j, left_gp = G.right_map(reps[j]), G.left_map(gp)
+            for (g, i), c1 in terms:
+                k, h = self._coset[rep_j[reps[i]]]
+                key = G.right_map(h)[left_gp[g]] * n + k
                 out[key] = out.get(key, 0) + c1 * c2
         return {k: v for k, v in out.items() if v}
 

@@ -1,13 +1,17 @@
 """Dense reference routines for the findim kernels, for tests only.
 
 Each one computes through ``StructureConstantAlgebra.multiply`` on unit
-vectors, the way the package did before it read its structure-constant
-table directly, so the tests can hold the sparse kernels against them.
+vectors (or on dense flat matrices), the way the package did before it
+read its structure-constant table directly, so the tests can hold the
+sparse kernels against them.  The explicit witnesses of M_n and the
+monoid decomposition live here too: only tests use them.
 """
 
 from fractions import Fraction
 
-from sepdepth.linalg import SparseEchelon, to_sparse
+from sepdepth.errors import CheckFailed, InvalidAlgebra
+from sepdepth.findim import matrix_algebra
+from sepdepth.linalg import SparseEchelon, rank, rref, to_sparse
 
 
 def unit_vec(n, i):
@@ -95,3 +99,92 @@ def dense_associativity_failure(A):
                     return (f"structure constants not associative at basis "
                             f"triple {(i, j, k)}")
     return None
+
+
+def dense_spans(basis, vectors):
+    span = SparseEchelon(map(to_sparse, basis))
+    return all(span.contains(to_sparse(v)) for v in vectors)
+
+
+def dense_is_closed(A, basis):
+    """span(basis) is closed under A.multiply."""
+    return dense_spans(basis, (A.multiply(u, v) for u in basis for v in basis))
+
+
+def dense_is_ideal(A, basis):
+    """b v and v b lie in span(basis) for every unit vector b."""
+    units = [unit_vec(A.dimension, i) for i in range(A.dimension)]
+    return dense_spans(basis, (w for v in basis for b in units
+                               for w in (A.multiply(b, v), A.multiply(v, b))))
+
+
+def dense_is_nilpotent(A, basis):
+    """Some power of span(basis) is zero, from rref of dense products."""
+    current = basis
+    for _ in range(A.dimension + 1):
+        if not current:
+            return True
+        current, _ = rref([A.multiply(u, v) for u in current for v in basis])
+    return False
+
+
+def dense_matrix_span(m, basis_mats):
+    """(mult, unit, coords) of the algebra the sparse matrices {(i, j): c}
+    span in M_m(Q), from dense m*m flat lists and one dense solve per
+    product; coords maps a dense flat matrix to its coordinate list."""
+    mm = m * m
+    flat = []
+    for mat in basis_mats:
+        v = [Fraction(0)] * mm
+        for (i, j), c in mat.items():
+            v[i * m + j] = Fraction(c)
+        flat.append(v)
+    if rank(flat) != len(flat):
+        raise InvalidAlgebra("matrix basis not independent")
+    # rref of the transposed system [flat^T | v] per matrix v
+    cols = [list(col) for col in zip(*flat)]
+
+    def coords(v):
+        rows, pivots = rref([c + [x] for c, x in zip(cols, v)])
+        if len(flat) in pivots:
+            raise InvalidAlgebra("matrix outside the span of the basis")
+        return [rows[pivots.index(b)][-1] for b in range(len(flat))]
+
+    def mat_mul(u, v):
+        return [sum(u[i * m + k] * v[k * m + j] for k in range(m))
+                for i in range(m) for j in range(m)]
+
+    mult = [[coords(mat_mul(u, v)) for v in flat] for u in flat]
+    ident = [Fraction(int(i == j)) for i in range(m) for j in range(m)]
+    return mult, coords(ident), coords
+
+
+def monoid_decomposition_dims(M, e):
+    """(dim e*M, dim (1-e)*M); their direct sum is all of M."""
+    n = M.dimension
+    one_minus_e = [a - b for a, b in zip(M.unit, e)]
+    eM = [M.multiply(e, unit_vec(n, i)) for i in range(n)]
+    fM = [M.multiply(one_minus_e, unit_vec(n, i)) for i in range(n)]
+    de = rank(eM)
+    df = rank(fM)
+    if not rank(eM + fM) == de + df == n:
+        raise CheckFailed("e*M + (1-e)*M is not a direct sum equal to M")
+    return de, df
+
+
+def matrix_algebra_separability_witnesses(n):
+    """The n witnesses e_j = sum_i e_ij (x) e_ji for M_n over its ground
+    field, as ambient tensor vectors over the matrix-unit basis."""
+    A = matrix_algebra(n)
+    dim = A.dimension
+
+    def unit_index(i, j):
+        return i * n + j
+
+    out = []
+    for j in range(n):
+        vec = [Fraction(0)] * (dim * dim)
+        for i in range(n):
+            vec[unit_index(i, j) * dim + unit_index(j, i)] = Fraction(1)
+        out.append(vec)
+    return A, out

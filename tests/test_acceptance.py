@@ -11,15 +11,15 @@ import time
 
 import pytest
 
+from findim_oracles import (matrix_algebra_separability_witnesses,
+                            monoid_decomposition_dims)
 from groupalg_oracles import centralizer_basis
 from sepdepth.analyze import AGREE, DISAGREE, SKIPPED
 from sepdepth.chartable import (character_table_mod_p, common_prime,
                                 inclusion_matrix)
 from sepdepth.depth import min_depth
 from sepdepth.findim import (RelativeTensorSquare, AlgebraInclusion,
-                             is_separable_extension,
-                             matrix_algebra_separability_witnesses,
-                             monoid_algebra, monoid_decomposition_dims,
+                             is_separable_extension, monoid_algebra,
                              monoid_nilpotent_part_subalgebra,
                              strict_upper_subalgebra,
                              structural_matrix_example,

@@ -254,6 +254,8 @@ def _one_line_error(capsys):
     (5, "subgroup spec must be a JSON object"),
     ([[1, 0, 2]], "subgroup spec must be a JSON object"),
     ({"generators": [[True, False, 2]]}, "not a permutation"),
+    ({"name": 5, "generators": [[1, 0, 2]]}, "'name' must be a string"),
+    ({"name": ["H"], "generator_indices": [1]}, "'name' must be a string"),
 ])
 def test_bad_subgroup_spec_exit_1(s3_files, tmp_path, capsys, spec, message):
     g, _ = s3_files
@@ -280,6 +282,20 @@ def test_group_spec_not_an_object_exit_1(s3_files, tmp_path, capsys):
     assert "group spec must be a JSON object" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("name", [3, None, ["S3"]])
+def test_group_spec_name_not_a_string_exit_1(s3_files, tmp_path, capsys,
+                                             name):
+    _, h = s3_files
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(dict(S3_GROUP, name=name)))
+    assert main(["analyze", str(g), h]) == 1
+    assert "'name' must be a string" in _one_line_error(capsys)
+
+
+# Q[x]/(x^2) by structure constants over the basis {1, x}
+DUAL_NUMBERS = {"structure": [[["1", "0"], ["0", "1"]],
+                              [["0", "1"], ["0", "0"]]],
+                "unit": ["1", "0"]}
 T2_SPEC = {"matrix_size": 2,
            "basis": [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]],
                      [["0", "0"], ["0", "1"]]]}
@@ -294,6 +310,19 @@ T2_SPEC = {"matrix_size": 2,
      "'matrix_size' must be an integer"),
     (T2_SPEC, {"matrices": [5]}, "matrix is not 2x2"),
     (T2_SPEC, {"vectors": [5]}, "subalgebra vector must be a list"),
+    (dict(T2_SPEC, name=5), {"vectors": [["1"]]}, "'name' must be a string"),
+    (dict(T2_SPEC, labels=5), {"vectors": [["1"]]},
+     "'labels' must be a list"),
+    (dict(T2_SPEC, labels=["a", "b"]), {"vectors": [["1"]]},
+     "'labels' must be 3 strings"),
+    (dict(T2_SPEC, labels=["a", "b", 3]), {"vectors": [["1"]]},
+     "'labels' must be 3 strings"),
+    (dict(DUAL_NUMBERS, name={"n": 1}), {"vectors": [["1", "0"]]},
+     "'name' must be a string"),
+    (dict(DUAL_NUMBERS, labels="1x"), {"vectors": [["1", "0"]]},
+     "'labels' must be a list"),
+    (dict(DUAL_NUMBERS, labels=["1", "x", "x2"]), {"vectors": [["1", "0"]]},
+     "'labels' must be 2 strings"),
 ])
 def test_findim_demo_malformed_spec_exit_1(tmp_path, capsys, alg, sub,
                                            message):
@@ -372,6 +401,58 @@ def test_findim_demo_fixture_output_unchanged(capsys):
     for name, text in sorted(expected.items()):
         assert main(["findim-demo", "--fixture", name]) == 0
         assert capsys.readouterr().out == text, name
+
+
+def _matrix_spec(m, positions, name):
+    """Algebra spec spanned by the matrix units at the 0-based positions."""
+    def unit(i, j):
+        return [["1" if (r, c) == (i, j) else "0" for c in range(m)]
+                for r in range(m)]
+    return {"name": name, "matrix_size": m,
+            "basis": [unit(i, j) for i, j in positions],
+            "labels": [f"e{i + 1}{j + 1}" for i, j in positions]}
+
+
+def _matrix_sum(m, positions):
+    return [["1" if (r, c) in positions else "0" for c in range(m)]
+            for r in range(m)]
+
+
+def _fixture_as_specs(name):
+    """The --fixture pair as JSON matrix specs, written out by hand."""
+    if name == "structural":
+        pattern = [(0, 0), (1, 1), (2, 2), (3, 3),
+                   (1, 0), (2, 0), (3, 0), (3, 1), (3, 2)]
+        return _matrix_spec(4, pattern, "structural"), {"matrices": [
+            _matrix_sum(4, {(0, 0), (3, 3)}), _matrix_sum(4, {(1, 1), (2, 2)}),
+            _matrix_sum(4, {(1, 0)}), _matrix_sum(4, {(3, 2)})]}
+    n = int(name[-1])
+    units = [(i, j) for i in range(n) for j in range(i, n)]
+    ident = _matrix_sum(n, {(i, i) for i in range(n)})
+    if name.startswith("triangular"):
+        sub = [_matrix_sum(n, {(i, j)}) for i, j in units if j > i]
+    else:
+        sub = [_matrix_sum(n, {(i, i + s) for i in range(n - s)})
+               for s in range(1, n)]
+    return _matrix_spec(n, units, f"T{n}"), {"matrices": [ident] + sub}
+
+
+@pytest.mark.parametrize("name", ["triangular3", "triangular4", "triangular5",
+                                  "jordan3", "jordan4", "jordan5",
+                                  "structural"])
+def test_findim_demo_matrix_specs_print_the_fixture_output(tmp_path, capsys,
+                                                           name):
+    """The JSON matrix-spec route, the one the benchmark drives, prints
+    byte for byte what the built-in fixture prints."""
+    alg, sub = _fixture_as_specs(name)
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(alg))
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(sub))
+    assert main(["findim-demo", "--fixture", name]) == 0
+    expected = capsys.readouterr().out
+    assert main(["findim-demo", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_findim_demo_computes_radical_of_a_once(monkeypatch, capsys):

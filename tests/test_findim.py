@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from findim_oracles import (matrix_algebra_separability_witnesses,
+                            monoid_decomposition_dims)
 from sepdepth.errors import (CheckFailed, InvalidAlgebra, InvalidArgument,
                              UnitMissing)
 from sepdepth.findim import (AlgebraInclusion, RelativeTensorSquare,
                              StructureConstantAlgebra,
                              _check_nilpotent_ideal, _matrix_span_algebra,
                              is_separable_extension, jordan_subalgebra,
-                             matrix_algebra,
-                             matrix_algebra_separability_witnesses,
-                             monoid_algebra, monoid_decomposition_dims,
+                             matrix_algebra, monoid_algebra,
                              monoid_nilpotent_part_subalgebra, prop_rad_check,
                              radical, strict_upper_subalgebra,
                              structural_matrix_example, subalgebra_closure,

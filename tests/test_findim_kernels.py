@@ -1,22 +1,28 @@
 """The sparse findim kernels against the dense references in
 findim_oracles.py: the trace form, the relations of the relative tensor
-square, the separability rows and the associativity check."""
+square, the separability rows, the associativity check, the closure,
+ideal and nilpotency checks and the matrix-span construction."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from findim_oracles import (dense_associativity_failure, dense_relations,
-                            dense_separability_system, dense_trace_form)
-from sepdepth.errors import InvalidAlgebra
+from findim_oracles import (dense_associativity_failure, dense_is_closed,
+                            dense_is_ideal, dense_is_nilpotent,
+                            dense_matrix_span, dense_relations,
+                            dense_separability_system, dense_trace_form,
+                            unit_vec)
+from sepdepth.errors import CheckFailed, InvalidAlgebra
 from sepdepth.findim import (AlgebraInclusion, RelativeTensorSquare,
-                             StructureConstantAlgebra, jordan_subalgebra,
-                             matrix_algebra, monoid_algebra,
-                             separability_system, strict_upper_subalgebra,
-                             structural_matrix_example, trace_form,
-                             upper_triangular_algebra)
-from sepdepth.linalg import SparseEchelon
+                             StructureConstantAlgebra, _check_nilpotent_ideal,
+                             _is_ideal, _matrix_span_algebra,
+                             jordan_subalgebra, matrix_algebra,
+                             monoid_algebra, radical, separability_system,
+                             strict_upper_subalgebra,
+                             structural_matrix_example, subalgebra_closure,
+                             trace_form, upper_triangular_algebra)
+from sepdepth.linalg import SparseEchelon, to_sparse
 
 
 def _fixture_algebras():
@@ -91,3 +97,130 @@ def test_associativity_check_matches_dense_products():
                 B.check_associative_and_unital()
             assert str(exc.value) == expected
     assert failures >= 12
+
+
+def _candidates(A, rng):
+    """Subspaces to test the checks on: the radical, the whole algebra
+    (an ideal that is not nilpotent), the unit, single basis vectors and
+    random 0/1 combinations of them."""
+    n = A.dimension
+    units = [unit_vec(n, i) for i in range(n)]
+    yield radical(A)
+    yield units
+    yield [list(A.unit)]
+    yield from ([u] for u in units)
+    for _ in range(8):
+        yield [[Fraction(rng.randint(0, 1)) for _ in range(n)]
+               for _ in range(rng.randint(1, 3))]
+
+
+def _nilpotent_ideal_failure(A, basis):
+    """The message _check_nilpotent_ideal should raise, or None."""
+    if basis and not dense_is_ideal(A, basis):
+        return "radical candidate is not an ideal"
+    if not dense_is_nilpotent(A, basis):
+        return "radical candidate is not nilpotent"
+    return None
+
+
+@pytest.mark.parametrize("A", list(_fixture_algebras()),
+                         ids=lambda A: A.name)
+def test_ideal_and_nilpotency_checks_match_dense(A):
+    rng = random.Random(A.name)
+    raised = set()
+    for basis in _candidates(A, rng):
+        assert _is_ideal(A, basis) == dense_is_ideal(A, basis)
+        expected = _nilpotent_ideal_failure(A, basis)
+        if expected is None:
+            _check_nilpotent_ideal(A, basis)
+            continue
+        raised.add(expected.split()[-1])
+        with pytest.raises(CheckFailed) as exc:
+            _check_nilpotent_ideal(A, basis)
+        assert str(exc.value) == expected
+    # the unit span is not an ideal, the whole algebra is a non-nilpotent
+    # ideal
+    assert raised == {"ideal", "nilpotent"}
+
+
+@pytest.mark.parametrize("A", list(_fixture_algebras()),
+                         ids=lambda A: A.name)
+def test_closure_check_matches_dense(A):
+    rng = random.Random(A.name)
+    outcomes = set()
+    for basis in _candidates(A, rng):
+        vectors = [list(A.unit)] + basis
+        closed = dense_is_closed(A, vectors)
+        outcomes.add(closed)
+        if closed:
+            AlgebraInclusion(A, vectors)
+        else:
+            with pytest.raises(ValueError, match="not closed"):
+                AlgebraInclusion(A, vectors)
+        closure = subalgebra_closure(A, vectors)
+        assert dense_is_closed(A, closure.sub_basis)
+        assert SparseEchelon(map(to_sparse, closure.sub_basis)).rank >= (
+            SparseEchelon(map(to_sparse, vectors)).rank)
+    # a subspace of dimension 2 or 3 with the unit is closed in T_2 and in
+    # the dimension-2 monoid algebra, since x^2 lies in span(1, x)
+    assert outcomes == {True, False} or A.dimension <= 3
+
+
+def _matrix_bases():
+    """(m, sparse matrices): the fixtures' matrix-unit bases and the
+    rational bases of closures of random 0/1 matrices in T_3 and T_4."""
+    yield 2, [{(i, j): 1} for i in range(2) for j in range(2)]
+    yield 3, [{(i, j): 1} for i in range(3) for j in range(3)]
+    for n in (2, 3, 4, 5):
+        yield n, [{(i, j): 1} for i in range(n) for j in range(i, n)]
+    yield 4, [{p: 1} for p in [(0, 0), (1, 1), (2, 2), (3, 3), (1, 0),
+                                (2, 0), (3, 0), (3, 1), (3, 2)]]
+    rng = random.Random(7)
+    for n in (3, 4, 3, 4, 4):
+        A = upper_triangular_algebra(n)
+        units = [(i, j) for i in range(n) for j in range(i, n)]
+        gens = [[rng.randint(0, 1) for _ in units] for _ in range(2)]
+        incl = subalgebra_closure(A, [list(A.unit)] + gens)
+        yield n, [{units[k]: c for k, c in enumerate(v) if c}
+                  for v in incl.sub_basis]
+
+
+@pytest.mark.parametrize("m, mats", list(_matrix_bases()),
+                         ids=lambda x: str(x) if isinstance(x, int) else
+                         str(len(x)))
+def test_matrix_span_algebra_matches_dense(m, mats):
+    A = _matrix_span_algebra(m, mats)
+    mult, unit, coords = dense_matrix_span(m, mats)
+    assert A.table == [[to_sparse(v) for v in row] for row in mult]
+    assert A.unit == unit
+    flat = [[Fraction(mat.get((i, j), 0)) for i in range(m)
+             for j in range(m)] for mat in mats]
+    rng = random.Random(m * 100 + len(mats))
+    for _ in range(5):
+        c = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in flat]
+        v = [sum(x * f[k] for x, f in zip(c, flat)) for k in range(m * m)]
+        assert A.flat_coords(v) == coords(v) == c
+    for v in flat:
+        assert A.flat_coords(v) == coords(v)
+
+
+@pytest.mark.parametrize("m, mats, message", [
+    (2, [{(0, 1): 1}, {(0, 1): 2}], "matrix basis not independent"),
+    (2, [{(0, 0): 1}, {(0, 1): 1}, {(1, 0): 1}],
+     "matrix outside the span of the basis"),
+    (3, [{(0, 0): 1, (1, 1): 1, (2, 2): 1}, {(0, 1): 1}, {(1, 2): 1}],
+     "matrix outside the span of the basis"),
+])
+def test_matrix_span_errors_match_dense(m, mats, message):
+    for build in (_matrix_span_algebra, dense_matrix_span):
+        with pytest.raises(InvalidAlgebra) as exc:
+            build(m, mats)
+        assert str(exc.value) == message
+
+
+def test_flat_coords_rejects_matrix_outside_span():
+    A = upper_triangular_algebra(3)
+    lower = [Fraction(int(i == 2 and j == 0)) for i in range(3)
+             for j in range(3)]
+    with pytest.raises(InvalidAlgebra, match="outside the span"):
+        A.flat_coords(lower)

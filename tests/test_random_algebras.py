@@ -1,15 +1,20 @@
 """Property tests on random subalgebras of T_3 and T_4 (needs
 hypothesis): the separability solver agrees with the radical criterion
-J(A) = J(B) wherever the criterion applies."""
+J(A) = J(B) wherever the criterion applies, and the sparse closure, ideal
+and matrix-span kernels agree with their dense references."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from sepdepth.findim import (is_separable_extension,  # noqa: E402
+from findim_oracles import (dense_is_closed, dense_is_ideal,  # noqa: E402
+                            dense_matrix_span)
+from sepdepth.findim import (_is_ideal, _matrix_span_algebra,  # noqa: E402
+                             _sub_radical, is_separable_extension,
                              prop_rad_check, subalgebra_closure,
                              upper_triangular_algebra)
+from sepdepth.linalg import to_sparse  # noqa: E402
 
 ALGEBRAS = {n: upper_triangular_algebra(n) for n in (3, 4)}
 
@@ -34,3 +39,24 @@ def test_solver_agrees_with_radical_criterion(pair):
     verdict = prop_rad_check(A, incl)
     if verdict != "not-applicable":
         assert separable == (verdict == "separable")
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(triangular_subalgebras())
+def test_sparse_kernels_match_dense(pair):
+    A, incl = pair
+    assert dense_is_closed(A, incl.sub_basis)
+    JB = _sub_radical(A, incl)
+    assert _is_ideal(A, JB) == dense_is_ideal(A, JB)
+    # B as the matrix span of its basis inside M_n
+    n = A.embedding_size
+    units = [(i, j) for i in range(n) for j in range(i, n)]
+    mats = [{units[k]: c for k, c in enumerate(v) if c}
+            for v in incl.sub_basis]
+    B = _matrix_span_algebra(n, mats)
+    mult, unit, coords = dense_matrix_span(n, mats)
+    assert B.table == [[to_sparse(v) for v in row] for row in mult]
+    assert B.unit == unit
+    for mat in mats:
+        v = [mat.get((i, j), 0) for i in range(n) for j in range(n)]
+        assert B.flat_coords(v) == coords(v)
