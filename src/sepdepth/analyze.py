@@ -8,7 +8,7 @@ skipped comparisons.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .chartable import character_table_mod_p, common_prime, inclusion_matrix
 from .depth import bimodule_matrices, burciu_depth1, depth_report, is_diagonal
@@ -65,40 +65,11 @@ class AnalysisReport:
         return sorted(k for k, v in self.agreements.items() if v == DISAGREE)
 
     def to_json_dict(self, include_timing=False):
-        out = {
-            "group": self.group,
-            "subgroup": self.subgroup,
-            "group_order": self.group_order,
-            "subgroup_order": self.subgroup_order,
-            "index": self.index,
-            "num_classes_g": self.num_classes_g,
-            "num_classes_h": self.num_classes_h,
-            "num_h_orbits": self.num_h_orbits,
-            "property_s": self.property_s,
-            "lemma_s": self.lemma_s,
-            "hz": self.hz,
-            "depth1_group": self.depth1_group,
-            "normal": self.normal,
-            "burciu_depth1": self.burciu_depth1,
-            "prime": self.prime,
-            "seed": self.seed,
-            "inclusion_matrix": [list(r) for r in self.inclusion_matrix],
-            "min_depth": self.min_depth,
-            "min_odd_depth": self.min_odd_depth,
-            "min_even_depth": self.min_even_depth,
-            "min_h_depth": self.min_h_depth,
-            "even_rule_derived": self.even_rule_derived,
-            "s_diagonal": self.s_diagonal,
-            "t_diagonal": self.t_diagonal,
-            "center_dim": self.center_dim,
-            "casimir_dim": self.casimir_dim,
-            "unique_separable": self.unique_separable,
-            "separability_kind": self.separability_kind,
-            "full_in_t": self.full_in_t,
-            "full_in_u": self.full_in_u,
-            "caps_hit": sorted(self.caps_hit),
-            "agreements": dict(sorted(self.agreements.items())),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "elapsed"}
+        out["inclusion_matrix"] = [list(r) for r in self.inclusion_matrix]
+        out["caps_hit"] = sorted(self.caps_hit)
+        out["agreements"] = dict(sorted(self.agreements.items()))
         if include_timing:
             out["elapsed_seconds"] = self.elapsed
         return out
@@ -120,9 +91,9 @@ def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
     """Full invariant report for the group-algebra extension kH in kG."""
     t0 = time.perf_counter()
     HG = H.as_group()
-    classes_g = conjugacy_classes(G)
-    classes_h = conjugacy_classes(HG)
-    orbits = h_orbits(G, H)
+    classes_g = conjugacy_classes(G, indices=True)
+    classes_h = conjugacy_classes(HG, indices=True)
+    orbits = h_orbits(G, H, indices=True)
 
     prop_s = property_S(G, H)
     lem_s = lemma_S_via_centralizers(G, H)

@@ -10,7 +10,9 @@ multiplicities) are ever lifted.
 """
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from math import isqrt, lcm
 
 from .errors import (CheckFailed, InvalidArgument, LiftInconsistency,
@@ -22,12 +24,11 @@ MAX_SPLIT_RETRIES = 8
 
 @dataclass(frozen=True)
 class ClassData:
-    classes: tuple          # tuple of tuples of Permutation
+    classes: tuple          # tuple of tuples of element indices
     sizes: tuple
     inverse_map: tuple      # class index -> index of the inverse class
-    exponent: int
-    reps: tuple             # one representative per class (minimal element)
-    index_of: dict          # element -> class index
+    class_of: tuple         # element index -> class index
+    elements: tuple         # the group's elements, in index order
 
     @property
     def num_classes(self):
@@ -35,20 +36,19 @@ class ClassData:
 
 
 def class_data(G):
-    classes = conjugacy_classes(G)
-    index_of = {}
+    classes = conjugacy_classes(G, indices=True)
+    class_of = [0] * G.order
     for i, cls in enumerate(classes):
-        for g in cls:
-            index_of[g] = i
-    inverse_map = tuple(index_of[cls[0].inverse()] for cls in classes)
+        for x in cls:
+            class_of[x] = i
+    inv = G.inverse
+    inverse_map = tuple(class_of[inv[cls[0]]] for cls in classes)
     if any(inverse_map[inverse_map[i]] != i for i in range(len(classes))):
         raise CheckFailed("class inversion is not an involution")
     return ClassData(classes=classes,
                      sizes=tuple(len(c) for c in classes),
                      inverse_map=inverse_map,
-                     exponent=G.exponent(),
-                     reps=tuple(min(c) for c in classes),
-                     index_of=index_of)
+                     class_of=tuple(class_of), elements=G.elements)
 
 
 def dixon_prime(exponent, order):
@@ -70,23 +70,20 @@ def dixon_prime(exponent, order):
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def class_mult_coeffs(G, cd, i):
-    """Matrix a[j][k] = #{(x, y) in C_i x C_j : xy = z} for a fixed z in C_k."""
+    """Matrix a[j][k] = #{(x, y) in C_i x C_j : xy = z} for a fixed z in C_k:
+    y = x^-1 z is read off the right map of z."""
     r = cd.num_classes
+    inv, class_of = G.inverse, cd.class_of
+    xinv = [inv[x] for x in cd.classes[i]]
     a = [[0] * r for _ in range(r)]
-    for k in range(r):
-        z = cd.reps[k]
-        for x in cd.classes[i]:
-            j = cd.index_of[x.inverse() * z]
-            a[j][k] += 1
+    for k, cls in enumerate(cd.classes):
+        rz = G.right_map(cls[0])
+        for y in xinv:
+            a[class_of[rz[y]]][k] += 1
     return a
 
 
@@ -137,7 +134,12 @@ class _Subspace:
         return cs
 
     def split_by(self, mat):
-        """Split along eigenspaces of mat (restricted to this subspace)."""
+        """Split along eigenspaces of mat (restricted to this subspace).
+
+        The eigenvalues are the roots of det(xI - R) mod p for the
+        restriction R; the pieces are the nullspaces of R - lam*I at those
+        roots, in increasing lam.
+        """
         p = self.p
         k = self.dim
         if k == 1:
@@ -145,9 +147,14 @@ class _Subspace:
         # restriction matrix R with mat . b_j = sum_i R[i][j] b_i; the
         # coordinates of mat . b_j are column j of R, i.e. row j of R^t
         Rt = [self.coords(_mat_vec(mat, row, p)) for row in self.rows]
+        charpoly = _charpoly(Rt, p)[::-1]
+        cols = list(zip(*self.rows))
         pieces = []
         total = 0
         for lam in range(p):
+            # det(lam I - R) by Horner
+            if reduce(lambda v, c: (v * lam + c) % p, charpoly, 0):
+                continue
             # nullspace of R - lam*I: the I part of those echelon rows of
             # [(R - lam*I)^t | I] whose pivot falls in the I part
             aug = _Subspace([[x - (lam if i == j else 0)
@@ -156,22 +163,57 @@ class _Subspace:
                              for j in range(k)], p)
             null = [row[k:] for row, piv in zip(aug.rows, aug.pivots)
                     if piv >= k]
-            if not null:
-                continue
-            vecs = []
-            for nv in null:
-                amb = [0] * len(self.rows[0])
-                for c, row in zip(nv, self.rows):
-                    if c:
-                        amb = [(a + c * b) % p for a, b in zip(amb, row)]
-                vecs.append(amb)
-            pieces.append(_Subspace(vecs, p))
+            pieces.append(_Subspace([_mat_vec(cols, nv, p) for nv in null],
+                                    p))
             total += len(null)
             if total == k:
                 break
         if total != k:
             raise SplittingFailure("class matrix not diagonalizable mod p")
         return pieces
+
+
+def _charpoly(mat, p):
+    """Coefficients, constant term first, of det(xI - mat) mod p.
+
+    The matrix is brought to upper Hessenberg form by similarity
+    transformations, and the characteristic polynomials of its leading
+    blocks follow by the recurrence of Cohen, A Course in Computational
+    Algebraic Number Theory, Algorithm 2.2.9.
+    """
+    n = len(mat)
+    h = [[x % p for x in row] for row in mat]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if i is None:
+            continue
+        h[i], h[m] = h[m], h[i]
+        for row in h:
+            row[i], row[m] = row[m], row[i]
+        tinv = pow(h[m][m - 1], -1, p)
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * tinv % p
+            if u:
+                # row_i -= u row_m, then column_m += u column_i
+                h[i] = [(a - u * b) % p for a, b in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % p
+    # polys[m] = det(xI - h[:m][:m])
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        # (x - h[m][m]) * prev
+        cur = [0] + prev
+        for d, c in enumerate(prev):
+            cur[d] = (cur[d] - h[m][m] * c) % p
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            f = t * h[i][m] % p
+            for d, c in enumerate(polys[i]):
+                cur[d] = (cur[d] - f * c) % p
+        polys.append(cur)
+    return polys[n]
 
 
 def _mat_vec(mat, v, p):
@@ -195,7 +237,8 @@ class CharacterTableModP:
         return len(self.table)
 
     def value(self, i, g):
-        return self.table[i][self.class_data.index_of[g]]
+        cd = self.class_data
+        return self.table[i][cd.class_of[bisect_left(cd.elements, g)]]
 
     def check_invariants(self, order):
         p = self.prime
@@ -229,11 +272,11 @@ def character_table_mod_p(G, prime=None, seed=0):
     """
     cd = class_data(G)
     r = cd.num_classes
-    p = prime if prime is not None else dixon_prime(cd.exponent, G.order)
-    if not (_is_prime(p) and (p - 1) % cd.exponent == 0
+    p = prime if prime is not None else dixon_prime(G.exponent(), G.order)
+    if not (_is_prime(p) and (p - 1) % G.exponent() == 0
             and p > 2 * isqrt(G.order)):
         raise InvalidArgument(
-            f"{p} is not a prime = 1 mod {cd.exponent} above "
+            f"{p} is not a prime = 1 mod {G.exponent()} above "
             f"2*sqrt({G.order})")
     mats = [class_mult_coeffs(G, cd, i) for i in range(r)]
     spaces = [_Subspace([[1 if i == j else 0 for j in range(r)]
@@ -333,17 +376,14 @@ def inclusion_matrix(G, H, tableG=None, tableH=None):
         raise LiftInconsistency("tables computed with different primes")
     cdH = tableH.class_data
     inv_h = pow(HG.order % p, -1, p)
+    # the G class of the inverse of each H class's representative
+    g_class = [tableG.class_data.class_of[G.index_of(
+        HG.elements[HG.inverse[cls[0]]])] for cls in cdH.classes]
     rows = []
-    for i in range(tableH.num_chars):
-        row = []
-        for j in range(tableG.num_chars):
-            s = 0
-            for a in range(cdH.num_classes):
-                rep_inv = cdH.reps[a].inverse()
-                s += (cdH.sizes[a] * tableH.table[i][a]
-                      * tableG.value(j, rep_inv))
-            row.append((s * inv_h) % p)
-        rows.append(tuple(row))
+    for chi in tableH.table:
+        weighted = [size * x for size, x in zip(cdH.sizes, chi)]
+        rows.append(tuple(sum(w * psi[c] for w, c in zip(weighted, g_class))
+                          * inv_h % p for psi in tableG.table))
     M = InclusionMatrix(entries=tuple(rows),
                         row_degrees=tableH.degrees,
                         col_degrees=tableG.degrees)
@@ -354,25 +394,3 @@ def inclusion_matrix(G, H, tableG=None, tableH=None):
             raise LiftInconsistency(
                 f"column {j}: dimension sum {total} != {tableG.degrees[j]}")
     return M
-
-
-def induction_matrix_mod_p(G, H, tableG, tableH):
-    """Induction multiplicities <ind chi_i, psi_j> mod p (for the
-    Frobenius-reciprocity cross-check; should equal the inclusion matrix)."""
-    p = tableG.prime
-    cdG = tableG.class_data
-    HG_elements = H.elements
-    inv_h = pow(len(HG_elements) % p, -1, p)
-    cdH = tableH.class_data
-    rows = []
-    for i in range(tableH.num_chars):
-        row = []
-        for j in range(tableG.num_chars):
-            # <psi_j|_H, chi_i>_H computed element-wise over H
-            s = 0
-            for h in HG_elements:
-                s += tableH.table[i][cdH.index_of[h]] * \
-                    tableG.table[j][cdG.index_of[h.inverse()]]
-            row.append((s * inv_h) % p)
-        rows.append(tuple(row))
-    return rows

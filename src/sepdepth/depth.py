@@ -95,19 +95,6 @@ class DepthReport:
     even_rule_derived: bool = True
     oracle_verdicts: dict = field(default_factory=dict)
 
-    def to_json_dict(self):
-        return {
-            "inclusion_matrix": [list(r) for r in self.matrix],
-            "S": [list(r) for r in self.S],
-            "T": [list(r) for r in self.T],
-            "min_odd_depth": self.min_odd_depth,
-            "min_even_depth": self.min_even_depth,
-            "min_h_depth": self.min_h_depth,
-            "min_depth": self.min_depth,
-            "even_rule_derived": self.even_rule_derived,
-            "oracle_verdicts": dict(sorted(self.oracle_verdicts.items())),
-        }
-
 
 def depth_report(M):
     """All depth invariants of one inclusion matrix."""
@@ -131,14 +118,13 @@ def burciu_depth1(G, H):
 
     Each H-class sum commutes with every generator of kG iff the H-class
     is closed under conjugation by the generators; this is an exact
-    integer-coefficient comparison of the conjugated class sums.
+    integer-coefficient comparison of the conjugated class sums, on H's
+    classes read in G's element indices.
     """
-    from .permgroup import conjugacy_classes
+    from .permgroup import _conjugation_maps, conjugacy_classes
     HG = H.as_group() if hasattr(H, "as_group") else H
-    for cls in conjugacy_classes(HG):
-        cls_set = frozenset(cls)
-        for g in G.generators:
-            ginv = g.inverse()
-            if {g * h * ginv for h in cls} != cls_set:
-                return False
-    return True
+    to_g = [G.index_of(h) for h in HG.elements]
+    conj = list(_conjugation_maps(G, map(G.index_of, G.generators)))
+    classes = [{to_g[x] for x in cls}
+               for cls in conjugacy_classes(HG, indices=True)]
+    return all({c[x] for x in cls} == cls for c in conj for cls in classes)

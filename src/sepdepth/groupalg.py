@@ -267,10 +267,12 @@ def _teT_images(ts):
     images, one per Casimir orbit in the order of ts.casimir.
     """
     G, inv = ts.G, ts.G.inverse
-    classes = conjugacy_classes(G)
+    classes = conjugacy_classes(G, indices=True)
     c = len(classes)
-    class_of = {G.index_of(g): ci for ci, cls in enumerate(classes)
-                for g in cls}
+    class_of = [0] * G.order
+    for ci, cls in enumerate(classes):
+        for x in cls:
+            class_of[x] = ci
     hidx = [G.index_of(h) for h in ts.H.elements]
     # the K part per element index b (row b of the maps g -> g h) and the
     # K' part per transversal index i, both listed over h in H
@@ -353,16 +355,17 @@ def _u_trace_form_counts(G, H):
     times the count at x.  Returns the image of 1 and a generator of the
     nonzero candidate images, c by c.
     """
-    orbits = h_orbits(G, H)
+    orbits = h_orbits(G, H, indices=True)
     orbit_of = [0] * G.order
     for oi, orb in enumerate(orbits):
-        for g in orb:
-            orbit_of[G.index_of(g)] = oi
-    classes = conjugacy_classes(H.as_group())
+        for x in orb:
+            orbit_of[x] = oi
+    # H.as_group() lists H's elements in the order of H.elements
+    classes = conjugacy_classes(H.as_group(), indices=True)
     r = len(classes)
-    class_of = {k: ci for ci, cls in enumerate(classes) for k in cls}
+    class_of = {x: ci for ci, cls in enumerate(classes) for x in cls}
     hidx = [G.index_of(k) for k in H.elements]
-    hclass = [class_of[k] for k in H.elements]
+    hclass = [class_of[x] for x in range(H.order)]
     hclass_of = dict(zip(hidx, hclass))    # G-index of k in H -> its class
     # coordinate (K, K') is K * r + K'; candidate (c, O) counts go under
     # O * r * r + K * r + K' while c is fixed
@@ -371,7 +374,7 @@ def _u_trace_form_counts(G, H):
     # row y: the element indices of y k' for k' in H
     rows = list(zip(*(G.right_map(k) for k in hidx)))
     inv = G.inverse
-    reps = [G.index_of(orb[0]) for orb in orbits]
+    reps = [orb[0] for orb in orbits]
 
     one = {}
     for x, orb in zip(reps, orbits):

@@ -7,6 +7,8 @@ fully enumerated element list.  Elements are ordered lexicographically by
 image sequence so every partition and transversal is reproducible.
 """
 
+from math import lcm
+
 from .errors import (CapExceeded, CheckFailed, ElementNotInGroup,
                      InvalidArgument, NotASubgroup)
 
@@ -129,6 +131,7 @@ class FiniteGroup:
         self.identity = Permutation.identity(self.degree)
         self._index = {p: i for i, p in enumerate(self.elements)}
         self._classes = None
+        self._exponent = None
         self._tree = None
         self._right_maps = {}
         self._left_maps = {}
@@ -203,9 +206,6 @@ class FiniteGroup:
         return self._map(a, self._left_maps, False)
 
     def _map(self, a, cache, right):
-        cached = cache.get(a)
-        if cached is not None:
-            return cached
         up, via, rgen, lgen, _ = self._index_data()
         path = []
         while a not in cache:
@@ -228,8 +228,11 @@ class FiniteGroup:
         return self.right_map(self._index[a])
 
     def exponent(self):
-        from math import lcm
-        return lcm(*(p.order() for p in self.elements))
+        """The lcm of the cycle lengths of all elements (computed once)."""
+        if self._exponent is None:
+            self._exponent = lcm(*{n for p in self.elements
+                                   for n in _cycle_lengths(p.images)})
+        return self._exponent
 
     def subgroup(self, generators, name=None):
         return Subgroup(self, generators, name=name)
@@ -242,6 +245,18 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name or 'unnamed'}, order={self.order})"
+
+
+def _cycle_lengths(images):
+    """The lengths of the cycles of the permutation with these images."""
+    todo = set(images)
+    while todo:
+        x = start = todo.pop()
+        n = 1
+        while (x := images[x]) != start:
+            todo.remove(x)
+            n += 1
+        yield n
 
 
 def _inverted(perm, ids):
@@ -292,45 +307,64 @@ class Subgroup:
         return f"Subgroup({self.name or 'unnamed'}, order={self.order})"
 
 
-def _closure(G, gens):
-    """Element indices of the subgroup of G generated by the indices gens."""
-    gens = list(dict.fromkeys(gens))
-    seen = {0}
-    queue = [0]
+def _search(maps, start, seen):
+    """The indices reached from start along the index maps, breadth first;
+    each is added to the set seen."""
+    seen.add(start)
+    queue = [start]
     for x in queue:
-        for s in gens:
-            y = G.mul(x, s)
+        for m in maps:
+            y = m[x]
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
-    return seen
+    return queue
 
 
-def _sorted_partition(classes):
-    classes = [tuple(sorted(c)) for c in classes]
-    classes.sort(key=lambda c: (len(c), c[0].images))
-    return tuple(classes)
+def _closure(G, gens):
+    """Element indices of the subgroup of G generated by the indices gens,
+    stepped along the generators' right maps x -> x * s."""
+    return _search([G.right_map(s) for s in dict.fromkeys(gens)], 0, set())
 
 
-def _conjugation_orbits(elements, by):
-    """Orbits of elements under conjugation by the elements of by."""
-    pairs = [(g, g.inverse()) for g in by]
-    remaining = set(elements)
-    orbits = []
-    while remaining:
-        a = min(remaining)
-        orb = {g * a * ginv for g, ginv in pairs}
-        orbits.append(orb)
-        remaining -= orb
-    return _sorted_partition(orbits)
+def _conjugation_maps(G, by):
+    """The maps x -> s x s^-1 on G's element indices for the indices s in
+    by, built for the caller and not cached: from the tree's maps L_s and
+    R_s^-1 where s is a generator of G, else from the cached maps."""
+    _, _, right, left, inv = G._index_data()
+    gen_at = {G.index_of(g): k for k, g in enumerate(G.generators)}
+    for s in dict.fromkeys(by):
+        k = gen_at.get(s)
+        ls, rinv = ((left[2 * k], right[2 * k + 1]) if k is not None
+                    else (G.left_map(s), G.right_map(inv[s])))
+        yield list(map(ls.__getitem__, rinv))
 
 
-def conjugacy_classes(G):
-    """Conjugacy classes of G, sorted by (size, minimal element); computed
-    once per group."""
+def _conjugation_orbits(G, by):
+    """Orbits of G's element indices under conjugation by the subgroup
+    generated by the indices by, sorted by (size, least index), which is
+    the order of (size, least element).  Each orbit is a breadth-first
+    search over the conjugation maps of the s in by."""
+    maps = list(_conjugation_maps(G, by))
+    seen = set()
+    orbits = [tuple(sorted(_search(maps, a, seen)))
+              for a in range(G.order) if a not in seen]
+    orbits.sort(key=lambda c: (len(c), c[0]))
+    return tuple(orbits)
+
+
+def _element_view(G, partition):
+    """A partition of G's element indices as a partition of its elements."""
+    return tuple(tuple(map(G.elements.__getitem__, c)) for c in partition)
+
+
+def conjugacy_classes(G, indices=False):
+    """Conjugacy classes of G, sorted by (size, minimal element); as
+    element indices if indices is set.  Enumerated once per group, and
+    kept as indices only."""
     if G._classes is None:
-        G._classes = _conjugation_orbits(G.elements, G.elements)
-    return G._classes
+        G._classes = _conjugation_orbits(G, map(G.index_of, G.generators))
+    return G._classes if indices else _element_view(G, G._classes)
 
 
 def _centralizer_indices(G, a):
@@ -393,20 +427,22 @@ def right_transversal(G, H):
     return reps
 
 
-def h_orbits(G, H):
-    """Orbits of G under conjugation by H; refines conjugacy_classes(G).
-    Computed once per (G, H), and kept on H."""
+def h_orbits(G, H, indices=False):
+    """Orbits of G under conjugation by H, sorted as conjugacy_classes(G),
+    which they refine; as element indices if indices is set.  Enumerated
+    once per (G, H), and kept on H as indices only."""
     _check_subgroup(G, H)
     orbits = H._h_orbits.get(G)
     if orbits is None:
-        orbits = H._h_orbits[G] = _conjugation_orbits(G.elements,
-                                                      H.elements)
-    return orbits
+        orbits = H._h_orbits[G] = _conjugation_orbits(
+            G, map(G.index_of, H.generators))
+    return orbits if indices else _element_view(G, orbits)
 
 
 def property_S(G, H):
     """True iff every conjugacy class of G is a single H-orbit."""
-    return h_orbits(G, H) == conjugacy_classes(G)
+    return (h_orbits(G, H, indices=True)
+            == conjugacy_classes(G, indices=True))
 
 
 def _covers_cosets(G, H, elems):
@@ -441,13 +477,12 @@ def hz_condition(G, H):
 
 
 def is_normal(G, H):
-    """True iff gHg^-1 = H for every generator g of G."""
+    """True iff g h g^-1 lies in H for every generator g of G and h of H,
+    each product read off G's index data."""
     _check_subgroup(G, H)
-    for g in G.generators:
-        for h in H.generators:
-            if g * h * g.inverse() not in H:
-                return False
-    return True
+    inv = G.inverse
+    return all(G.elements[G.mul(G.mul(g, G.index_of(h)), inv[g])] in H
+               for g in map(G.index_of, G.generators) for h in H.generators)
 
 
 def _check_subgroup(G, H):
@@ -518,8 +553,7 @@ def quaternion_group(m=4):
             return (k2, 1)
         return ((k2 + m // 2) % m, 0)
 
-    G = _regular_group(elems, mul, f"Q{2 * m}", [(1, 0), (0, 1)])
-    return G
+    return _regular_group(elems, mul, f"Q{2 * m}", [(1, 0), (0, 1)])
 
 
 def extraspecial_27():

@@ -1,9 +1,11 @@
-"""The centralizer criteria by Permutation products, for tests only.
+"""Group-side routines by Permutation products, for tests only.
 
 ``permgroup.lemma_S_via_centralizers`` and ``depth1_group`` decide
 H * C_G(a) = G on the group's index data through right cosets; these build
 every centralizer with ``g * a == a * g`` over all of G and enumerate the
-product set H * C itself.
+product set H * C itself.  ``permgroup._conjugation_orbits`` searches
+conjugation maps of generators on element indices; the oracle here
+conjugates by every element of the acting group with Permutation products.
 """
 
 
@@ -34,3 +36,23 @@ def depth1_by_products(G, H):
         if not _product_set_is_G(G, H, C):
             return False
     return True
+
+
+def _sorted_partition(classes):
+    classes = [tuple(sorted(c)) for c in classes]
+    classes.sort(key=lambda c: (len(c), c[0].images))
+    return tuple(classes)
+
+
+def conjugation_orbits_by_products(elements, by):
+    """Orbits of elements under conjugation by every element of by, each
+    formed as {g * a * g^-1}, sorted by (size, minimal element)."""
+    pairs = [(g, g.inverse()) for g in by]
+    remaining = set(elements)
+    orbits = []
+    while remaining:
+        a = min(remaining)
+        orb = {g * a * ginv for g, ginv in pairs}
+        orbits.append(orb)
+        remaining -= orb
+    return _sorted_partition(orbits)

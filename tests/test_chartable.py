@@ -1,10 +1,17 @@
+import random
+
 import pytest
 
-from sepdepth.chartable import (character_table_mod_p, class_data,
+from chartable_oracles import (class_mult_by_products, det_mod_p,
+                               induction_matrix_mod_p, split_by_scan)
+from sepdepth.chartable import (_charpoly, _Subspace,
+                                character_table_mod_p, class_data,
                                 class_mult_coeffs, common_prime, dixon_prime,
-                                inclusion_matrix, induction_matrix_mod_p)
+                                inclusion_matrix)
+from sepdepth.corpus import corpus_groups
 from sepdepth.errors import InvalidArgument, LiftInconsistency
-from sepdepth.permgroup import (Permutation, alternating_group, cyclic_group,
+from sepdepth.permgroup import (Permutation, alternating_group,
+                                conjugacy_classes, cyclic_group,
                                 extraspecial_27, quaternion_group,
                                 symmetric_group)
 
@@ -25,6 +32,82 @@ def test_class_mult_coeffs_counts():
         for j in range(cd.num_classes):
             total = sum(a[j][k] * cd.sizes[k] for k in range(cd.num_classes))
             assert total == cd.sizes[i] * cd.sizes[j]
+
+
+def test_class_mult_coeffs_match_products():
+    for G in (symmetric_group(4), quaternion_group(), alternating_group(5),
+              extraspecial_27()):
+        cd = class_data(G)
+        for i in range(cd.num_classes):
+            assert class_mult_coeffs(G, cd, i) == \
+                class_mult_by_products(G, cd, i), (G, i)
+
+
+def _charpoly_cases():
+    rng = random.Random(7)
+    for p in (5, 13, 61):
+        for n in range(1, 13):
+            yield p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        for n in (1, 4, 9):
+            yield p, [[0] * n for _ in range(n)]
+            yield p, [[int(i == j) for j in range(n)] for i in range(n)]
+            # strictly upper triangular, hence nilpotent
+            yield p, [[rng.randrange(p) if j > i else 0 for j in range(n)]
+                      for i in range(n)]
+            # diag(2, 2, ..., 3, 3, ...) conjugated by a random unipotent
+            # lower-triangular matrix and its inverse
+            d = [2 if i < n // 2 + 1 else 3 for i in range(n)]
+            low = [[rng.randrange(p) if j < i else int(i == j)
+                    for j in range(n)] for i in range(n)]
+            low_inv = _unipotent_inverse(low, p)
+            yield p, [[sum(low[i][k] * d[k] * low_inv[k][j]
+                           for k in range(n)) % p for j in range(n)]
+                      for i in range(n)]
+
+
+def _unipotent_inverse(low, p):
+    n = len(low)
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            inv[i][j] = -sum(low[i][k] * inv[k][j]
+                             for k in range(j, i)) % p
+    return inv
+
+
+def test_charpoly_is_the_determinant():
+    """Horner on det(xI - M) at every lam equals det(lam I - M) mod p."""
+    for p, mat in _charpoly_cases():
+        n = len(mat)
+        poly = _charpoly(mat, p)
+        assert len(poly) == n + 1 and poly[-1] == 1
+        for lam in range(p):
+            value = 0
+            for c in reversed(poly):
+                value = (value * lam + c) % p
+            shifted = [[(lam if i == j else 0) - x for j, x in enumerate(row)]
+                       for i, row in enumerate(mat)]
+            assert value == det_mod_p(shifted, p), (p, mat)
+
+
+def test_split_by_matches_the_lambda_scan():
+    """On every corpus group, refining by each class matrix in turn gives
+    the same pieces, in the same order, as trying every lam."""
+    for G in corpus_groups():
+        cd = class_data(G)
+        r = cd.num_classes
+        p = dixon_prime(G.exponent(), G.order)
+        spaces = [_Subspace([[int(i == j) for j in range(r)]
+                             for i in range(r)], p)]
+        for i in range(1, r):
+            mat = class_mult_coeffs(G, cd, i)
+            new, old = [], []
+            for sp in spaces:
+                new += sp.split_by(mat)
+                old += split_by_scan(sp, mat)
+            assert [(q.rows, q.pivots) for q in new] == \
+                [(q.rows, q.pivots) for q in old], (G, i)
+            spaces = new
 
 
 def test_degrees_s3_q8_trivial():
@@ -65,6 +148,21 @@ def test_inclusion_matrix_s2_in_s3():
     assert M.as_lists() == [[1, 0, 1], [0, 1, 1]]
     assert M.row_degrees == (1, 1)
     assert M.col_degrees == (1, 1, 2)
+    assert M.shape == (2, 3)
+
+
+def test_table_value_and_json():
+    """value(i, g) reads row i at the class of the element g."""
+    G = symmetric_group(4)
+    tab = character_table_mod_p(G)
+    for k, cls in enumerate(conjugacy_classes(G)):
+        for g in cls:
+            assert [tab.value(i, g) for i in range(tab.num_chars)] == \
+                [row[k] for row in tab.table]
+    d = tab.to_json_dict()
+    assert d["degrees"] == [1, 1, 2, 3, 3]
+    assert d["class_sizes"] == [1, 3, 6, 6, 8]
+    assert d["table"] == [list(r) for r in tab.table]
 
 
 def test_inclusion_matrix_full_subgroup_is_identity():

@@ -403,6 +403,25 @@ def test_findim_demo_fixture_output_unchanged(capsys):
         assert capsys.readouterr().out == text, name
 
 
+MATRIX_REPORTS = os.path.join(os.path.dirname(__file__), "data",
+                              "matrix_reports.json")
+
+
+def test_analyze_matrix_only_large_groups_unchanged(tmp_path, capsys):
+    """analyze --matrix-only on A5<S5, S5<S6 and S6<S7 prints byte for
+    byte the reports recorded in tests/data, so the character tables of
+    groups of order 120 to 5040 are pinned."""
+    with open(MATRIX_REPORTS) as fh:
+        expected = json.load(fh)
+    assert sorted(expected) == ["A5<S5", "S5<S6", "S6<S7"]
+    for name, case in sorted(expected.items()):
+        g, h = tmp_path / "g.json", tmp_path / "h.json"
+        g.write_text(json.dumps(case["group"]))
+        h.write_text(json.dumps(case["subgroup"]))
+        assert main(["analyze", str(g), str(h), "--matrix-only"]) == 0
+        assert capsys.readouterr().out == case["output"], name
+
+
 def _matrix_spec(m, positions, name):
     """Algebra spec spanned by the matrix units at the 0-based positions."""
     def unit(i, j):

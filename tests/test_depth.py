@@ -1,9 +1,12 @@
+from depth_oracles import depth_report_json
+from permgroup_oracles import conjugation_orbits_by_products
 from sepdepth.depth import (bimodule_matrices, burciu_depth1, depth_report,
                             is_diagonal, min_depth, min_even_depth,
                             min_h_depth, min_odd_depth, zero_pattern)
-from sepdepth.permgroup import (Permutation, alternating_group, cyclic_group,
-                                direct_product, quaternion_group,
-                                symmetric_group)
+from sepdepth.permgroup import (Permutation, all_subgroups,
+                                alternating_group, cyclic_group,
+                                dihedral_group, direct_product,
+                                quaternion_group, symmetric_group)
 
 # inclusion matrices used below (rows = subgroup irreducibles)
 M_S2_S3 = [[1, 0, 1], [0, 1, 1]]
@@ -59,7 +62,7 @@ def test_depth_report_invariants():
         assert abs(rep.min_depth - rep.min_h_depth) <= 2
         assert rep.min_h_depth % 2 == 1
         assert rep.even_rule_derived
-        d = rep.to_json_dict()
+        d = depth_report_json(rep)
         assert d["min_depth"] == rep.min_depth
         assert d["even_rule_derived"] is True
 
@@ -83,3 +86,18 @@ def test_burciu_matches_matrix_criterion():
         for H in all_subgroups(G):
             S, _ = bimodule_matrices(inclusion_matrix(G, H).as_lists())
             assert burciu_depth1(G, H) == is_diagonal(S)
+
+
+def test_burciu_matches_products():
+    """burciu_depth1 on index data equals closing each H-class (by
+    Permutation products) under conjugation by every element of G."""
+    seen = set()
+    for G in (symmetric_group(4), quaternion_group(), dihedral_group(6)):
+        for H in all_subgroups(G, up_to_conjugacy=False):
+            brute = all({g * x * g.inverse() for x in cls} == set(cls)
+                        for cls in conjugation_orbits_by_products(
+                            H.elements, H.elements)
+                        for g in G.elements)
+            assert burciu_depth1(G, H) == brute, (G, H)
+            seen.add(brute)
+    assert seen == {True, False}

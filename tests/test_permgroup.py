@@ -1,6 +1,10 @@
+from math import lcm
+
 import pytest
 
-from permgroup_oracles import depth1_by_products, lemma_S_by_products
+from permgroup_oracles import (conjugation_orbits_by_products,
+                               depth1_by_products, lemma_S_by_products)
+from sepdepth.corpus import corpus_groups, corpus_subgroups
 from sepdepth.errors import (CapExceeded, ElementNotInGroup, InvalidArgument,
                              NotASubgroup)
 from sepdepth.permgroup import (FiniteGroup, Permutation, all_subgroups,
@@ -54,16 +58,21 @@ def test_analyze_pair_enumerates_class_partitions_once(monkeypatch):
     calls = []
     enumerate_orbits = permgroup._conjugation_orbits
 
-    def counting(elements, by):
-        calls.append((len(elements), len(by)))
-        return enumerate_orbits(elements, by)
+    def counting(group, by):
+        by = list(by)
+        calls.append((group.order,
+                      frozenset(group.elements[s] for s in by)))
+        return enumerate_orbits(group, by)
 
     monkeypatch.setattr(permgroup, "_conjugation_orbits", counting)
     G = symmetric_group(4)
     H = G.subgroup([Permutation.from_cycles(4, [[0, 1]]),
                     Permutation.from_cycles(4, [[0, 1, 2]])])
     analyze.analyze_pair(G, H)
-    assert sorted(calls) == [(6, 6), (24, 6), (24, 24)]
+    # G's classes, H's classes and the H-orbits on G, once each
+    assert sorted(calls, key=repr) == sorted(
+        [(24, frozenset(G.generators)), (6, frozenset(H.generators)),
+         (24, frozenset(H.generators))], key=repr)
     assert H.as_group() is H.as_group()
 
 
@@ -93,6 +102,28 @@ def test_exponents():
     assert symmetric_group(5).exponent() == 60
     assert extraspecial_27().exponent() == 3
     assert quaternion_group(4).exponent() == 4
+    for G in corpus_groups():
+        assert G.exponent() == lcm(*(p.order() for p in G.elements)), G
+
+
+def test_classes_and_orbits_match_products():
+    """The index searches over generator conjugation maps give the same
+    partitions, in the same order, as conjugating by every element with
+    Permutation products: classes of each corpus group of order <= 60,
+    of each of its corpus subgroups, and their H-orbits."""
+    for G in corpus_groups():
+        if G.order > 60:
+            continue
+        assert conjugacy_classes(G) == \
+            conjugation_orbits_by_products(G.elements, G.elements), G
+        for H in corpus_subgroups(G):
+            HG = H.as_group()
+            assert conjugacy_classes(HG) == \
+                conjugation_orbits_by_products(HG.elements, HG.elements)
+            assert h_orbits(G, H) == \
+                conjugation_orbits_by_products(G.elements, H.elements), H
+            assert h_orbits(G, H, indices=True) == tuple(
+                tuple(map(G.index_of, orb)) for orb in h_orbits(G, H))
 
 
 def test_conjugacy_class_sizes():
@@ -252,6 +283,20 @@ def test_normality():
     S2 = G.subgroup([Permutation((1, 0, 2))])
     assert is_normal(G, A3)
     assert not is_normal(G, S2)
+
+
+def test_normality_matches_products():
+    """is_normal on index data equals g h g^-1 in H over all g and h, on
+    every subgroup of a few groups; both verdicts occur."""
+    seen = set()
+    for G in (symmetric_group(4), quaternion_group(), dihedral_group(6),
+              alternating_group(4)):
+        for H in all_subgroups(G, up_to_conjugacy=False):
+            brute = all(g * h * g.inverse() in H
+                        for g in G.elements for h in H.elements)
+            assert is_normal(G, H) == brute, (G, H)
+            seen.add(brute)
+    assert seen == {True, False}
 
 
 def test_derived_subgroups():
