@@ -15,9 +15,9 @@ from .depth import bimodule_matrices, burciu_depth1, depth_report, is_diagonal
 from .errors import CapExceeded
 from .groupalg import (DEFAULT_LINEAR_CAP, TensorSquare, is_full_in_T,
                        is_full_in_U, separability_elements)
-from .permgroup import (conjugacy_classes, depth1_group, h_orbits,
-                        hz_condition, is_normal, lemma_S_via_centralizers,
-                        property_S)
+from .permgroup import (conjugacy_classes, depth1_group, h_classes,
+                        h_orbits, hz_condition, is_normal,
+                        lemma_S_via_centralizers, property_S)
 
 AGREE = "AGREE"
 DISAGREE = "DISAGREE"
@@ -90,9 +90,8 @@ def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
                  matrix_only=False, table_g=None):
     """Full invariant report for the group-algebra extension kH in kG."""
     t0 = time.perf_counter()
-    HG = H.as_group()
     classes_g = conjugacy_classes(G, indices=True)
-    classes_h = conjugacy_classes(HG, indices=True)
+    classes_h = h_classes(G, H)
     orbits = h_orbits(G, H, indices=True)
 
     prop_s = property_S(G, H)
@@ -102,10 +101,10 @@ def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
     normal = is_normal(G, H)
     b1 = burciu_depth1(G, H)
 
-    prime = common_prime(G, HG)
+    prime = common_prime(G, H)
     if table_g is None:
         table_g = character_table_mod_p(G, prime=prime, seed=seed)
-    table_h = character_table_mod_p(HG, prime=prime, seed=seed)
+    table_h = character_table_mod_p(H, prime=prime, seed=seed)
     im = inclusion_matrix(G, H, tableG=table_g, tableH=table_h)
     M = im.as_lists()
     S, T = bimodule_matrices(M)

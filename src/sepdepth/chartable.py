@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import reduce
 from math import isqrt, lcm
 
-from .errors import (CheckFailed, InvalidArgument, LiftInconsistency,
-                     SplittingFailure)
-from .permgroup import conjugacy_classes
+from .errors import (CheckFailed, ElementNotInGroup, InvalidArgument,
+                     LiftInconsistency, SplittingFailure)
+from .permgroup import conjugacy_classes, part_labels
 
 MAX_SPLIT_RETRIES = 8
 
@@ -27,8 +27,8 @@ class ClassData:
     classes: tuple          # tuple of tuples of element indices
     sizes: tuple
     inverse_map: tuple      # class index -> index of the inverse class
-    class_of: tuple         # element index -> class index
-    elements: tuple         # the group's elements, in index order
+    class_of: tuple         # element index -> class index (None off G)
+    elements: tuple         # the elements of G.parent, in index order
 
     @property
     def num_classes(self):
@@ -36,19 +36,17 @@ class ClassData:
 
 
 def class_data(G):
+    """The class data of a group or subgroup G, in G.parent's indices."""
     classes = conjugacy_classes(G, indices=True)
-    class_of = [0] * G.order
-    for i, cls in enumerate(classes):
-        for x in cls:
-            class_of[x] = i
-    inv = G.inverse
+    class_of = part_labels(classes, G.parent.order)
+    inv = G.parent.inverse
     inverse_map = tuple(class_of[inv[cls[0]]] for cls in classes)
     if any(inverse_map[inverse_map[i]] != i for i in range(len(classes))):
         raise CheckFailed("class inversion is not an involution")
     return ClassData(classes=classes,
                      sizes=tuple(len(c) for c in classes),
                      inverse_map=inverse_map,
-                     class_of=tuple(class_of), elements=G.elements)
+                     class_of=tuple(class_of), elements=G.parent.elements)
 
 
 def dixon_prime(exponent, order):
@@ -75,13 +73,13 @@ def _is_prime(n):
 
 def class_mult_coeffs(G, cd, i):
     """Matrix a[j][k] = #{(x, y) in C_i x C_j : xy = z} for a fixed z in C_k:
-    y = x^-1 z is read off the right map of z."""
+    y = x^-1 z is read off the right map of z in G.parent."""
     r = cd.num_classes
-    inv, class_of = G.inverse, cd.class_of
-    xinv = [inv[x] for x in cd.classes[i]]
+    P, class_of = G.parent, cd.class_of
+    xinv = [P.inverse[x] for x in cd.classes[i]]
     a = [[0] * r for _ in range(r)]
     for k, cls in enumerate(cd.classes):
-        rz = G.right_map(cls[0])
+        rz = P.right_map(cls[0])
         for y in xinv:
             a[class_of[rz[y]]][k] += 1
     return a
@@ -237,8 +235,13 @@ class CharacterTableModP:
         return len(self.table)
 
     def value(self, i, g):
+        """The value of character i at the element g of the table's group."""
         cd = self.class_data
-        return self.table[i][cd.class_of[bisect_left(cd.elements, g)]]
+        x = bisect_left(cd.elements, g)
+        if (x == len(cd.elements) or cd.elements[x] != g
+                or cd.class_of[x] is None):
+            raise ElementNotInGroup(repr(g))
+        return self.table[i][cd.class_of[x]]
 
     def check_invariants(self, order):
         p = self.prime
@@ -265,7 +268,7 @@ class CharacterTableModP:
 
 
 def character_table_mod_p(G, prime=None, seed=0):
-    """Character table of G with values in GF(prime).
+    """Character table of a group or subgroup G with values in GF(prime).
 
     Rows are sorted by (degree, value sequence) so the table is canonical
     for a given prime.
@@ -353,32 +356,32 @@ class InclusionMatrix:
         return [list(r) for r in self.entries]
 
 
-def common_prime(G, H_group):
+def common_prime(G, H):
     """Smallest Dixon prime serving both G and the subgroup H."""
-    exps = lcm(G.exponent(), H_group.exponent())
+    exps = lcm(G.exponent(), H.exponent())
     return dixon_prime(exps, G.order)
 
 
 def inclusion_matrix(G, H, tableG=None, tableH=None):
     """Restriction-multiplicity matrix of kH inside kG.
 
-    H is a Subgroup of G; the two character tables must share a prime.
+    H is a subgroup of G; the two character tables must share a prime.
     Entries are lifted to least nonnegative residues and verified against
     the exact column dimension identity.
     """
-    HG = H.as_group() if hasattr(H, "as_group") else H
     if tableG is None or tableH is None:
-        p = common_prime(G, HG)
+        p = common_prime(G, H)
         tableG = character_table_mod_p(G, prime=p)
-        tableH = character_table_mod_p(HG, prime=p)
+        tableH = character_table_mod_p(H, prime=p)
     p = tableG.prime
     if tableH.prime != p:
         raise LiftInconsistency("tables computed with different primes")
-    cdH = tableH.class_data
-    inv_h = pow(HG.order % p, -1, p)
-    # the G class of the inverse of each H class's representative
-    g_class = [tableG.class_data.class_of[G.index_of(
-        HG.elements[HG.inverse[cls[0]]])] for cls in cdH.classes]
+    cdG, cdH = tableG.class_data, tableH.class_data
+    inv_h = pow(H.order % p, -1, p)
+    # the G class of the inverse of each H class's representative, found
+    # through the element, since H's table may number H.parent's elements
+    g_class = [cdG.inverse_map[cdG.class_of[G.index_of(cdH.elements[c[0]])]]
+               for c in cdH.classes]
     rows = []
     for chi in tableH.table:
         weighted = [size * x for size, x in zip(cdH.sizes, chi)]

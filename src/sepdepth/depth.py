@@ -121,10 +121,7 @@ def burciu_depth1(G, H):
     integer-coefficient comparison of the conjugated class sums, on H's
     classes read in G's element indices.
     """
-    from .permgroup import _conjugation_maps, conjugacy_classes
-    HG = H.as_group() if hasattr(H, "as_group") else H
-    to_g = [G.index_of(h) for h in HG.elements]
+    from .permgroup import _conjugation_maps, h_classes
     conj = list(_conjugation_maps(G, map(G.index_of, G.generators)))
-    classes = [{to_g[x] for x in cls}
-               for cls in conjugacy_classes(HG, indices=True)]
+    classes = [set(cls) for cls in h_classes(G, H)]
     return all({c[x] for x in cls} == cls for c in conj for cls in classes)

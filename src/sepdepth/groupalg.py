@@ -19,33 +19,11 @@ from operator import add
 
 from .errors import CapExceeded, CheckFailed, NotInT
 from .linalg import SparseEchelon, solve_affine
-from .permgroup import (conjugacy_classes, h_orbits, right_cosets,
+from .permgroup import (conjugacy_classes, h_classes, h_orbits,
+                        index_orbits, part_labels, right_cosets,
                         right_transversal)
 
 DEFAULT_LINEAR_CAP = 4096
-
-
-def _orbit_partition(size, perms):
-    """Orbits of {0..size-1} under a list of index permutations."""
-    seen = [False] * size
-    orbits = []
-    for start in range(size):
-        if seen[start]:
-            continue
-        orb = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for p in perms:
-                y = p[x]
-                if not seen[y]:
-                    seen[y] = True
-                    orb.append(y)
-                    stack.append(y)
-        orbits.append(tuple(sorted(orb)))
-    orbits.sort(key=lambda o: o[0])
-    return orbits
 
 
 class TensorSquare:
@@ -154,7 +132,7 @@ class TensorSquare:
         """Orbit basis of (A (x)_B A)^A: the orbits of conjugation by G on
         the basis, each a sorted index tuple standing for its 0/1
         indicator."""
-        return _orbit_partition(self.dim, self.conj_perms(self.G.generators))
+        return index_orbits(self.dim, self.conj_perms(self.G.generators))
 
     @property
     def casimir(self):
@@ -269,10 +247,7 @@ def _teT_images(ts):
     G, inv = ts.G, ts.G.inverse
     classes = conjugacy_classes(G, indices=True)
     c = len(classes)
-    class_of = [0] * G.order
-    for ci, cls in enumerate(classes):
-        for x in cls:
-            class_of[x] = ci
+    class_of = part_labels(classes, G.order)
     hidx = [G.index_of(h) for h in ts.H.elements]
     # the K part per element index b (row b of the maps g -> g h) and the
     # K' part per transversal index i, both listed over h in H
@@ -356,17 +331,12 @@ def _u_trace_form_counts(G, H):
     nonzero candidate images, c by c.
     """
     orbits = h_orbits(G, H, indices=True)
-    orbit_of = [0] * G.order
-    for oi, orb in enumerate(orbits):
-        for x in orb:
-            orbit_of[x] = oi
-    # H.as_group() lists H's elements in the order of H.elements
-    classes = conjugacy_classes(H.as_group(), indices=True)
+    orbit_of = part_labels(orbits, G.order)
+    classes = h_classes(G, H)
     r = len(classes)
-    class_of = {x: ci for ci, cls in enumerate(classes) for x in cls}
+    class_of = part_labels(classes, G.order)   # None off H
     hidx = [G.index_of(k) for k in H.elements]
-    hclass = [class_of[x] for x in range(H.order)]
-    hclass_of = dict(zip(hidx, hclass))    # G-index of k in H -> its class
+    hclass = [class_of[x] for x in hidx]
     # coordinate (K, K') is K * r + K'; candidate (c, O) counts go under
     # O * r * r + K * r + K' while c is fixed
     orbit_key = [oi * r * r for oi in orbit_of]
@@ -380,7 +350,7 @@ def _u_trace_form_counts(G, H):
     for x, orb in zip(reps, orbits):
         for k, K in zip(hidx, hclass):
             # the k' with k x k' = x
-            Kp = hclass_of.get(G.mul(G.mul(inv[x], inv[k]), x))
+            Kp = class_of[G.mul(G.mul(inv[x], inv[k]), x)]
             if Kp is not None:
                 key = K * r + Kp
                 one[key] = one.get(key, 0) + len(orb)

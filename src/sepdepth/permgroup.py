@@ -3,8 +3,10 @@
 Groups are given by permutation generators and enumerated by breadth-first
 closure; everything downstream (conjugacy classes, centralizers, transversals,
 orbit partitions and the group-theoretic separability criteria) works on the
-fully enumerated element list.  Elements are ordered lexicographically by
-image sequence so every partition and transversal is reproducible.
+fully enumerated element list.  A subgroup is enumerated, and its classes are
+found, on its parent's element indices.  Elements are ordered
+lexicographically by image sequence so every partition and transversal is
+reproducible.
 """
 
 from math import lcm
@@ -110,7 +112,33 @@ def enumerate_closure(generators, cap=DEFAULT_GROUP_CAP):
     return tuple(sorted(seen))
 
 
-class FiniteGroup:
+class _Enumerated:
+    """What groups and subgroups share: the sorted elements, the exponent,
+    and the H-orbits, classes and right cosets computed in a group G, kept
+    per G.element_set, which fixes G's numbering: a group caching on
+    itself then holds no reference to itself."""
+
+    def _set_elements(self, elements):
+        self.elements = elements
+        self.element_set = frozenset(elements)
+        self.order = len(elements)
+        self._exponent = None
+        self._h_orbits = {}
+        self._h_classes = {}
+        self._cosets = {}
+
+    def __contains__(self, p):
+        return p in self.element_set
+
+    def exponent(self):
+        """The lcm of the cycle lengths of all elements (computed once)."""
+        if self._exponent is None:
+            self._exponent = lcm(*{n for p in self.elements
+                                   for n in _cycle_lengths(p.images)})
+        return self._exponent
+
+
+class FiniteGroup(_Enumerated):
     """A finitely generated permutation group, fully enumerated.
 
     Its integer index data is built on first use: the inverse of each
@@ -125,19 +153,17 @@ class FiniteGroup:
         self.generators = list(generators)
         self.name = name
         self.degree = self.generators[0].degree
-        self.elements = enumerate_closure(self.generators, cap)
-        self.element_set = frozenset(self.elements)
-        self.order = len(self.elements)
+        self._set_elements(enumerate_closure(self.generators, cap))
         self.identity = Permutation.identity(self.degree)
         self._index = {p: i for i, p in enumerate(self.elements)}
-        self._classes = None
-        self._exponent = None
         self._tree = None
         self._right_maps = {}
         self._left_maps = {}
 
-    def __contains__(self, p):
-        return p in self.element_set
+    @property
+    def parent(self):
+        """The group itself, so that it reads its classes as a subgroup."""
+        return self
 
     def index_of(self, p):
         return self._index[p]
@@ -227,13 +253,6 @@ class FiniteGroup:
         """Index map of g -> g * a on the elements (cached per a)."""
         return self.right_map(self._index[a])
 
-    def exponent(self):
-        """The lcm of the cycle lengths of all elements (computed once)."""
-        if self._exponent is None:
-            self._exponent = lcm(*{n for p in self.elements
-                                   for n in _cycle_lengths(p.images)})
-        return self._exponent
-
     def subgroup(self, generators, name=None):
         return Subgroup(self, generators, name=name)
 
@@ -267,9 +286,10 @@ def _inverted(perm, ids):
     return out
 
 
-class Subgroup:
+class Subgroup(_Enumerated):
     """A subgroup of a FiniteGroup, enumerated from its own generators on
-    the parent's index data."""
+    the parent's index data; its classes and character table are read in
+    the parent's element indices too."""
 
     def __init__(self, parent, generators, name=None):
         self.parent = parent
@@ -279,29 +299,14 @@ class Subgroup:
             if g not in parent:
                 raise NotASubgroup(f"generator {g} not in parent group")
         found = _closure(parent, [parent.index_of(g) for g in self.generators])
-        self.elements = tuple(map(parent.elements.__getitem__, sorted(found)))
-        self.element_set = frozenset(self.elements)
-        self.order = len(self.elements)
+        self._set_elements(
+            tuple(map(parent.elements.__getitem__, sorted(found))))
         if parent.order % self.order != 0:
             raise NotASubgroup("Lagrange check failed")
-        self._group = None
-        self._h_orbits = {}   # G -> the H-orbits on G
-        self._cosets = {}     # G -> the right cosets of H in G
-
-    def __contains__(self, p):
-        return p in self.element_set
 
     @property
     def index(self):
         return self.parent.order // self.order
-
-    def as_group(self):
-        """The same subgroup viewed as a standalone FiniteGroup (built
-        once per subgroup)."""
-        if self._group is None:
-            self._group = FiniteGroup(self.generators, name=self.name,
-                                      cap=self.parent.order)
-        return self._group
 
     def __repr__(self):
         return f"Subgroup({self.name or 'unnamed'}, order={self.order})"
@@ -340,16 +345,30 @@ def _conjugation_maps(G, by):
         yield list(map(ls.__getitem__, rinv))
 
 
+def index_orbits(size, maps):
+    """Orbits of range(size) under the index maps, each a sorted tuple,
+    ordered by least point."""
+    seen = set()
+    return [tuple(sorted(_search(maps, a, seen)))
+            for a in range(size) if a not in seen]
+
+
+def part_labels(partition, size):
+    """label[x] = i for the x in the i-th part of a partition of some of
+    range(size); None for the x in no part."""
+    label = [None] * size
+    for i, part in enumerate(partition):
+        for x in part:
+            label[x] = i
+    return label
+
+
 def _conjugation_orbits(G, by):
     """Orbits of G's element indices under conjugation by the subgroup
     generated by the indices by, sorted by (size, least index), which is
-    the order of (size, least element).  Each orbit is a breadth-first
-    search over the conjugation maps of the s in by."""
-    maps = list(_conjugation_maps(G, by))
-    seen = set()
-    orbits = [tuple(sorted(_search(maps, a, seen)))
-              for a in range(G.order) if a not in seen]
-    orbits.sort(key=lambda c: (len(c), c[0]))
+    the order of (size, least element)."""
+    orbits = index_orbits(G.order, list(_conjugation_maps(G, by)))
+    orbits.sort(key=len)
     return tuple(orbits)
 
 
@@ -359,12 +378,10 @@ def _element_view(G, partition):
 
 
 def conjugacy_classes(G, indices=False):
-    """Conjugacy classes of G, sorted by (size, minimal element); as
-    element indices if indices is set.  Enumerated once per group, and
-    kept as indices only."""
-    if G._classes is None:
-        G._classes = _conjugation_orbits(G, map(G.index_of, G.generators))
-    return G._classes if indices else _element_view(G, G._classes)
+    """Conjugacy classes of a group or subgroup G, sorted by (size, minimal
+    element); as element indices of G.parent if indices is set."""
+    classes = h_classes(G.parent, G)
+    return classes if indices else _element_view(G.parent, classes)
 
 
 def _centralizer_indices(G, a):
@@ -400,7 +417,7 @@ def right_cosets(G, H):
     the least element of the j-th right coset and the cosets are numbered
     by least element.  Computed once per (G, H), and kept on H."""
     _check_subgroup(G, H)
-    cosets = H._cosets.get(G)
+    cosets = H._cosets.get(G.element_set)
     if cosets is None:
         hidx = [G.index_of(h) for h in H.elements]
         label = [None] * G.order
@@ -413,7 +430,7 @@ def right_cosets(G, H):
                     label[x] = j
                     factor[x] = h
                 j += 1
-        cosets = H._cosets[G] = (label, factor)
+        cosets = H._cosets[G.element_set] = (label, factor)
     return cosets
 
 
@@ -432,11 +449,23 @@ def h_orbits(G, H, indices=False):
     which they refine; as element indices if indices is set.  Enumerated
     once per (G, H), and kept on H as indices only."""
     _check_subgroup(G, H)
-    orbits = H._h_orbits.get(G)
+    orbits = H._h_orbits.get(G.element_set)
     if orbits is None:
-        orbits = H._h_orbits[G] = _conjugation_orbits(
+        orbits = H._h_orbits[G.element_set] = _conjugation_orbits(
             G, map(G.index_of, H.generators))
     return orbits if indices else _element_view(G, orbits)
+
+
+def h_classes(G, H):
+    """Conjugacy classes of H in G's element indices: the H-orbits on G
+    that lie inside H, which come in the order of conjugacy_classes(H).
+    Computed once per (G, H), and kept on H."""
+    classes = H._h_classes.get(G.element_set)
+    if classes is None:
+        classes = H._h_classes[G.element_set] = tuple(
+            orb for orb in h_orbits(G, H, indices=True)
+            if G.elements[orb[0]] in H)
+    return classes
 
 
 def property_S(G, H):

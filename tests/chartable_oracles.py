@@ -17,7 +17,6 @@ def induction_matrix_mod_p(G, H, tableG, tableH):
     inclusion matrix)."""
     p = tableG.prime
     cdG, cdH = tableG.class_data, tableH.class_data
-    HG = H.as_group()
     inv_h = pow(H.order % p, -1, p)
     rows = []
     for i in range(tableH.num_chars):
@@ -26,7 +25,7 @@ def induction_matrix_mod_p(G, H, tableG, tableH):
             # <psi_j|_H, chi_i>_H computed element-wise over H
             s = 0
             for h in H.elements:
-                s += (tableH.table[i][cdH.class_of[HG.index_of(h)]]
+                s += (tableH.table[i][cdH.class_of[H.parent.index_of(h)]]
                       * tableG.table[j][cdG.class_of[G.index_of(h.inverse())]])
             row.append((s * inv_h) % p)
         rows.append(tuple(row))

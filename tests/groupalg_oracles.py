@@ -14,10 +14,10 @@ from fractions import Fraction
 from operator import add
 
 from sepdepth.errors import CapExceeded, CheckFailed, NotInT
-from sepdepth.groupalg import (DEFAULT_LINEAR_CAP, TensorSquare,
-                               _orbit_partition, idempotent_in_t)
+from sepdepth.groupalg import DEFAULT_LINEAR_CAP, TensorSquare, idempotent_in_t
 from sepdepth.linalg import SparseEchelon
-from sepdepth.permgroup import conjugacy_classes, h_orbits, right_transversal
+from sepdepth.permgroup import (conjugacy_classes, h_orbits, index_orbits,
+                                right_transversal)
 
 
 def _indicator(orbit):
@@ -100,7 +100,7 @@ def casimir_space(G, H, cap=DEFAULT_LINEAR_CAP):
 def t_basis(ts):
     """Orbit-indicator basis of T."""
     perms = ts.conj_perms(ts.H.generators or [ts.G.identity])
-    return [_indicator(o) for o in _orbit_partition(ts.dim, perms)]
+    return [_indicator(o) for o in index_orbits(ts.dim, perms)]
 
 
 def coset_factor(ts, x):
@@ -272,7 +272,7 @@ class USpace:
                           for idx in range(self.ambient)])
             perms.append([rp[idx // N] * N + rp[idx % N]
                           for idx in range(self.ambient)])
-        self.orbits = _orbit_partition(self.ambient, perms)
+        self.orbits = index_orbits(self.ambient, perms)
 
     def basis(self):
         return [_indicator(o) for o in self.orbits]
@@ -386,7 +386,7 @@ def u_trace_images(G, H):
     over x in G, k in K and k' in K'.  lambda_c . f_O has the entries
     (w y, y o) for w in c, y in H and o in O; its image is divided by
     |H| |c|.  Returns the image of 1 and the nonzero candidate images."""
-    classes = conjugacy_classes(H.as_group())
+    classes = conjugacy_classes(H)
     r = len(classes)
     orbits = [list(orb) for orb in h_orbits(G, H)]
 

@@ -9,7 +9,8 @@ from sepdepth.chartable import (_charpoly, _Subspace,
                                 class_mult_coeffs, common_prime, dixon_prime,
                                 inclusion_matrix)
 from sepdepth.corpus import corpus_groups
-from sepdepth.errors import InvalidArgument, LiftInconsistency
+from sepdepth.errors import (ElementNotInGroup, InvalidArgument,
+                             LiftInconsistency)
 from sepdepth.permgroup import (Permutation, alternating_group,
                                 conjugacy_classes, cyclic_group,
                                 extraspecial_27, quaternion_group,
@@ -113,8 +114,7 @@ def test_split_by_matches_the_lambda_scan():
 def test_degrees_s3_q8_trivial():
     assert character_table_mod_p(symmetric_group(3)).degrees == (1, 1, 2)
     assert character_table_mod_p(quaternion_group()).degrees == (1, 1, 1, 1, 2)
-    triv = cyclic_group(2).subgroup(
-        [Permutation.identity(2)]).as_group()
+    triv = cyclic_group(2).subgroup([Permutation.identity(2)])
     assert character_table_mod_p(triv).degrees == (1,)
 
 
@@ -165,6 +165,31 @@ def test_table_value_and_json():
     assert d["table"] == [list(r) for r in tab.table]
 
 
+def test_table_value_outside_the_group_rejected():
+    """value(i, g) raises ElementNotInGroup for g outside the table's
+    group, on a group table and on a subgroup table (which numbers its
+    parent's elements)."""
+    tab = character_table_mod_p(symmetric_group(3))
+    # below, between and past the sorted elements of S3
+    for g in (Permutation((0,)), Permutation((0, 1, 2, 3)),
+              Permutation((3, 0, 1, 2))):
+        with pytest.raises(ElementNotInGroup):
+            tab.value(0, g)
+    G = symmetric_group(4)
+    C3 = G.subgroup([Permutation.from_cycles(4, [[0, 1, 2]])])
+    tab = character_table_mod_p(C3)
+    for k, cls in enumerate(conjugacy_classes(C3)):
+        for h in cls:
+            assert [tab.value(i, h) for i in range(tab.num_chars)] == \
+                [row[k] for row in tab.table]
+    for g in G.elements:
+        if g not in C3:
+            with pytest.raises(ElementNotInGroup):
+                tab.value(1, g)
+    with pytest.raises(ElementNotInGroup):
+        tab.value(1, Permutation.from_cycles(5, [[0, 1, 2]]))
+
+
 def test_inclusion_matrix_full_subgroup_is_identity():
     for G in (symmetric_group(3), quaternion_group()):
         M = inclusion_matrix(G, G.full_subgroup())
@@ -186,7 +211,7 @@ def test_prime_mismatch_rejected():
     G = symmetric_group(3)
     H = G.subgroup([Permutation((1, 0, 2))])
     tg = character_table_mod_p(G, prime=7)
-    th = character_table_mod_p(H.as_group(), prime=5)
+    th = character_table_mod_p(H, prime=5)
     with pytest.raises(LiftInconsistency):
         inclusion_matrix(G, H, tableG=tg, tableH=th)
 
@@ -202,10 +227,9 @@ def test_frobenius_reciprocity():
     """Restriction multiplicities equal induction multiplicities mod p."""
     for G, gens in ((symmetric_group(4), None), (quaternion_group(), None)):
         for H in (G.subgroup([G.elements[-1]]), G.full_subgroup()):
-            HG = H.as_group()
-            p = common_prime(G, HG)
+            p = common_prime(G, H)
             tg = character_table_mod_p(G, prime=p)
-            th = character_table_mod_p(HG, prime=p)
+            th = character_table_mod_p(H, prime=p)
             M = inclusion_matrix(G, H, tableG=tg, tableH=th)
             ind = induction_matrix_mod_p(G, H, tg, th)
             for i in range(len(M.entries)):

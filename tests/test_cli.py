@@ -388,6 +388,30 @@ def test_no_assert_in_package_source():
         assert not asserts, f"{path.name}: assert at lines {asserts}"
 
 
+def test_package_imports_only_the_standard_library():
+    """The runtime is standard-library only: every import in src is
+    relative or names a standard-library module."""
+    import ast
+    import pathlib
+    import sys
+
+    import sepdepth
+    files = sorted(pathlib.Path(sepdepth.__file__).parent.glob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, \
+                    f"{path.name}:{node.lineno} imports {name}"
+
+
 FIXTURE_OUTPUTS = os.path.join(os.path.dirname(__file__), "data",
                                "findim_fixtures.json")
 

@@ -1,3 +1,5 @@
+import json
+import os
 from math import lcm
 
 import pytest
@@ -13,10 +15,11 @@ from sepdepth.permgroup import (FiniteGroup, Permutation, all_subgroups,
                                 cyclic_subgroups, depth1_group,
                                 derived_subgroup, dihedral_group,
                                 direct_product, enumerate_closure,
-                                extraspecial_27, h_orbits, hz_condition,
-                                is_normal, lemma_S_via_centralizers,
-                                property_S, quaternion_group,
-                                right_transversal, symmetric_group)
+                                extraspecial_27, h_classes, h_orbits,
+                                hz_condition, is_normal,
+                                lemma_S_via_centralizers, property_S,
+                                quaternion_group, right_transversal,
+                                symmetric_group)
 
 
 class TestPermutation:
@@ -52,8 +55,8 @@ class TestPermutation:
 
 
 def test_analyze_pair_enumerates_class_partitions_once(monkeypatch):
-    """One analyze_pair call enumerates the classes of G, the classes of H
-    and the H-orbits on G once each, and builds H as a group once."""
+    """One analyze_pair call enumerates the classes of G and the H-orbits
+    on G once each; H's classes are the H-orbits inside H."""
     from sepdepth import analyze, permgroup
     calls = []
     enumerate_orbits = permgroup._conjugation_orbits
@@ -69,11 +72,74 @@ def test_analyze_pair_enumerates_class_partitions_once(monkeypatch):
     H = G.subgroup([Permutation.from_cycles(4, [[0, 1]]),
                     Permutation.from_cycles(4, [[0, 1, 2]])])
     analyze.analyze_pair(G, H)
-    # G's classes, H's classes and the H-orbits on G, once each
     assert sorted(calls, key=repr) == sorted(
-        [(24, frozenset(G.generators)), (6, frozenset(H.generators)),
-         (24, frozenset(H.generators))], key=repr)
-    assert H.as_group() is H.as_group()
+        [(24, frozenset(G.generators)), (24, frozenset(H.generators))],
+        key=repr)
+
+
+def test_analyze_pair_builds_no_group_for_the_subgroup(monkeypatch):
+    """Once G exists, analyze_pair constructs no FiniteGroup: H is read
+    on G's index data."""
+    from sepdepth import analyze
+    G = symmetric_group(4)
+    H = G.subgroup([Permutation.from_cycles(4, [[0, 1, 2, 3]])])
+    built = []
+    init = FiniteGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting)
+    analyze.analyze_pair(G, H)
+    assert built == []
+
+
+def test_analysed_group_is_freed_without_the_cycle_collector():
+    """The partitions a group caches about itself form no reference
+    cycle: after analyze_pair, G is freed as soon as its last reference
+    goes, even with the cycle collector off."""
+    import gc
+    import weakref
+
+    from sepdepth.analyze import analyze_pair
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        G = symmetric_group(4)
+        H = G.subgroup([Permutation.from_cycles(4, [[0, 1, 2]])])
+        analyze_pair(G, H)
+        ref = weakref.ref(G)
+        del G, H
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+FOREIGN_PARENT_REPORTS = os.path.join(os.path.dirname(__file__), "data",
+                                      "foreign_parent_reports.json")
+
+
+def test_subgroup_of_another_parent_analysed_in_G():
+    """A subgroup whose parent is not G is analysed on G's numbering: C3
+    taken from its own A4, and D4 taken from a second S4, each inside S4,
+    give the reports recorded when H was rebuilt as a group of its own."""
+    from sepdepth.analyze import analyze_pair
+    with open(FOREIGN_PARENT_REPORTS) as fh:
+        expected = json.load(fh)
+    G = symmetric_group(4)
+    A4, S4b = alternating_group(4), symmetric_group(4)
+    pairs = {
+        "C3_from_A4": A4.subgroup(
+            [Permutation.from_cycles(4, [[0, 1, 2]])], name="C3"),
+        "D4_from_other_S4": S4b.subgroup(
+            [Permutation.from_cycles(4, [[0, 1, 2, 3]]),
+             Permutation.from_cycles(4, [[0, 2]])], name="D4"),
+    }
+    for key, H in pairs.items():
+        assert H.parent is not G
+        assert analyze_pair(G, H).to_json_dict() == expected[key], key
 
 
 def test_enumerate_closure_cap():
@@ -110,16 +176,19 @@ def test_classes_and_orbits_match_products():
     """The index searches over generator conjugation maps give the same
     partitions, in the same order, as conjugating by every element with
     Permutation products: classes of each corpus group of order <= 60,
-    of each of its corpus subgroups, and their H-orbits."""
+    of each of its corpus subgroups (as the H-orbits inside H), and their
+    H-orbits."""
     for G in corpus_groups():
         if G.order > 60:
             continue
         assert conjugacy_classes(G) == \
             conjugation_orbits_by_products(G.elements, G.elements), G
         for H in corpus_subgroups(G):
-            HG = H.as_group()
-            assert conjugacy_classes(HG) == \
-                conjugation_orbits_by_products(HG.elements, HG.elements)
+            classes_h = conjugation_orbits_by_products(H.elements,
+                                                       H.elements)
+            assert conjugacy_classes(H) == classes_h, H
+            assert tuple(tuple(map(G.elements.__getitem__, cls))
+                         for cls in h_classes(G, H)) == classes_h, H
             assert h_orbits(G, H) == \
                 conjugation_orbits_by_products(G.elements, H.elements), H
             assert h_orbits(G, H, indices=True) == tuple(
@@ -235,7 +304,7 @@ def test_criteria_form_no_permutation_products(monkeypatch):
     from sepdepth.groupalg import is_full_in_T, is_full_in_U
     (_, G, H), = corpus_pairs("S5/o4.0")
     conjugacy_classes(G)
-    conjugacy_classes(H.as_group())
+    conjugacy_classes(H)
     h_orbits(G, H)
     G.inverse
     made = []
