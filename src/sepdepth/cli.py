@@ -206,15 +206,14 @@ def _fixture(name):
     kind = name.rstrip("0123456789")
     size = name[len(kind):]
     n = int(size) if size else (1 if kind == "monoid" else 3)
-    if kind == "triangular":
-        A = findim.upper_triangular_algebra(n)
-        return A, findim.strict_upper_subalgebra(A, n)
-    if kind == "jordan":
-        A = findim.upper_triangular_algebra(n)
-        return A, findim.jordan_subalgebra(A, n)
     if name == "structural":
         return findim.structural_matrix_example()
-    if kind == "monoid" and n >= 1:
+    if n >= 1 and kind in ("triangular", "jordan"):
+        A = findim.upper_triangular_algebra(n)
+        sub = (findim.strict_upper_subalgebra if kind == "triangular"
+               else findim.jordan_subalgebra)
+        return A, sub(A, n)
+    if n >= 1 and kind == "monoid":
         M, e = findim.monoid_algebra(n)
         return M, findim.monoid_nilpotent_part_subalgebra(M, e)
     raise SpecError(f"unknown fixture {name!r}; try triangular3, jordan3, "

@@ -8,7 +8,7 @@ derived, trivial and full subgroups.
 
 from fnmatch import fnmatch
 
-from .permgroup import (FiniteGroup, Subgroup, all_subgroups,
+from .permgroup import (FiniteGroup, all_subgroups,
                         alternating_group, cyclic_group, cyclic_subgroups,
                         derived_subgroup, dihedral_group, direct_product,
                         extraspecial_27, quaternion_group, symmetric_group)
@@ -54,18 +54,16 @@ def corpus_subgroups(G):
     ordered = sorted(seen.values(),
                      key=lambda H: (H.order,
                                     sorted(p.images for p in H.elements)))
-    named = []
     counts = {}
     for H in ordered:
         i = counts.get(H.order, 0)
         counts[H.order] = i + 1
-        name = f"o{H.order}.{i}"
+        H.name = f"o{H.order}.{i}"
         if H.order == 1:
-            name = "1"
+            H.name = "1"
         elif H.order == G.order:
-            name = "full"
-        named.append(Subgroup(G, H.generators, name=name))
-    return named
+            H.name = "full"
+    return ordered
 
 
 def corpus_pairs(name_filter=None):

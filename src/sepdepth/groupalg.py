@@ -3,10 +3,10 @@ the endomorphism ring of kG as a kH-bimodule.
 
 The tensor square A (x)_B A is spanned by {g (x) g_i} for g in G and g_i in
 a fixed right transversal of H, with the rewrite g_i * a = h * g_j pulling
-everything back onto the canonical basis.  Left/right multiplications by
-group elements permute that basis, so the A-central (Casimir) and H-central
-(T) subspaces are fixed spaces of permutation actions and come out as orbit
-indicator bases -- already in reduced echelon form.  Fullness of the
+everything back onto the canonical basis.  kG is a Frobenius extension of
+kH with dual bases g_i^-1, g_i, so the A-central (Casimir) subspace has
+the orbit indicator basis {g_i^-1 d (x) g_i : d in O, all i}, one orbit
+per H-orbit O on G -- already in reduced echelon form.  Fullness of the
 separability idempotent in T, and of the H-support projection in the
 bimodule endomorphism ring U, are decided by integer trace-form counts;
 for T one count per Casimir orbit suffices (proof in ``_teT_images``).
@@ -32,7 +32,7 @@ class TensorSquare:
     Basis index of g (x) g_i is  g_index * n + i  with elements of G sorted
     and the transversal identity-first.  Everything runs on the index data
     of G: the coset table x = h * g_j, the right maps of the transversal
-    and G.mul for single products.
+    (kept once per tensor square) and G.mul for single products.
     """
 
     def __init__(self, G, H, cap=DEFAULT_LINEAR_CAP):
@@ -44,41 +44,10 @@ class TensorSquare:
         if self.dim > cap:
             raise CapExceeded("dim(A tensor_B A)", self.dim, cap)
         self.reps = [G.index_of(rep) for rep in self.transversal]
+        self.rep_maps = [G.right_map(rep) for rep in self.reps]
         # coset factorization: _coset[x] = (j, h) with x = h * g_j
         self._coset = list(zip(*right_cosets(G, H)))
         self._casimir = None
-        self._right_cache = {}
-
-    def basis_index(self, g, i):
-        return self.G.index_of(g) * self.n + i
-
-    # --- actions on the basis ---
-
-    def right_perm(self, a):
-        """Index permutation of t -> t * a (memoized per element)."""
-        cached = self._right_cache.get(a)
-        if cached is not None:
-            return cached
-        G, n = self.G, self.n
-        ai = G.index_of(a)
-        out = [0] * self.dim
-        for i, rep in enumerate(self.reps):
-            j, h = self._coset[G.mul(rep, ai)]
-            hmap = G.right_map(h)
-            for gi in range(G.order):
-                out[gi * n + i] = hmap[gi] * n + j
-        self._right_cache[a] = out
-        return out
-
-    def conj_perms(self, elements):
-        """Permutations t -> s^-1 * t * s for s in elements."""
-        G, n = self.G, self.n
-        perms = []
-        for s in elements:
-            gmap = G.left_map(G.inverse[G.index_of(s)])
-            perms.append([gmap[k // n] * n + k % n
-                          for k in self.right_perm(s)])
-        return perms
 
     def _conj_index(self, idx, s):
         """Basis index of s^-1 * b * s for the basis point b = idx and the
@@ -101,12 +70,10 @@ class TensorSquare:
 
     def mu(self, t):
         """Multiplication map g (x) g_i -> g * g_i, as a kG vector."""
-        G, n = self.G, self.n
-        rep_maps = [G.right_map(rep) for rep in self.reps]
         out = {}
         for idx, c in t.items():
-            g, i = divmod(idx, n)
-            k = rep_maps[i][g]
+            g, i = divmod(idx, self.n)
+            k = self.rep_maps[i][g]
             out[k] = out.get(k, 0) + c
         return {k: v for k, v in out.items() if v}
 
@@ -119,7 +86,7 @@ class TensorSquare:
         terms = [(divmod(idx, n), c) for idx, c in t.items()]
         out = {}
         for (gp, j), c2 in terms:
-            rep_j, left_gp = G.right_map(reps[j]), G.left_map(gp)
+            rep_j, left_gp = self.rep_maps[j], G.left_map(gp)
             for (g, i), c1 in terms:
                 k, h = self._coset[rep_j[reps[i]]]
                 key = G.right_map(h)[left_gp[g]] * n + k
@@ -129,10 +96,28 @@ class TensorSquare:
     # --- distinguished subspaces (orbit bases) ---
 
     def casimir_basis(self):
-        """Orbit basis of (A (x)_B A)^A: the orbits of conjugation by G on
-        the basis, each a sorted index tuple standing for its 0/1
-        indicator."""
-        return index_orbits(self.dim, self.conj_perms(self.G.generators))
+        """Orbit basis of (A (x)_B A)^A, each orbit a sorted index tuple
+        standing for its 0/1 indicator, ordered by least point.
+
+        d -> sum_i g_i^-1 d (x) g_i maps A^B onto the Casimir space (dual
+        bases of the Frobenius extension), so the orbits are the sets
+        {g_i^-1 d (x) g_i : d in O, all i}, one per H-orbit O on G.  The
+        H-orbits are searched here, under d -> s^-1 d s for H's generators
+        s, apart from permgroup.h_orbits.  The point of (d, i) is read off
+        a transversal right map: (g_i^-1 d)^-1 = d^-1 g_i.
+        """
+        G, n, inv = self.G, self.n, self.G.inverse
+        # s^-1 d s = ((d^-1 s)^-1) s, from the right map of s alone
+        conj = []
+        for s in map(G.index_of, self.H.generators):
+            rs = G.right_map(s)
+            conj.append([rs[inv[rs[inv[d]]]] for d in range(G.order)])
+        orbits = [sorted(inv[rmap[inv[d]]] * n + i
+                         for d in orb
+                         for i, rmap in enumerate(self.rep_maps))
+                  for orb in index_orbits(G.order, conj)]
+        orbits.sort()
+        return list(map(tuple, orbits))
 
     @property
     def casimir(self):

@@ -5,8 +5,11 @@ Each one spans an ideal explicitly -- TeT inside the tensor square, UEU
 inside the |G| x |G| matrix coordinates of U -- so the tests can hold the
 integer trace-form tests ``is_full_in_T`` and ``is_full_in_U`` against
 them.  They share no code with those tests beyond the group data, the
-idempotent check on e and the echelon kernel.  The T-product and the
-per-basis-point trace forms here are computed from Permutation products.
+idempotent check on e and the echelon kernel.  The T-product, the
+per-basis-point trace forms and the permutations of the tensor-square
+basis are computed from Permutation products; ``casimir_orbits`` searches
+the Casimir basis on all dim basis points, the reference for the closed
+form ``TensorSquare.casimir_basis``.
 """
 
 from collections import Counter
@@ -80,27 +83,9 @@ def _transversal_index_sum(G, trans):
 # T = (A (x)_B A)^B
 
 
-def unit(ts):
-    """1 (x) 1."""
-    return {ts.basis_index(ts.G.identity, 0): Fraction(1)}
-
-
-def right_action(ts, t, a):
-    """t * a for the group element a."""
-    perm = ts.right_perm(a)
-    return {perm[k]: v for k, v in t.items()}
-
-
-def casimir_space(G, H, cap=DEFAULT_LINEAR_CAP):
-    """The tensor square and its Casimir basis as 0/1 indicator vectors."""
-    ts = TensorSquare(G, H, cap=cap)
-    return ts, [dict.fromkeys(orbit, 1) for orbit in ts.casimir]
-
-
-def t_basis(ts):
-    """Orbit-indicator basis of T."""
-    perms = ts.conj_perms(ts.H.generators or [ts.G.identity])
-    return [_indicator(o) for o in index_orbits(ts.dim, perms)]
+def basis_index(ts, g, i):
+    """Index of the basis point g (x) g_i."""
+    return ts.G.index_of(g) * ts.n + i
 
 
 def coset_factor(ts, x):
@@ -112,6 +97,50 @@ def coset_factor(ts, x):
     raise ValueError(f"{x} lies in no coset")
 
 
+def right_perm(ts, a):
+    """Index permutation of t -> t * a, by group products:
+    (g (x) g_i) a = g h (x) g_j  where g_i a = h g_j."""
+    out = [0] * ts.dim
+    for i, rep in enumerate(ts.transversal):
+        j, h = coset_factor(ts, rep * a)
+        for gi, g in enumerate(ts.G.elements):
+            out[gi * ts.n + i] = basis_index(ts, g * h, j)
+    return out
+
+
+def conj_perms(ts, elements):
+    """Permutations t -> s^-1 * t * s of the basis for s in elements."""
+    G, n = ts.G, ts.n
+    perms = []
+    for s in elements:
+        left = [G.index_of(s.inverse() * g) for g in G.elements]
+        perms.append([left[k // n] * n + k % n for k in right_perm(ts, s)])
+    return perms
+
+
+def casimir_orbits(ts):
+    """The Casimir basis by an orbit search of conjugation by G's
+    generators on all dim basis points, ordered as ts.casimir_basis()."""
+    return index_orbits(ts.dim, conj_perms(ts, ts.G.generators))
+
+
+def unit(ts):
+    """1 (x) 1."""
+    return {basis_index(ts, ts.G.identity, 0): Fraction(1)}
+
+
+def casimir_space(G, H, cap=DEFAULT_LINEAR_CAP):
+    """The tensor square and its Casimir basis as 0/1 indicator vectors."""
+    ts = TensorSquare(G, H, cap=cap)
+    return ts, [dict.fromkeys(orbit, 1) for orbit in ts.casimir]
+
+
+def t_basis(ts):
+    """Orbit-indicator basis of T."""
+    perms = conj_perms(ts, ts.H.generators or [ts.G.identity])
+    return [_indicator(o) for o in index_orbits(ts.dim, perms)]
+
+
 def t_product_index(ts, idx1, idx2):
     """Index of the T-product of two basis elements, by group products.
 
@@ -121,7 +150,7 @@ def t_product_index(ts, idx1, idx2):
     gpi, j = divmod(idx2, ts.n)
     g, gp = ts.G.elements[gi], ts.G.elements[gpi]
     k, h = coset_factor(ts, ts.transversal[i] * ts.transversal[j])
-    return ts.basis_index(gp * g * h, k)
+    return basis_index(ts, gp * g * h, k)
 
 
 def t_product(ts, t1, t2):
@@ -138,17 +167,17 @@ def teT_candidates(ts):
 
     T.e = Casimir and w.r = w with the second leg right-multiplied by
     r = t^1 t^2 in A^B, so TeT is spanned by {Casimir basis} x {A^B basis}.
+    The Casimir basis comes from the orbit search ``casimir_orbits``.
     """
-    G = ts.G
-    cent = centralizer_basis(G, ts.H)
-    for orbit in ts.casimir_basis():
-        w = dict.fromkeys(orbit, 1)
+    cent = centralizer_basis(ts.G, ts.H)
+    perms = [right_perm(ts, g) for g in ts.G.elements]
+    for orbit in casimir_orbits(ts):
         for r in cent:
             vec = {}
             for gi in r:       # orbit sums have coefficient 1
-                moved = right_action(ts, w, G.elements[gi])
-                for k, v in moved.items():
-                    vec[k] = vec.get(k, 0) + v
+                for k in orbit:
+                    key = perms[gi][k]
+                    vec[key] = vec.get(key, 0) + 1
             yield vec
 
 

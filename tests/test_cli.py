@@ -156,7 +156,8 @@ def test_findim_demo_unknown_fixture(capsys):
     assert "unknown fixture" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["triangularx", "monoid0", "structural2"])
+@pytest.mark.parametrize("name", ["triangularx", "monoid0", "structural2",
+                                  "triangular0", "jordan0"])
 def test_findim_demo_malformed_fixture_exit_1(capsys, name):
     assert main(["findim-demo", "--fixture", name]) == 1
     assert "unknown fixture" in capsys.readouterr().err

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from groupalg_oracles import (TProductTable, USpace, casimir_space,
-                              centralizer_basis, corner_dims, e_index,
+from groupalg_oracles import (TProductTable, USpace, casimir_orbits,
+                              casimir_space, centralizer_basis,
+                              corner_dims, e_index,
                               is_full_in_T_span, is_full_in_U_span,
                               t_basis, t_product, t_span_brute,
                               teT_candidates, trace_form_signatures,
                               trace_image, u_span_brute, u_trace_images,
                               unit)
+from sepdepth.corpus import corpus_pairs
 from sepdepth.errors import CapExceeded, NotInT
 from sepdepth.groupalg import (TensorSquare, _teT_images,
                                _u_trace_form_counts, idempotent_in_t,
@@ -78,6 +80,33 @@ class TestTensorSquare:
         for G, H in (s3_pair(2), s3_pair(3), q8_i_pair(), s3_pair(6)):
             ts = TensorSquare(G, H)
             assert len(ts.casimir_basis()) == len(h_orbits(G, H))
+
+    def test_casimir_basis_equals_orbit_search_on_corpus(self):
+        """The closed form from the H-orbits equals the orbit search of
+        conjugation on all basis points, order included, on every corpus
+        pair with the cap lifted to |G|^2."""
+        for name, G, H in corpus_pairs():
+            ts = TensorSquare(G, H, cap=G.order ** 2)
+            assert ts.casimir_basis() == casimir_orbits(ts), name
+
+    def test_casimir_basis_reads_no_h_orbits(self, monkeypatch):
+        """casimir_basis searches its own H-orbits, so the report's
+        casimir_dim stays a route apart from property S, which reads
+        permgroup.h_orbits."""
+        from sepdepth import groupalg, permgroup
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("H-orbits read from permgroup")
+
+        for name in ("h_orbits", "_conjugation_orbits"):
+            monkeypatch.setattr(permgroup, name, refuse)
+        monkeypatch.setattr(groupalg, "h_orbits", refuse)
+        G = symmetric_group(4)
+        H = G.subgroup([Permutation((1, 0, 2, 3)),
+                        Permutation((2, 3, 0, 1))])
+        ts = TensorSquare(G, H)
+        assert ts.casimir_basis() == casimir_orbits(ts)
+        assert len(ts.casimir) == 8     # the H-orbits of D4 on S4
 
 
 def test_separability_kinds():

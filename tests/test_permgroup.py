@@ -195,6 +195,26 @@ def test_classes_and_orbits_match_products():
                 tuple(map(G.index_of, orb)) for orb in h_orbits(G, H))
 
 
+def test_corpus_builds_each_subgroup_once(monkeypatch):
+    """corpus_pairs() names each harvested subgroup in place: Subgroup is
+    built 148 times, once per harvested subgroup (142 kept, 6 repeats
+    dropped), not a second time per pair to name it."""
+    from sepdepth import permgroup
+    from sepdepth.corpus import corpus_pairs
+    built = []
+    init = permgroup.Subgroup.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(permgroup.Subgroup, "__init__", counting)
+    pairs = list(corpus_pairs())
+    assert len(pairs) == 142
+    assert len(built) == 148
+    assert all(any(H is b for b in built) for _, _, H in pairs)
+
+
 def test_conjugacy_class_sizes():
     sizes = [len(c) for c in conjugacy_classes(symmetric_group(3))]
     assert sizes == [1, 2, 3]
