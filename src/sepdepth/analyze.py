@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .chartable import character_table_mod_p, common_prime, inclusion_matrix
-from .depth import bimodule_matrices, burciu_depth1, depth_report, is_diagonal
+from .depth import burciu_depth1, depth_report, is_diagonal
 from .errors import CapExceeded
 from .groupalg import (DEFAULT_LINEAR_CAP, TensorSquare, is_full_in_T,
                        is_full_in_U, separability_elements)
@@ -107,7 +107,6 @@ def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
     table_h = character_table_mod_p(H, prime=prime, seed=seed)
     im = inclusion_matrix(G, H, tableG=table_g, tableH=table_h)
     M = im.as_lists()
-    S, T = bimodule_matrices(M)
     dep = depth_report(M)
 
     rep = AnalysisReport(
@@ -121,7 +120,7 @@ def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
         min_depth=dep.min_depth, min_odd_depth=dep.min_odd_depth,
         min_even_depth=dep.min_even_depth, min_h_depth=dep.min_h_depth,
         even_rule_derived=dep.even_rule_derived,
-        s_diagonal=is_diagonal(S), t_diagonal=is_diagonal(T),
+        s_diagonal=is_diagonal(dep.S), t_diagonal=is_diagonal(dep.T),
         center_dim=len(classes_g),
     )
 

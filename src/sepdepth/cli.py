@@ -31,7 +31,7 @@ EXIT_CAP = 2
 EXIT_DISAGREE = 3
 
 
-class SpecError(Exception):
+class SpecError(SepdepthError):
     """Bad input spec (maps to exit code 1)."""
 
 
@@ -232,12 +232,8 @@ def _emit_json(obj):
 def cmd_analyze(args):
     G = group_from_spec(_load_json(args.group), args.cap_group)
     H = subgroup_from_spec(G, _load_json(args.subgroup))
-    try:
-        rep = analyze_pair(G, H, seed=args.seed, cap_linear=args.cap_linear,
-                           matrix_only=args.matrix_only)
-    except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    rep = analyze_pair(G, H, seed=args.seed, cap_linear=args.cap_linear,
+                       matrix_only=args.matrix_only)
     if args.format == "tsv":
         print(report_tsv_header())
         print(report_tsv_row(rep))
@@ -286,9 +282,10 @@ def cmd_findim_demo(args):
             raise SpecError("need --fixture or ALGEBRA and SUBALGEBRA files")
         A = algebra_from_spec(_load_json(args.algebra))
         inc = subalgebra_from_spec(A, _load_json(args.subalgebra))
-    rad = findim.radical(A)
+    # the cap on dim(A (x) A) is checked here, before J(A) is computed
     separable, witness = findim.is_separable_extension(A, inc,
                                                        cap=args.cap_linear)
+    rad = findim.radical(A)
     rad_verdict = findim.prop_rad_check(A, inc, rad)
     report = {
         "algebra": A.name or "A",
@@ -301,9 +298,9 @@ def cmd_findim_demo(args):
                     if witness is not None else None),
     }
     _emit_json(report)
-    if rad_verdict not in ("not-applicable",):
-        if (rad_verdict == "separable") != separable:
-            return EXIT_DISAGREE
+    if (rad_verdict != "not-applicable"
+            and (rad_verdict == "separable") != separable):
+        return EXIT_DISAGREE
     return EXIT_OK
 
 
@@ -376,9 +373,6 @@ def main(argv=None):
             args.cap_linear = _env_int("SEPDEPTH_CAP_LINEAR",
                                        DEFAULT_LINEAR_CAP)
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -7,7 +7,7 @@ The even-depth rule (compare S^(n-1)M with S^n M) is a derived criterion,
 flagged as such in reports.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CheckFailed
 from .linalg import identity_matrix, mat_mul, transpose
@@ -93,7 +93,6 @@ class DepthReport:
     min_h_depth: int
     min_depth: int
     even_rule_derived: bool = True
-    oracle_verdicts: dict = field(default_factory=dict)
 
 
 def depth_report(M):

@@ -252,28 +252,27 @@ def _teT_images(ts):
     return dict(one), map(image, ts.casimir)
 
 
-def is_full_in_T(G, H, e=None, ts=None, cap=DEFAULT_LINEAR_CAP):
-    """Fullness of a separability idempotent in T = (A (x)_B A)^B.
+def is_full_in_T(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
+    """Fullness of the canonical separability idempotent e in T.
 
-    TeT = T iff 1 is in TeT, which (T being semisimple in characteristic
-    zero) holds iff every trace functional on T vanishing on TeT vanishes
-    at 1.  The trace forms on T are spanned by t -> Tr(rho(z) rho(t)) with
-    z running over the class-sum pairs K (x) K' in the center of
-    A (x) A^op acting on A (x)_B A; on a basis point b (x) g_j that trace
-    counts, up to the constant factor dim, the h in H with (b h)^-1 in K
-    and g_j^-1 h in K'.  So 1 is in TeT iff the trace-form image of 1 lies
-    in the span of the images of TeT, and those are spanned by the images
-    of the Casimir orbits (proof in ``_teT_images``).  The images have one
-    integer coordinate per pair of conjugacy classes of G and are counted
-    from class data, so the test stays small no matter how large the
-    tensor square is.  Repeated images are skipped and the test stops as
-    soon as the image of 1 is in the span.
+    T = (A (x)_B A)^B, and TeT = T iff 1 is in TeT, which (T being
+    semisimple in characteristic zero) holds iff every trace functional on
+    T vanishing on TeT vanishes at 1.  The trace forms on T are spanned by
+    t -> Tr(rho(z) rho(t)) with z running over the class-sum pairs
+    K (x) K' in the center of A (x) A^op acting on A (x)_B A; on a basis
+    point b (x) g_j that trace counts, up to the constant factor dim, the
+    h in H with (b h)^-1 in K and g_j^-1 h in K'.  So 1 is in TeT iff the
+    trace-form image of 1 lies in the span of the images of TeT, and those
+    are spanned by the images of the Casimir orbits (proof in
+    ``_teT_images``).  The images have one integer coordinate per pair of
+    conjugacy classes of G and are counted from class data, so the test
+    stays small no matter how large the tensor square is.  Repeated images
+    are skipped and the test stops as soon as the image of 1 is in the
+    span.
     """
     if ts is None:
         ts = TensorSquare(G, H, cap=cap)
-    if e is None:
-        e = ts.canonical_separability_element()
-    if not idempotent_in_t(ts, e):
+    if not idempotent_in_t(ts, ts.canonical_separability_element()):
         raise NotInT("e is not an idempotent of T")
     one, images = _teT_images(ts)
     return _one_in_span(one, images)

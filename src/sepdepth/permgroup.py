@@ -3,8 +3,9 @@
 Groups are given by permutation generators and enumerated by breadth-first
 closure; everything downstream (conjugacy classes, centralizers, transversals,
 orbit partitions and the group-theoretic separability criteria) works on the
-fully enumerated element list.  A subgroup is enumerated, and its classes are
-found, on its parent's element indices.  Elements are ordered
+group's integer index data: element inverses and the right maps g -> g * a,
+from which the left maps g -> a * g are read.  A subgroup is enumerated, and
+its classes are found, on its parent's element indices.  Elements are ordered
 lexicographically by image sequence so every partition and transversal is
 reproducible.
 """
@@ -141,12 +142,14 @@ class _Enumerated:
 class FiniteGroup(_Enumerated):
     """A finitely generated permutation group, fully enumerated.
 
-    Its integer index data is built on first use: the inverse of each
-    element and the maps g -> g * a and g -> a * g, as index lists.  Only
-    the generators' maps come from image tuples; every other map is its
-    parent's map in a breadth-first tree composed with a generator's, so no
-    Permutation product is formed.  Maps are cached per element as they
-    are asked for, never built as one eager |G| x |G| table.
+    Its integer index data is built with it: the inverse of each element
+    as an index list (read off the image tuples), and a breadth-first tree
+    over the right maps g -> g * s of the generators and their inverses.
+    The right map of any element is its tree parent's map composed with one
+    generator map, and its left map g -> a * g is read off the right map of
+    a^-1 and the inverses, so no Permutation product is formed.  Both are
+    cached per element as they are asked for, never built as one eager
+    |G| x |G| table.
     """
 
     def __init__(self, generators, name=None, cap=DEFAULT_GROUP_CAP):
@@ -156,9 +159,33 @@ class FiniteGroup(_Enumerated):
         self._set_elements(enumerate_closure(self.generators, cap))
         self.identity = Permutation.identity(self.degree)
         self._index = {p: i for i, p in enumerate(self.elements)}
-        self._tree = None
-        self._right_maps = {}
-        self._left_maps = {}
+        pos = {p.images: i for p, i in self._index.items()}
+        ids = list(pos.values())    # the index ints, shared by every map
+        rows = [p.images for p in self.elements]
+        points = range(self.degree)
+        # inverse[i] is the index of elements[i]^-1; sorting the points by
+        # their images lists the inverse's images
+        self.inverse = [pos[tuple(sorted(points, key=r.__getitem__))]
+                        for r in rows]
+        self._steps = []    # the right maps of each generator and its inverse
+        for s in self.generators:
+            rmap = [pos[tuple(map(r.__getitem__, s.images))] for r in rows]
+            self._steps += [rmap, _inverted(rmap, ids)]
+        # the identity is element 0 (the least image tuple); element
+        # y = x * s has up[y] = x and via[y] = the position of s in _steps
+        self._up = up = [None] * self.order
+        up[0] = 0
+        self._via = via = [0] * self.order
+        queue = [0]
+        for x in queue:
+            for k, rmap in enumerate(self._steps):
+                y = rmap[x]
+                if up[y] is None:
+                    up[y] = x
+                    via[y] = k
+                    queue.append(y)
+        self._right_maps = {0: ids}
+        self._left_maps = {0: ids}
 
     @property
     def parent(self):
@@ -168,90 +195,40 @@ class FiniteGroup(_Enumerated):
     def index_of(self, p):
         return self._index[p]
 
-    def _build_index_data(self):
-        """The tree over the generators and their inverses, and inverses.
-
-        The identity is element 0 (the least image tuple); element y = x * s
-        has up[y] = x and via[y] = the position of s among the generators.
-        """
-        pos = {p.images: i for p, i in self._index.items()}
-        ids = list(pos.values())    # the index ints, shared by every map
-        rows = [p.images for p in self.elements]
-        right, left = [], []
-        for s in self.generators:
-            si = s.images
-            rmap = [pos[tuple(map(r.__getitem__, si))] for r in rows]
-            lmap = [pos[tuple(map(si.__getitem__, r))] for r in rows]
-            right += [rmap, _inverted(rmap, ids)]
-            left += [lmap, _inverted(lmap, ids)]
-        up = [None] * self.order
-        up[0] = 0
-        via = [0] * self.order
-        inverse = [0] * self.order
-        queue = [0]
-        for x in queue:
-            for k, rmap in enumerate(right):
-                y = rmap[x]
-                if up[y] is None:
-                    up[y] = x
-                    via[y] = k
-                    # (x s)^-1 = s^-1 x^-1; k ^ 1 is the position of s^-1
-                    inverse[y] = left[k ^ 1][inverse[x]]
-                    queue.append(y)
-        self._tree = (up, via, right, left, inverse)
-        self._right_maps[0] = self._left_maps[0] = ids
-
-    def _index_data(self):
-        if self._tree is None:
-            self._build_index_data()
-        return self._tree
-
-    @property
-    def inverse(self):
-        """Index list: inverse[i] is the index of elements[i]^-1."""
-        return self._index_data()[4]
-
     def mul(self, i, j):
         """Index of elements[i] * elements[j]: i moved by the generators
         on the tree path from the identity to j."""
-        up, via, right = self._index_data()[:3]
         path = []
         while j:
-            path.append(right[via[j]])
-            j = up[j]
+            path.append(self._steps[self._via[j]])
+            j = self._up[j]
         for rmap in reversed(path):
             i = rmap[i]
         return i
 
     def right_map(self, a):
-        """Index map of g -> g * elements[a] (cached per a)."""
-        return self._map(a, self._right_maps, True)
-
-    def left_map(self, a):
-        """Index map of g -> elements[a] * g (cached per a)."""
-        return self._map(a, self._left_maps, False)
-
-    def _map(self, a, cache, right):
-        up, via, rgen, lgen, _ = self._index_data()
-        path = []
+        """Index map of g -> g * elements[a], cached per a together with
+        the maps on a's tree path: R_{x s} = R_s o R_x."""
+        cache, path = self._right_maps, []
         while a not in cache:
             path.append(a)
-            a = up[a]
+            a = self._up[a]
         prev = cache[a]
         for y in reversed(path):
-            # R_{x s} = R_s o R_x and L_{x s} = L_x o L_s
-            prev = cache[y] = (list(map(rgen[via[y]].__getitem__, prev))
-                               if right else
-                               list(map(prev.__getitem__, lgen[via[y]])))
+            prev = cache[y] = list(map(self._steps[self._via[y]].__getitem__,
+                                       prev))
         return prev
 
-    def left_mul_map(self, a):
-        """Index map of g -> a * g on the elements (cached per a)."""
-        return self.left_map(self._index[a])
-
-    def right_mul_map(self, a):
-        """Index map of g -> g * a on the elements (cached per a)."""
-        return self.right_map(self._index[a])
+    def left_map(self, a):
+        """Index map of g -> elements[a] * g (cached per a), read off the
+        right map of a^-1: a g = (g^-1 a^-1)^-1."""
+        lmap = self._left_maps.get(a)
+        if lmap is None:
+            inv = self.inverse
+            rmap = self.right_map(inv[a])
+            lmap = self._left_maps[a] = list(
+                map(inv.__getitem__, map(rmap.__getitem__, inv)))
+        return lmap
 
     def subgroup(self, generators, name=None):
         return Subgroup(self, generators, name=name)
@@ -334,14 +311,9 @@ def _closure(G, gens):
 
 def _conjugation_maps(G, by):
     """The maps x -> s x s^-1 on G's element indices for the indices s in
-    by, built for the caller and not cached: from the tree's maps L_s and
-    R_s^-1 where s is a generator of G, else from the cached maps."""
-    _, _, right, left, inv = G._index_data()
-    gen_at = {G.index_of(g): k for k, g in enumerate(G.generators)}
+    by, L_s after R_s^-1, built for the caller and not cached."""
     for s in dict.fromkeys(by):
-        k = gen_at.get(s)
-        ls, rinv = ((left[2 * k], right[2 * k + 1]) if k is not None
-                    else (G.left_map(s), G.right_map(inv[s])))
+        ls, rinv = G.left_map(s), G.right_map(G.inverse[s])
         yield list(map(ls.__getitem__, rinv))
 
 
@@ -528,18 +500,16 @@ def cyclic_group(n):
                        name=f"C{n}")
 
 
-def symmetric_group(n, degree=None):
-    degree = degree or n
-    gens = [Permutation.from_cycles(degree, [[0, 1]]),
-            Permutation.from_cycles(degree, [list(range(n))])]
+def symmetric_group(n):
+    gens = [Permutation.from_cycles(n, [[0, 1]]),
+            Permutation.from_cycles(n, [list(range(n))])]
     if n == 2:
         gens = gens[:1]
     return FiniteGroup(gens, name=f"S{n}")
 
 
-def alternating_group(n, degree=None):
-    degree = degree or n
-    gens = [Permutation.from_cycles(degree, [[0, 1, k]])
+def alternating_group(n):
+    gens = [Permutation.from_cycles(n, [[0, 1, k]])
             for k in range(2, n)]
     return FiniteGroup(gens, name=f"A{n}")
 
@@ -556,9 +526,7 @@ def _regular_group(elems, mul, name, gens):
     index = {e: i for i, e in enumerate(elems)}
     def perm(g):
         return Permutation(tuple(index[mul(g, x)] for x in elems))
-    G = FiniteGroup([perm(g) for g in gens], name=name)
-    G.abstract_perm = perm
-    return G
+    return FiniteGroup([perm(g) for g in gens], name=name)
 
 
 def quaternion_group(m=4):
@@ -639,15 +607,14 @@ def _conjugacy_key(G, elems):
     return best
 
 
-def cyclic_subgroups(G, up_to_conjugacy=True):
+def cyclic_subgroups(G):
     subs = {}
     keys = {}
     for g in range(G.order):
         elems = frozenset(_closure(G, [g]))
         key = keys.get(elems)
         if key is None:
-            key = keys[elems] = (_conjugacy_key(G, elems) if up_to_conjugacy
-                                 else tuple(sorted(elems)))
+            key = keys[elems] = _conjugacy_key(G, elems)
         if key not in subs:
             p = G.elements[g]
             subs[key] = Subgroup(G, [p], name=f"<{list(p.images)}>")

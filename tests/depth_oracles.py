@@ -12,5 +12,4 @@ def depth_report_json(rep):
         "min_h_depth": rep.min_h_depth,
         "min_depth": rep.min_depth,
         "even_rule_derived": rep.even_rule_derived,
-        "oracle_verdicts": dict(sorted(rep.oracle_verdicts.items())),
     }

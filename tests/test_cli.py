@@ -341,6 +341,19 @@ def test_findim_demo_cap_linear_env_exit_2(capsys, monkeypatch):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+def test_findim_demo_checks_the_cap_before_the_radical(capsys, monkeypatch):
+    """An input over the cap exits 2 without computing any radical."""
+    from sepdepth import findim
+
+    def radical(alg):
+        raise AssertionError("radical computed before the cap check")
+
+    monkeypatch.setattr(findim, "radical", radical)
+    monkeypatch.setenv("SEPDEPTH_CAP_LINEAR", "10")
+    assert main(["findim-demo", "--fixture", "triangular3"]) == 2
+    assert "cap exceeded" in capsys.readouterr().err
+
+
 # b0 is the unit, b1*b1 = b2, b2*b2 = b0: (b1 b1) b2 = b0 but b1 (b1 b2) = 0
 NON_ASSOCIATIVE = {
     "structure": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],

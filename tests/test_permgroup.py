@@ -302,18 +302,38 @@ def test_centralizer_criteria_match_products():
 
 
 def test_index_maps_are_the_products():
-    """right/left maps, inverses and mul on indices equal Permutation
-    products, on a group whose generators include a redundant one."""
-    G = FiniteGroup([Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0)),
-                     Permutation((0, 1, 3, 2))])
+    """right maps, the left maps read off them, inverses and mul on
+    indices equal Permutation products: on a group whose generators
+    include a redundant one, on S5, and on Q8 in its regular
+    representation."""
+    redundant = FiniteGroup([Permutation((1, 0, 2, 3)),
+                             Permutation((1, 2, 3, 0)),
+                             Permutation((0, 1, 3, 2))])
+    for G in (redundant, symmetric_group(5), quaternion_group()):
+        E = G.elements
+        at = {p: i for i, p in enumerate(E)}
+        for a in range(G.order):
+            assert E[G.inverse[a]] == E[a].inverse()
+            assert G.right_map(a) == [at[g * E[a]] for g in E]
+            assert G.left_map(a) == [at[E[a] * g] for g in E]
+            assert [G.mul(b, a) for b in range(G.order)] == [
+                at[g * E[a]] for g in E]
+
+
+def test_conjugation_maps_are_the_products():
+    """x -> s x s^-1 for a generator of G, an element that is not one,
+    and the identity."""
+    from sepdepth.permgroup import _conjugation_maps
+    G = symmetric_group(4)
     E = G.elements
-    for a in range(G.order):
-        assert E[G.inverse[a]] == E[a].inverse()
-        assert G.right_map(a) == [E.index(g * E[a]) for g in E]
-        assert G.left_map(a) == [E.index(E[a] * g) for g in E]
-        assert all(E[G.mul(b, a)] == E[b] * E[a] for b in range(G.order))
-    assert G.right_mul_map(E[5]) is G.right_map(5)
-    assert G.left_mul_map(E[5]) is G.left_map(5)
+    gen = G.index_of(G.generators[0])
+    other = G.index_of(Permutation.from_cycles(4, [[0, 2]]))
+    assert other not in map(G.index_of, G.generators)
+    maps = list(_conjugation_maps(G, [gen, other, 0]))
+    assert len(maps) == 3
+    for s, conj in zip((gen, other, 0), maps):
+        assert conj == [E.index(E[s] * x * E[s].inverse()) for x in E]
+    assert maps[2] == list(range(G.order))
 
 
 def test_criteria_form_no_permutation_products(monkeypatch):
