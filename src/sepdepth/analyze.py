@@ -7,7 +7,6 @@ exceeds the dimension caps keep the matrix-criterion results and mark the
 skipped comparisons.
 """
 
-import time
 from dataclasses import dataclass, field, fields
 
 from .chartable import character_table_mod_p, common_prime, inclusion_matrix
@@ -58,20 +57,16 @@ class AnalysisReport:
     full_in_u: bool = None
     caps_hit: list = field(default_factory=list)
     agreements: dict = field(default_factory=dict)
-    elapsed: float = 0.0
 
     @property
     def disagreements(self):
         return sorted(k for k, v in self.agreements.items() if v == DISAGREE)
 
-    def to_json_dict(self, include_timing=False):
-        out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name != "elapsed"}
+    def to_json_dict(self):
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["inclusion_matrix"] = [list(r) for r in self.inclusion_matrix]
         out["caps_hit"] = sorted(self.caps_hit)
         out["agreements"] = dict(sorted(self.agreements.items()))
-        if include_timing:
-            out["elapsed_seconds"] = self.elapsed
         return out
 
 
@@ -89,7 +84,6 @@ def _implies(premise, conclusion):
 def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
                  matrix_only=False, table_g=None):
     """Full invariant report for the group-algebra extension kH in kG."""
-    t0 = time.perf_counter()
     classes_g = conjugacy_classes(G, indices=True)
     classes_h = h_classes(G, H)
     orbits = h_orbits(G, H, indices=True)
@@ -159,7 +153,6 @@ def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
     ag["depth_gap_at_most_2"] = (
         AGREE if abs(rep.min_depth - rep.min_h_depth) <= 2 else DISAGREE)
 
-    rep.elapsed = time.perf_counter() - t0
     return rep
 
 

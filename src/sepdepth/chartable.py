@@ -9,7 +9,6 @@ mod p; only integer-valued bilinear combinations (degrees, restriction
 multiplicities) are ever lifted.
 """
 
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
@@ -18,8 +17,6 @@ from math import isqrt, lcm
 from .errors import (CheckFailed, ElementNotInGroup, InvalidArgument,
                      LiftInconsistency, SplittingFailure)
 from .permgroup import conjugacy_classes, part_labels
-
-MAX_SPLIT_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -271,7 +268,8 @@ def character_table_mod_p(G, prime=None, seed=0):
     """Character table of a group or subgroup G with values in GF(prime).
 
     Rows are sorted by (degree, value sequence) so the table is canonical
-    for a given prime.
+    for a given prime.  The seed is only recorded in the table: the table
+    does not depend on it.
     """
     cd = class_data(G)
     r = cd.num_classes
@@ -295,18 +293,10 @@ def character_table_mod_p(G, prime=None, seed=0):
         spaces = refine(spaces, mats[i])
         if all(sp.dim == 1 for sp in spaces):
             break
-    retries = 0
-    rng = random.Random(seed)
-    while any(sp.dim > 1 for sp in spaces):
-        if retries >= MAX_SPLIT_RETRIES:
-            raise SplittingFailure("eigenspace refinement stalled")
-        # random combination of class matrices; commuting family, so any
-        # refinement is valid
-        coeffs = [rng.randrange(p) for _ in range(r)]
-        comb = [[sum(coeffs[i] * mats[i][j][k] for i in range(r)) % p
-                 for k in range(r)] for j in range(r)]
-        spaces = refine(spaces, comb)
-        retries += 1
+    # the class sums span Z(F_p G), which is F_p^r here, so two distinct
+    # central characters differ on some class sum: every space is a line
+    if any(sp.dim > 1 for sp in spaces):
+        raise SplittingFailure("eigenspace refinement stalled")
 
     inv_order = pow(G.order % p, -1, p)
     rows = []

@@ -23,6 +23,7 @@ from .chartable import character_table_mod_p, common_prime
 from .corpus import corpus_pairs
 from .errors import CapExceeded, InvalidAlgebra, SepdepthError
 from .groupalg import DEFAULT_LINEAR_CAP
+from .linalg import to_sparse
 from .permgroup import DEFAULT_GROUP_CAP, FiniteGroup, Permutation, Subgroup
 
 EXIT_OK = 0
@@ -139,17 +140,18 @@ def algebra_from_spec(spec):
         return findim._matrix_span_algebra(m, mats, name=name,
                                            labels=_labels(spec, len(mats)))
     try:
-        mult = [[[_frac(c) for c in vec] for vec in row]
+        cube = [[[_frac(c) for c in vec] for vec in row]
                 for row in spec["structure"]]
         unit = [_frac(c) for c in spec["unit"]]
     except (KeyError, TypeError) as exc:
         raise SpecError(f"algebra spec needs 'structure' and 'unit': {exc}")
-    n = len(mult)
+    n = len(cube)
     if (any(len(row) != n or any(len(vec) != n for vec in row)
-            for row in mult) or len(unit) != n):
+            for row in cube) or len(unit) != n):
         raise SpecError("structure constants must form an n x n x n cube")
     A = findim.StructureConstantAlgebra(
-        dimension=n, mult=mult, unit=unit, labels=_labels(spec, n), name=name)
+        dimension=n, table=[[to_sparse(vec) for vec in row] for row in cube],
+        unit=unit, labels=_labels(spec, n), name=name)
     A.check_associative_and_unital()
     return A
 
@@ -328,7 +330,8 @@ def build_parser():
 
     def common(p):
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for the character-table splitting")
+                       help="seed recorded in the report; the character "
+                            "tables do not depend on it")
         p.add_argument("--cap-group", type=int, default=None,
                        help="max group order (env SEPDEPTH_CAP_GROUP)")
         p.add_argument("--cap-linear", type=int, default=None,

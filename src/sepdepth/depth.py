@@ -49,10 +49,6 @@ def _even(S, M):
     return 2 * _stable_exponent(S, M, M) + 2
 
 
-def _h(T, M):
-    return 2 * _stable_exponent(T, identity_matrix(len(T)), M) + 1
-
-
 def min_odd_depth(M):
     """Least 2n+1 with S^n and S^(n+1) sharing a zero pattern (S^0 = I)."""
     return _odd(bimodule_matrices(M)[0], M)
@@ -65,7 +61,7 @@ def min_h_depth(M):
     diagonal; each later power corresponds to one more tensor factor of A
     in the A-A-bimodule comparison.
     """
-    return _h(bimodule_matrices(M)[1], M)
+    return _odd(bimodule_matrices(M)[1], M)
 
 
 def min_even_depth(M):
@@ -103,7 +99,7 @@ def depth_report(M):
     rep = DepthReport(matrix=M, S=S, T=T,
                       min_odd_depth=odd,
                       min_even_depth=even,
-                      min_h_depth=_h(T, M),
+                      min_h_depth=_odd(T, M),
                       min_depth=min(odd, even))
     if abs(rep.min_depth - rep.min_h_depth) > 2:
         raise CheckFailed("depth and H-depth differ by more than 2")

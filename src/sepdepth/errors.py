@@ -24,7 +24,7 @@ class NotASubgroup(SepdepthError):
 
 
 class SplittingFailure(SepdepthError):
-    """Simultaneous eigenspace refinement stalled for every retry seed."""
+    """The class-sum eigenspaces did not split into lines mod p."""
 
 
 class LiftInconsistency(SepdepthError):

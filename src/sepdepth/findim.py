@@ -1,10 +1,13 @@
 """Finite-dimensional algebras over the rationals by structure constants.
 
-Provides the radical via the regular-representation trace form (valid in
-characteristic zero), a direct separability-element solver for algebra
-extensions, and the fixture algebras used by the verification suite:
-upper-triangular matrices, a structural matrix algebra pair, full matrix
-algebras, and the cyclic-monoid algebra with one idempotent power relation.
+An algebra keeps its product as one sparse table, ``table[i][j] = {k: c}``
+for ``b_i * b_j`` (nonzero constants only), which every builder hands over
+as it is.  Provides the radical via the regular-representation trace form
+(valid in characteristic zero), a direct separability-element solver for
+algebra extensions, and the fixture algebras used by the verification
+suite: upper-triangular matrices, a structural matrix algebra pair, full
+matrix algebras, and the cyclic-monoid algebra with one idempotent power
+relation.
 """
 
 from dataclasses import dataclass, field
@@ -19,8 +22,8 @@ from .linalg import SparseEchelon, nullspace, rref, to_dense, to_sparse
 @dataclass
 class StructureConstantAlgebra:
     dimension: int
-    # mult[i][j] = coefficient list of b_i * b_j
-    mult: list
+    # table[i][j] = {k: c} for b_i * b_j, the nonzero constants only
+    table: list
     unit: list
     labels: list = field(default_factory=list)
     name: str = ""
@@ -28,13 +31,11 @@ class StructureConstantAlgebra:
     def __post_init__(self):
         if not self.labels:
             self.labels = [f"b{i}" for i in range(self.dimension)]
-        self.mult = [[list(map(_fraction, vec)) for vec in row]
-                     for row in self.mult]
-        self.unit = list(map(_fraction, self.unit))
-        # table[i][j] = {k: c} for b_i * b_j, the nonzero constants only
-        self.table = [[to_sparse(vec) for vec in row] for row in self.mult]
+        self.unit = list(map(Fraction, self.unit))
 
     def multiply(self, u, v):
+        """Dense u * v, summed term by term over the table: the reference
+        product that the witness check and the test oracles act through."""
         n = self.dimension
         out = [Fraction(0)] * n
         for i, a in enumerate(u):
@@ -44,9 +45,8 @@ class StructureConstantAlgebra:
                 if not b:
                     continue
                 ab = a * b
-                for k, c in enumerate(self.mult[i][j]):
-                    if c:
-                        out[k] += ab * c
+                for k, c in self.table[i][j].items():
+                    out[k] += ab * c
         return out
 
     def check_associative_and_unital(self):
@@ -75,10 +75,6 @@ class StructureConstantAlgebra:
     def table_columns(self):
         """cols[j][i] = table[i][j]: the products b_i * b_j for fixed j."""
         return [list(col) for col in zip(*self.table)]
-
-
-def _fraction(c):
-    return c if type(c) is Fraction else Fraction(c)
 
 
 def _combine(coeffs, products):
@@ -361,11 +357,12 @@ def _sub_radical(A, inclusion):
     # B as its own structure-constant algebra; its basis is in reduced
     # row echelon form, so a coordinate is the entry at that row's pivot
     def coords(v):
-        return [v.get(p, 0) for p in inclusion.pivots]
+        return {i: v[p] for i, p in enumerate(inclusion.pivots) if p in v}
 
-    mult = [[coords(_product(A, u, v)) for v in rows] for u in rows]
-    B = StructureConstantAlgebra(dimension=len(rows), mult=mult,
-                                 unit=coords(to_sparse(A.unit)), name="sub")
+    table = [[coords(_product(A, u, v)) for v in rows] for u in rows]
+    B = StructureConstantAlgebra(
+        dimension=len(rows), table=table,
+        unit=[A.unit[p] for p in inclusion.pivots], name="sub")
     return rref([to_dense(_combine(to_sparse(v), rows), A.dimension)
                  for v in radical(B)])[0]
 
@@ -403,11 +400,11 @@ def _matrix_span_algebra(m, basis_mats, name="", labels=None):
         raise InvalidAlgebra("matrix basis not independent")
 
     def coords(v):
-        """Coordinate list of a flat sparse matrix in the basis."""
+        """Sparse coordinates {b: c} of a flat sparse matrix in the basis."""
         v = span.reduce(v, full=True)
         if any(k < mm for k in v):
             raise InvalidAlgebra("matrix outside the span of the basis")
-        return to_dense({k - mm: -x for k, x in v.items()}, dim)
+        return {k - mm: -x for k, x in v.items()}
 
     def mat_mul(u, v_rows):
         out = {}
@@ -417,12 +414,12 @@ def _matrix_span_algebra(m, basis_mats, name="", labels=None):
                 out[i * m + j] = out.get(i * m + j, 0) + a * b
         return out
 
-    mult = [[coords(mat_mul(u, v_rows)) for v_rows in by_row] for u in flat]
-    unit = coords({i * m + i: 1 for i in range(m)})
-    A = StructureConstantAlgebra(dimension=dim, mult=mult, unit=unit,
+    table = [[coords(mat_mul(u, v_rows)) for v_rows in by_row] for u in flat]
+    unit = to_dense(coords({i * m + i: 1 for i in range(m)}), dim)
+    A = StructureConstantAlgebra(dimension=dim, table=table, unit=unit,
                                  labels=labels or [], name=name)
     A.embedding_size = m
-    A.flat_coords = lambda vflat: coords(to_sparse(vflat))
+    A.flat_coords = lambda vflat: to_dense(coords(to_sparse(vflat)), dim)
     return A
 
 
@@ -507,13 +504,9 @@ def monoid_algebra(n):
             k -= n
         return k
 
-    mult = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            row.append(_unit_vec(dim, reduce_power(i + j)))
-        mult.append(row)
-    M = StructureConstantAlgebra(dimension=dim, mult=mult,
+    table = [[{reduce_power(i + j): 1} for j in range(dim)]
+             for i in range(dim)]
+    M = StructureConstantAlgebra(dimension=dim, table=table,
                                  unit=_unit_vec(dim, 0),
                                  labels=[f"f^{i}" for i in range(dim)],
                                  name=f"M({2*n},{n})")

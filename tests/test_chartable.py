@@ -10,7 +10,7 @@ from sepdepth.chartable import (_charpoly, _Subspace,
                                 inclusion_matrix)
 from sepdepth.corpus import corpus_groups
 from sepdepth.errors import (ElementNotInGroup, InvalidArgument,
-                             LiftInconsistency)
+                             LiftInconsistency, SplittingFailure)
 from sepdepth.permgroup import (Permutation, alternating_group,
                                 conjugacy_classes, cyclic_group,
                                 extraspecial_27, quaternion_group,
@@ -109,6 +109,14 @@ def test_split_by_matches_the_lambda_scan():
             assert [(q.rows, q.pivots) for q in new] == \
                 [(q.rows, q.pivots) for q in old], (G, i)
             spaces = new
+
+
+def test_space_left_unsplit_raises(monkeypatch):
+    """The class sums separate the central characters, so refinement ends
+    in lines; a space left wider than a line is refused, not retried."""
+    monkeypatch.setattr(_Subspace, "split_by", lambda self, mat: [self])
+    with pytest.raises(SplittingFailure, match="stalled"):
+        character_table_mod_p(symmetric_group(3))
 
 
 def test_degrees_s3_q8_trivial():

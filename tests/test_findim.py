@@ -4,6 +4,7 @@ import pytest
 
 from findim_oracles import (matrix_algebra_separability_witnesses,
                             monoid_decomposition_dims)
+from sepdepth import findim
 from sepdepth.errors import (CheckFailed, InvalidAlgebra, InvalidArgument,
                              UnitMissing)
 from sepdepth.findim import (AlgebraInclusion, RelativeTensorSquare,
@@ -16,6 +17,7 @@ from sepdepth.findim import (AlgebraInclusion, RelativeTensorSquare,
                              structural_matrix_example, subalgebra_closure,
                              upper_triangular_algebra,
                              verify_separability_witness)
+from sepdepth.linalg import to_dense
 
 
 def ground_field_inclusion(A):
@@ -117,6 +119,22 @@ def test_triangular_subalgebras_for_two_digit_n():
         strict_upper_subalgebra(upper_triangular_algebra(3), 4)
 
 
+def test_building_t20_makes_no_dense_structure_constants(monkeypatch):
+    """T_20 and its subalgebra hand their tables over sparse: findim
+    densifies only the unit and the subalgebra basis, not one list per
+    product b_i b_j (44100 of them)."""
+    calls = []
+
+    def counted(vec, n):
+        calls.append(n)
+        return to_dense(vec, n)
+
+    monkeypatch.setattr(findim, "to_dense", counted)
+    A = upper_triangular_algebra(20)
+    assert strict_upper_subalgebra(A, 20).sub_dimension == 1 + 190
+    assert len(calls) < 2 * A.dimension
+
+
 def test_matrix_witnesses_verify():
     for n in (2, 3):
         A, witnesses = matrix_algebra_separability_witnesses(n)
@@ -136,10 +154,10 @@ def test_checks_raise_package_errors():
         verify_separability_witness(A, rts, [2 * x for x in witnesses[0]])
     with pytest.raises(CheckFailed, match="ideal"):
         _check_nilpotent_ideal(A, [list(A.unit)])
-    one, x = [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]
+    one, x = {0: Fraction(1)}, {1: Fraction(1)}
     with pytest.raises(InvalidAlgebra, match="unit"):
-        StructureConstantAlgebra(dimension=2, mult=[[one, x], [x, one]],
-                                 unit=x).check_associative_and_unital()
+        StructureConstantAlgebra(dimension=2, table=[[one, x], [x, one]],
+                                 unit=[0, 1]).check_associative_and_unital()
     e11, e12, e21 = ({(0, 0): 1}, {(0, 1): 1}, {(1, 0): 1})
     with pytest.raises(InvalidAlgebra, match="independent"):
         _matrix_span_algebra(2, [e12, {(0, 1): 2}])

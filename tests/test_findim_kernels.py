@@ -71,11 +71,14 @@ def test_separability_rows_match_dense_actions(pair):
 
 
 def _perturbed(A, rng):
-    mult = [[list(vec) for vec in row] for row in A.mult]
+    table = [[dict(vec) for vec in row] for row in A.table]
     n = A.dimension
     i, j, k = (rng.randrange(n) for _ in range(3))
-    mult[i][j][k] += Fraction(rng.choice((-1, 1, 2)))
-    return StructureConstantAlgebra(dimension=n, mult=mult, unit=A.unit)
+    vec = table[i][j]
+    vec[k] = vec.get(k, 0) + Fraction(rng.choice((-1, 1, 2)))
+    if not vec[k]:
+        del vec[k]
+    return StructureConstantAlgebra(dimension=n, table=table, unit=A.unit)
 
 
 def test_associativity_check_matches_dense_products():
