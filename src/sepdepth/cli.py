@@ -204,22 +204,35 @@ def subalgebra_from_spec(A, spec):
 # built-in findim fixtures
 
 
-def _fixture(name):
+def _fixture(name, cap):
+    """The named built-in pair (A, B).  Each fixture's dim(A) is known in
+    closed form, so the cap on dim(A (x) A) is checked before any build."""
     kind = name.rstrip("0123456789")
     size = name[len(kind):]
-    n = int(size) if size else (1 if kind == "monoid" else 3)
+    try:
+        n = int(size) if size else (1 if kind == "monoid" else 3)
+    except ValueError:  # more digits than int() converts: no fixture
+        n = 0
     if name == "structural":
+        dim = 9
+    elif n >= 1 and kind in ("triangular", "jordan"):
+        dim = n * (n + 1) // 2
+    elif n >= 1 and kind == "monoid":
+        dim = 2 * n
+    else:
+        raise SpecError(f"unknown fixture {name!r}; try triangular3, "
+                        "jordan3, structural, monoid2")
+    if dim * dim > cap:
+        raise CapExceeded("dim(A tensor A)", dim * dim, cap)
+    if kind == "structural":
         return findim.structural_matrix_example()
-    if n >= 1 and kind in ("triangular", "jordan"):
-        A = findim.upper_triangular_algebra(n)
-        sub = (findim.strict_upper_subalgebra if kind == "triangular"
-               else findim.jordan_subalgebra)
-        return A, sub(A, n)
-    if n >= 1 and kind == "monoid":
+    if kind == "monoid":
         M, e = findim.monoid_algebra(n)
         return M, findim.monoid_nilpotent_part_subalgebra(M, e)
-    raise SpecError(f"unknown fixture {name!r}; try triangular3, jordan3, "
-                    "structural, monoid2")
+    A = findim.upper_triangular_algebra(n)
+    sub = (findim.strict_upper_subalgebra if kind == "triangular"
+           else findim.jordan_subalgebra)
+    return A, sub(A, n)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +291,13 @@ def cmd_corpus(args):
 
 def cmd_findim_demo(args):
     if args.fixture:
-        A, inc = _fixture(args.fixture)
+        A, inc = _fixture(args.fixture, args.cap_linear)
     else:
         if not args.algebra or not args.subalgebra:
             raise SpecError("need --fixture or ALGEBRA and SUBALGEBRA files")
         A = algebra_from_spec(_load_json(args.algebra))
         inc = subalgebra_from_spec(A, _load_json(args.subalgebra))
-    # the cap on dim(A (x) A) is checked here, before J(A) is computed
+    # a spec's cap on dim(A (x) A) is checked here, before J(A) is computed
     separable, witness = findim.is_separable_extension(A, inc,
                                                        cap=args.cap_linear)
     rad = findim.radical(A)

@@ -189,7 +189,13 @@ def subalgebra_closure(A, vectors):
 
 class RelativeTensorSquare:
     """A (x)_B A as a quotient of the n^2-dimensional plain tensor square
-    by span{(a_p b) (x) a_r - a_p (x) (b a_r)} over basis triples."""
+    by span{(a_p b) (x) a_r - a_p (x) (b a_r)} over basis triples.
+
+    Only the distinct nonzero relations reach the echelon: a triple with
+    a_p b = 0 = b a_r gives the zero relation, and a relation equal to an
+    earlier one already lies in the span, so neither would change the
+    rows.  The tensor vectors taken and returned by the ambient actions
+    below are sparse dicts {i*n + j: c} for b_i (x) b_j."""
 
     def __init__(self, A, inclusion, cap=DEFAULT_LINEAR_CAP):
         n = A.dimension
@@ -202,69 +208,85 @@ class RelativeTensorSquare:
         # a_p b and b a_r for every sub-basis vector b
         left = [[_combine(b, S[p]) for b in subs] for p in range(n)]
         right = [[_combine(b, cols[r]) for r in range(n)] for b in subs]
+        # the r with b a_r != 0, the only ones with a relation if a_p b = 0
+        right_support = [[r for r, v in enumerate(row) if v] for row in right]
         self.relations = SparseEchelon()
+        seen = set()
         for p in range(n):
-            for ap_b, b_right in zip(left[p], right):
-                for r in range(n):
+            for ap_b, b_right, support in zip(left[p], right, right_support):
+                for r in (range(n) if ap_b else support):
                     rel = {i * n + r: c for i, c in ap_b.items()}
                     for j, c in b_right[r].items():
                         rel[p * n + j] = rel.get(p * n + j, 0) - c
-                    self.relations.add(rel)
+                    rel = {k: c for k, c in rel.items() if c}
+                    key = frozenset(rel.items())
+                    if rel and key not in seen:
+                        seen.add(key)
+                        self.relations.add(rel)
         self.free = [c for c in range(n * n)
                      if c not in self.relations.rows]
 
     def project(self, vec):
-        """Reduce an ambient tensor vector mod the relations; returns
-        coordinates on the free (quotient) positions."""
-        v = self.relations.reduce(to_sparse(vec), full=True)
-        return [v.get(c, Fraction(0)) for c in self.free]
+        """Reduce a sparse ambient tensor vector mod the relations; returns
+        its sparse coordinates {c: x} on the free (quotient) positions
+        free[c]."""
+        column = {pos: c for c, pos in enumerate(self.free)}
+        return {column[pos]: x for pos, x
+                in self.relations.reduce(vec, full=True).items()}
 
     def dim(self):
         return len(self.free)
 
     def left_mult_ambient(self, a_vec, vec):
-        """a . (u (x) v) on the plain tensor square; rows b_i (x) - where
-        vec is zero are skipped."""
+        """a . t for a dense algebra element a and a sparse tensor t: each
+        row b_i (x) - of t's support is multiplied through A.multiply."""
         n = self.n
-        out = [Fraction(0)] * (n * n)
-        for i in range(n):
-            row = [(j, c) for j, c in enumerate(vec[i * n:(i + 1) * n]) if c]
-            if row:
-                col = self.A.multiply(a_vec, _unit_vec(n, i))
-                for k, x in enumerate(col):
-                    if x:
-                        for j, c in row:
-                            out[k * n + j] += c * x
-        return out
+        rows = {}
+        for idx, c in vec.items():
+            i, j = divmod(idx, n)
+            rows.setdefault(i, []).append((j, c))
+        out = {}
+        for i, row in rows.items():
+            col = self.A.multiply(a_vec, _unit_vec(n, i))
+            for k, x in enumerate(col):
+                if x:
+                    for j, c in row:
+                        out[k * n + j] = out.get(k * n + j, 0) + c * x
+        return {k: x for k, x in out.items() if x}
 
     def right_mult_ambient(self, vec, a_vec):
-        """(u (x) v) . a, skipping the columns - (x) b_j where vec is
-        zero."""
+        """t . a for a sparse tensor t and a dense algebra element a: each
+        column - (x) b_j of t's support is multiplied through
+        A.multiply."""
         n = self.n
-        out = [Fraction(0)] * (n * n)
-        for j in range(n):
-            column = [(i, c) for i, c in enumerate(vec[j::n]) if c]
-            if column:
-                row = self.A.multiply(_unit_vec(n, j), a_vec)
-                for k, x in enumerate(row):
-                    if x:
-                        for i, c in column:
-                            out[i * n + k] += c * x
-        return out
+        columns = {}
+        for idx, c in vec.items():
+            i, j = divmod(idx, n)
+            columns.setdefault(j, []).append((i, c))
+        out = {}
+        for j, column in columns.items():
+            row = self.A.multiply(_unit_vec(n, j), a_vec)
+            for k, x in enumerate(row):
+                if x:
+                    for i, c in column:
+                        out[i * n + k] = out.get(i * n + k, 0) + c * x
+        return {k: x for k, x in out.items() if x}
 
     def mu_ambient(self, vec):
+        """mu(t) as a sparse algebra element, each b_i b_j of t's support
+        through A.multiply."""
         n = self.n
-        out = [Fraction(0)] * n
-        for idx, c in enumerate(vec):
-            if c:
-                i, j = divmod(idx, n)
-                prod = self.A.multiply(_unit_vec(n, i), _unit_vec(n, j))
-                for k, x in enumerate(prod):
-                    out[k] += c * x
-        return out
+        out = {}
+        for idx, c in vec.items():
+            i, j = divmod(idx, n)
+            prod = self.A.multiply(_unit_vec(n, i), _unit_vec(n, j))
+            for k, x in enumerate(prod):
+                if x:
+                    out[k] = out.get(k, 0) + c * x
+        return {k: x for k, x in out.items() if x}
 
     def lift(self, coords):
-        """Ambient representative of quotient coordinates."""
+        """Dense ambient representative of quotient coordinates."""
         n = self.n
         v = [Fraction(0)] * (n * n)
         for c, pos in zip(coords, self.free):
@@ -320,18 +342,20 @@ def separability_system(A, rts):
 def verify_separability_witness(A, rts, witness):
     """Exact check: A-centrality residual zero in the quotient, mu = 1.
 
-    It acts on the witness through A.multiply (the dense ambient actions
-    below), not through separability_system's table reads, so a slip in
-    either one cannot verify itself.  The projection is linear, so the
-    residual a t - t a is zero in the quotient iff both sides project to
-    the same coordinates."""
+    The dense witness is made sparse once, and every action below runs on
+    its support only.  It acts on the witness through A.multiply (the
+    ambient actions of rts), not through separability_system's table
+    reads, so a slip in either one cannot verify itself.  The projection
+    is linear, so the residual a t - t a is zero in the quotient iff both
+    sides project to the same coordinates."""
     n = A.dimension
+    t = to_sparse(witness)
     for a_idx in range(n):
         a = _unit_vec(n, a_idx)
-        if (rts.project(rts.left_mult_ambient(a, witness))
-                != rts.project(rts.right_mult_ambient(witness, a))):
+        if (rts.project(rts.left_mult_ambient(a, t))
+                != rts.project(rts.right_mult_ambient(t, a))):
             raise CheckFailed("witness: centrality residual nonzero")
-    if rts.mu_ambient(witness) != A.unit:
+    if rts.mu_ambient(t) != to_sparse(A.unit):
         raise CheckFailed("witness: mu(e) != 1")
 
 

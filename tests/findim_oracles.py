@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from sepdepth.errors import CheckFailed, InvalidAlgebra
 from sepdepth.findim import matrix_algebra
-from sepdepth.linalg import SparseEchelon, rank, rref, to_sparse
+from sepdepth.linalg import SparseEchelon, rank, rref, to_dense, to_sparse
 
 
 def unit_vec(n, i):
@@ -59,20 +59,21 @@ def dense_relations(A, inclusion):
 
 
 def dense_separability_system(A, rts):
-    """separability_system's rows from the dense ambient actions of the
-    quotient basis lifts."""
+    """separability_system's rows from the ambient actions of the quotient
+    basis lifts, which act through A.multiply; their sparse results are
+    made dense to take the commutator."""
     n, q = A.dimension, rts.dim()
     rows = [{} for _ in range(n * q + n)]
     for c in range(q):
-        lv = rts.lift(unit_vec(q, c))
+        lv = to_sparse(rts.lift(unit_vec(q, c)))
         for a_idx in range(n):
             a = unit_vec(n, a_idx)
-            diff = [x - y for x, y in zip(rts.left_mult_ambient(a, lv),
-                                          rts.right_mult_ambient(lv, a))]
-            for i, x in enumerate(rts.project(diff)):
-                if x:
-                    rows[a_idx * q + i][c] = x
-        for k, x in enumerate(rts.mu_ambient(lv)):
+            left = to_dense(rts.left_mult_ambient(a, lv), n * n)
+            right = to_dense(rts.right_mult_ambient(lv, a), n * n)
+            diff = to_sparse([x - y for x, y in zip(left, right)])
+            for i, x in rts.project(diff).items():
+                rows[a_idx * q + i][c] = x
+        for k, x in enumerate(to_dense(rts.mu_ambient(lv), n)):
             if x:
                 rows[n * q + k][c] = x
     for k, x in enumerate(A.unit):

@@ -157,7 +157,9 @@ def test_findim_demo_unknown_fixture(capsys):
 
 
 @pytest.mark.parametrize("name", ["triangularx", "monoid0", "structural2",
-                                  "triangular0", "jordan0"])
+                                  "triangular0", "jordan0",
+                                  "triangular" + "9" * 5000],
+                         ids=lambda name: name[:12])
 def test_findim_demo_malformed_fixture_exit_1(capsys, name):
     assert main(["findim-demo", "--fixture", name]) == 1
     assert "unknown fixture" in capsys.readouterr().err
@@ -354,6 +356,40 @@ def test_findim_demo_checks_the_cap_before_the_radical(capsys, monkeypatch):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, builder, square, cap", [
+    ("triangular40", "upper_triangular_algebra", 820 ** 2, None),
+    ("jordan40", "upper_triangular_algebra", 820 ** 2, None),
+    ("monoid3000", "monoid_algebra", 6000 ** 2, None),
+    ("structural", "structural_matrix_example", 81, "80"),
+])
+def test_findim_demo_checks_a_fixture_cap_before_the_build(
+        capsys, monkeypatch, name, builder, square, cap):
+    """A fixture over the cap exits 2 with the message the tensor square
+    raises, without building the algebra: its dimension is known in
+    closed form."""
+    from sepdepth import findim
+
+    def build(*args):
+        raise AssertionError("fixture built before the cap check")
+
+    monkeypatch.setattr(findim, builder, build)
+    if cap is None:
+        monkeypatch.delenv("SEPDEPTH_CAP_LINEAR", raising=False)
+        cap = "4096"
+    else:
+        monkeypatch.setenv("SEPDEPTH_CAP_LINEAR", cap)
+    assert main(["findim-demo", "--fixture", name]) == 2
+    assert capsys.readouterr().err == (
+        f"cap exceeded: dim(A tensor A) = {square} exceeds cap {cap}\n")
+
+
+def test_findim_demo_fixture_at_the_cap_is_built(capsys, monkeypatch):
+    """dim(T_3)^2 = 36 is not over a cap of 36."""
+    monkeypatch.setenv("SEPDEPTH_CAP_LINEAR", "36")
+    assert main(["findim-demo", "--fixture", "triangular3"]) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 6
+
+
 # b0 is the unit, b1*b1 = b2, b2*b2 = b0: (b1 b1) b2 = b0 but b1 (b1 b2) = 0
 NON_ASSOCIATIVE = {
     "structure": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
@@ -435,7 +471,7 @@ def test_findim_demo_fixture_output_unchanged(capsys):
     regular-representation code printed (recorded in tests/data)."""
     with open(FIXTURE_OUTPUTS) as fh:
         expected = json.load(fh)
-    assert len(expected) == 11
+    assert len(expected) == 13
     for name, text in sorted(expected.items()):
         assert main(["findim-demo", "--fixture", name]) == 0
         assert capsys.readouterr().out == text, name

@@ -146,6 +146,37 @@ def test_matrix_witnesses_verify():
         assert witnesses[0] != witnesses[1]
 
 
+def test_witness_check_rejects_a_non_central_tensor():
+    """Adding e12 (x) e11 to an M_2 witness over the ground field keeps
+    mu = 1 (e12 e11 = 0) but breaks centrality."""
+    A, witnesses = matrix_algebra_separability_witnesses(2)
+    rts = RelativeTensorSquare(A, ground_field_inclusion(A))
+    n, lab = A.dimension, {l: i for i, l in enumerate(A.labels)}
+    bad = list(witnesses[0])
+    bad[lab["e12"] * n + lab["e11"]] += 1
+    with pytest.raises(CheckFailed, match="centrality"):
+        verify_separability_witness(A, rts, bad)
+
+
+def test_witness_check_works_modulo_the_relations():
+    """Over B = k1 + strict upper triangulars in T_3: e22 (x) e11 has
+    e22 e11 = 0 but is not central, while e12 (x) e11 = e11 (x) e12 e11 = 0
+    in A (x)_B A, since e12 lies in B; the check sees both."""
+    A = upper_triangular_algebra(3)
+    incl = strict_upper_subalgebra(A, 3)
+    sep, witness = is_separable_extension(A, incl)
+    assert sep
+    rts = RelativeTensorSquare(A, incl)
+    n, lab = A.dimension, {l: i for i, l in enumerate(A.labels)}
+    zero_in_quotient = list(witness)
+    zero_in_quotient[lab["e12"] * n + lab["e11"]] += 1
+    verify_separability_witness(A, rts, zero_in_quotient)
+    bad = list(witness)
+    bad[lab["e22"] * n + lab["e11"]] += 1
+    with pytest.raises(CheckFailed, match="centrality"):
+        verify_separability_witness(A, rts, bad)
+
+
 def test_checks_raise_package_errors():
     """Validation and result checks raise, so they hold under python -O."""
     A, witnesses = matrix_algebra_separability_witnesses(2)

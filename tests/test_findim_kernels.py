@@ -18,7 +18,9 @@ from sepdepth.findim import (AlgebraInclusion, RelativeTensorSquare,
                              StructureConstantAlgebra, _check_nilpotent_ideal,
                              _is_ideal, _matrix_span_algebra,
                              jordan_subalgebra, matrix_algebra,
-                             monoid_algebra, radical, separability_system,
+                             monoid_algebra,
+                             monoid_nilpotent_part_subalgebra, radical,
+                             separability_system,
                              strict_upper_subalgebra,
                              structural_matrix_example, subalgebra_closure,
                              trace_form, upper_triangular_algebra)
@@ -39,6 +41,14 @@ def _inclusions():
         yield A, jordan_subalgebra(A, n)
         yield A, AlgebraInclusion(A, [list(A.unit)])
     yield structural_matrix_example()
+    A = upper_triangular_algebra(5)
+    yield A, strict_upper_subalgebra(A, 5)
+    M, e = monoid_algebra(3)
+    yield M, monoid_nilpotent_part_subalgebra(M, e)
+    # every pair above has relations with coefficients +-1 only; this B
+    # gives +-2 as well
+    A = upper_triangular_algebra(3)
+    yield A, AlgebraInclusion(A, [list(A.unit), [0, 1, 2, 0, 0, 0]])
 
 
 def _reduced(ech):
@@ -57,6 +67,27 @@ def test_tensor_square_relations_match_dense(pair):
     A, incl = pair
     rts = RelativeTensorSquare(A, incl)
     assert _reduced(rts.relations) == _reduced(dense_relations(A, incl))
+
+
+def test_tensor_square_adds_only_distinct_nonzero_relations(monkeypatch):
+    """On T_6 over k1 + strict upper triangulars, the n*m*n = 7056
+    relation triples hold 630 distinct nonzero relations for rank 390;
+    fewer than 3 adds per rank step reach the echelon."""
+    A = upper_triangular_algebra(6)
+    incl = strict_upper_subalgebra(A, 6)
+    adds = []
+    original = SparseEchelon.add
+
+    def counting(self, vec):
+        adds.append(vec)
+        return original(self, vec)
+
+    monkeypatch.setattr(SparseEchelon, "add", counting)
+    rts = RelativeTensorSquare(A, incl)
+    assert rts.relations.rank == 390
+    assert len(adds) < 3 * rts.relations.rank
+    assert all(adds)
+    assert len({frozenset(rel.items()) for rel in adds}) == len(adds)
 
 
 @pytest.mark.parametrize("pair", list(_inclusions()),
