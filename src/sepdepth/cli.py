@@ -114,10 +114,13 @@ def subgroup_from_spec(G, spec):
 
 
 def _frac(x):
+    """A spec's rational entry: an int when it is integral, which keeps
+    integer input on the echelon's fraction-free path."""
     try:
-        return Fraction(x)
+        f = Fraction(x)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise SpecError(f"bad rational {x!r}: {exc}")
+    return f.numerator if f.denominator == 1 else f
 
 
 def algebra_from_spec(spec):
@@ -168,7 +171,7 @@ def _labels(spec, dim):
 
 
 def _matrix(mat, m):
-    """An m x m matrix spec as rows of Fractions."""
+    """An m x m matrix spec as rows of rationals (see _frac)."""
     if (not isinstance(mat, list) or len(mat) != m
             or not all(isinstance(r, list) and len(r) == m for r in mat)):
         raise SpecError(f"matrix is not {m}x{m}: {mat!r}")

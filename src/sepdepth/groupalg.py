@@ -18,7 +18,7 @@ from math import lcm
 from operator import add
 
 from .errors import CapExceeded, CheckFailed, NotInT
-from .linalg import SparseEchelon, solve_affine
+from .linalg import SparseEchelon
 from .permgroup import (conjugacy_classes, h_classes, h_orbits,
                         index_orbits, part_labels, right_cosets,
                         right_transversal)
@@ -149,24 +149,34 @@ def separability_elements(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
     """
     if ts is None:
         ts = TensorSquare(G, H, cap=cap)
-    # affine system: sum_a c_a mu(w_a) = 1 in kG, with integer mu(w_a);
-    # each mu(w_a) is central, so conjugate elements give equal equations
-    # and one copy of each is kept
+    # affine system: sum_a c_a mu(w_a) = 1 in kG, with integer mu(w_a).
+    # Row gi holds the mu(w_a)[gi] and, in column ncols, [gi = 1].  Each
+    # mu(w_a) is central, so conjugate elements give equal rows and one
+    # copy of each is kept.
     mus = [ts.mu(dict.fromkeys(w, 1)) for w in ts.casimir]
+    ncols = len(mus)
     one = G.index_of(G.identity)
-    system = dict.fromkeys((tuple(m.get(gi, 0) for m in mus), int(gi == one))
-                           for gi in range(G.order))
-    rows, rhs = zip(*system)
-    sol, kernel = solve_affine(rows, rhs)
-    if sol is None:
-        return "none", None, len(kernel)
+    rows = [{} for _ in range(G.order)]
+    for a, m in enumerate(mus):
+        for gi, c in m.items():
+            rows[gi][a] = c
+    rows[one][ncols] = 1
+    system = {frozenset(row.items()): row for row in rows}
+    # the forward echelon decides it: the system is consistent iff column
+    # ncols is no pivot, and the kernel of the coefficient matrix has
+    # dimension ncols - (rank - [ncols is a pivot])
+    ech = SparseEchelon(system.values())
+    consistent = ncols not in ech.rows
+    kernel_dim = ncols - ech.rank + (not consistent)
+    if not consistent:
+        return "none", None, kernel_dim
     e = ts.canonical_separability_element()
     if not ts.is_central(e):
         raise CheckFailed("canonical separability element is not central")
     if ts.mu(e) != {one: 1}:
         raise CheckFailed("mu of the canonical separability element is not 1")
-    kind = "unique" if not kernel else "infinite"
-    return kind, e, len(kernel)
+    kind = "unique" if not kernel_dim else "infinite"
+    return kind, e, kernel_dim
 
 
 def unique_separable(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):

@@ -1,14 +1,19 @@
 """Exact rational linear algebra.
 
-One eliminator lives here: a sparse incremental echelon over
-:class:`fractions.Fraction`.  The group-algebra span tests use its
-forward reduction; back-substitution gives the reduced rows, and with them
+One eliminator lives here: a sparse incremental echelon over the
+rationals.  It is fraction-free on integer input: entries come in as they
+are, forward reduction cross-multiplies instead of dividing by a pivot,
+and an integer row is stored primitive, so span tests on integer vectors
+never build a ``Fraction``.  The group-algebra span tests use its forward
+reduction; normal forms and back-substitution divide by pivots (an exact
+quotient stays an ``int``) and give the reduced rows, and with them
 nullspaces and affine solutions.  The dense routines (RREF, nullspace,
 affine solve, rank) are list-in/list-out adapters over it.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 from operator import mul
 
 
@@ -25,17 +30,27 @@ def to_dense(vec, n):
     return out
 
 
+def _div(x, d):
+    """x / d exactly for an int pivot d: an int when d divides an int x."""
+    if type(x) is int and not x % d:
+        return x // d
+    return Fraction(x, d)
+
+
 class SparseEchelon:
     """Row-echelon basis of sparse vectors, built incrementally.
 
-    Vectors are dicts mapping coordinate index to a nonzero number
-    (Fraction or int); rows are stored with pivot coefficient 1 and are
-    forward-reduced only until ``back_substitute`` turns them into the
-    reduced row echelon form of their span.
+    Vectors are dicts mapping coordinate index to a nonzero int or
+    Fraction.  A row of ints only is stored primitive (its entries have
+    gcd 1) with a positive pivot coefficient; a row holding a Fraction is
+    stored with pivot coefficient 1.  Rows stay forward-reduced only until
+    ``back_substitute`` turns them into the reduced row echelon form of
+    their span, every pivot coefficient 1.
     """
 
     def __init__(self, vectors=()):
-        self.rows = {}  # pivot index -> Fraction vector dict (pivot coeff 1)
+        self.rows = {}  # pivot index -> row dict (see the class docstring)
+        self._reduced = True  # rows are the reduced row echelon form
         for vec in vectors:
             self.add(vec)
 
@@ -44,15 +59,16 @@ class SparseEchelon:
         return len(self.rows)
 
     def reduce(self, vec, full=False):
-        """Return vec reduced against the basis (Fraction dict).
+        """Return vec reduced against the basis.
 
-        By default only until its leading entry is off the pivots; with
-        full=True on every pivot, which gives the normal form of vec
-        modulo the span (zero on every pivot, unique for the span).
+        By default only until its leading entry is off the pivots, with
+        no division by a pivot: an integer vec is cross-multiplied, so the
+        result is vec's reduction up to a nonzero factor.  With full=True
+        on every pivot, dividing by the pivots, which gives the normal
+        form of vec modulo the span (zero on every pivot, unique for the
+        span).
         """
-        vec = {k: Fraction(v) for k, v in vec.items() if v}
-        if not vec:
-            return {}
+        vec = {k: v for k, v in vec.items() if v}
         heap = list(vec)
         heapify(heap)
         while heap:
@@ -66,8 +82,19 @@ class SparseEchelon:
                 if full:
                     continue
                 # p is the true pivot of the reduced vector
-                heappush(heap, p)
                 break
+            d = row[p]
+            if d != 1:
+                if full or type(c) is not int:
+                    c = _div(c, d)
+                else:
+                    # vec <- (d/g) vec - (c/g) row
+                    g = gcd(c, d)
+                    c //= g
+                    if g != d:
+                        s = d // g
+                        for k in vec:
+                            vec[k] *= s
             for k, v in row.items():
                 w = vec.get(k, 0) - c * v
                 if w:
@@ -76,7 +103,7 @@ class SparseEchelon:
                     vec[k] = w
                 else:
                     vec.pop(k, None)
-        return {k: v for k, v in vec.items() if v}
+        return vec
 
     def add(self, vec):
         """Insert vec; return True if it increased the rank."""
@@ -84,33 +111,48 @@ class SparseEchelon:
         if not vec:
             return False
         p = min(vec)
-        inv = Fraction(1) / vec[p]
-        self.rows[p] = {k: v * inv for k, v in vec.items()}
+        if all(type(v) is int for v in vec.values()):
+            g = gcd(*vec.values())
+            if vec[p] < 0:
+                g = -g
+            if g != 1:
+                vec = {k: v // g for k, v in vec.items()}
+        else:
+            inv = Fraction(1) / vec[p]
+            vec = {k: v * inv for k, v in vec.items()}
+        self.rows[p] = vec
+        self._reduced = False
         return True
 
     def contains(self, vec):
         return not self.reduce(vec)
 
     def basis(self):
-        """Basis rows sorted by pivot (Fraction coefficient dicts)."""
+        """Basis rows sorted by pivot, as stored: an integer row has its
+        primitive pivot coefficient, not 1, until ``back_substitute``."""
         return [self.rows[p] for p in sorted(self.rows)]
 
     def back_substitute(self):
-        """Clear every pivot column outside its own row; return the rows,
-        now the reduced row echelon form, sorted by pivot."""
-        for p in sorted(self.rows, reverse=True):
-            tail = self.rows[p]
-            del tail[p]
-            # rows with a larger pivot are reduced already
-            self.rows[p] = {p: Fraction(1), **self.reduce(tail, full=True)}
+        """Clear every pivot column outside its own row and scale each
+        pivot coefficient to 1; return the rows, now the reduced row
+        echelon form, sorted by pivot."""
+        if not self._reduced:
+            for p in sorted(self.rows, reverse=True):
+                tail = self.rows[p]
+                d = tail.pop(p)
+                # rows with a larger pivot are reduced already
+                tail = self.reduce(tail, full=True)
+                if d != 1:
+                    tail = {k: _div(v, d) for k, v in tail.items()}
+                self.rows[p] = {p: 1, **tail}
+            self._reduced = True
         return self.basis()
 
     def kernel(self, ncols):
         """Nullspace of the rows read as equations in unknowns
         0..ncols-1: one vector per free unknown f, with 1 at f."""
         rows = self.back_substitute()
-        free = {f: {f: Fraction(1)} for f in range(ncols)
-                if f not in self.rows}
+        free = {f: {f: 1} for f in range(ncols) if f not in self.rows}
         for row in rows:
             p = min(row)
             for k, v in row.items():
@@ -136,13 +178,19 @@ def _echelon(mat):
     return SparseEchelon(map(to_sparse, mat))
 
 
+def _fractions(vec, n):
+    """Dense list of a sparse row, every entry a Fraction: the dense
+    routines hand back Fractions whatever the entry types."""
+    return to_dense({k: Fraction(x) for k, x in vec.items()}, n)
+
+
 def rref(mat):
     """Reduced row echelon form; returns (rows, pivot column list)."""
     if not mat:
         return [], []
     ncols = len(mat[0])
     rows = _echelon(mat).back_substitute()
-    return [to_dense(r, ncols) for r in rows], [min(r) for r in rows]
+    return [_fractions(r, ncols) for r in rows], [min(r) for r in rows]
 
 
 def nullspace(mat, ncols=None):
@@ -151,7 +199,7 @@ def nullspace(mat, ncols=None):
         return [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
                 for j in range(ncols or 0)]
     ncols = len(mat[0])
-    return [to_dense(v, ncols) for v in _echelon(mat).kernel(ncols)]
+    return [_fractions(v, ncols) for v in _echelon(mat).kernel(ncols)]
 
 
 def solve_affine(mat, rhs):
@@ -164,8 +212,8 @@ def solve_affine(mat, rhs):
     ncols = len(mat[0])
     ech = _echelon(list(row) + [b] for row, b in zip(mat, rhs))
     sol = ech.solution(ncols)
-    null = [to_dense(v, ncols) for v in ech.kernel(ncols)]
-    return (None if sol is None else to_dense(sol, ncols)), null
+    null = [_fractions(v, ncols) for v in ech.kernel(ncols)]
+    return (None if sol is None else _fractions(sol, ncols)), null
 
 
 def rank(mat):

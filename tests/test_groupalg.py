@@ -11,13 +11,14 @@ from groupalg_oracles import (TProductTable, USpace, casimir_orbits,
                               teT_candidates, trace_form_signatures,
                               trace_image, u_span_brute, u_trace_images,
                               unit)
-from sepdepth.corpus import corpus_pairs
+from sepdepth import linalg
+from sepdepth.corpus import corpus_pairs, corpus_subgroups
 from sepdepth.errors import CapExceeded, NotInT
 from sepdepth.groupalg import (TensorSquare, _teT_images,
                                _u_trace_form_counts, idempotent_in_t,
                                is_full_in_T, is_full_in_U,
                                separability_elements, unique_separable)
-from sepdepth.linalg import SparseEchelon, nullspace
+from sepdepth.linalg import SparseEchelon, nullspace, solve_affine
 from sepdepth.permgroup import (Permutation, all_subgroups,
                                 alternating_group, cyclic_group,
                                 dihedral_group, direct_product, h_orbits,
@@ -122,6 +123,25 @@ def test_separability_kinds():
     GX = direct_product(symmetric_group(3), cyclic_group(2))
     HX = GX.subgroup(list(GX.generators[:2]))
     assert separability_elements(GX, HX)[0] == "unique"
+
+
+def test_separability_triple_matches_dense_solve():
+    """kind and kernel_dim, read off one forward echelon, equal what the
+    back-substituting dense solve of the full |G|-row system gives, on
+    every corpus pair below order 60."""
+    for name, G, H in corpus_pairs():
+        if G.order >= 60:
+            continue
+        ts = TensorSquare(G, H)
+        mus = [ts.mu(dict.fromkeys(w, 1)) for w in ts.casimir]
+        one = G.index_of(G.identity)
+        sol, null = solve_affine([[m.get(gi, 0) for m in mus]
+                                  for gi in range(G.order)],
+                                 [int(gi == one) for gi in range(G.order)])
+        kind = ("none" if sol is None else
+                "unique" if not null else "infinite")
+        got_kind, _, kdim = separability_elements(G, H, ts=ts)
+        assert (got_kind, kdim) == (kind, len(null)), name
 
 
 def test_unique_separable_examples():
@@ -271,6 +291,25 @@ def test_u_trace_form_counts_are_the_explicit_traces():
             assert one == want_one
             assert Counter(frozenset(i.items()) for i in images) == \
                 Counter(frozenset(i.items()) for i in want_images)
+
+
+def test_corpus_span_tests_stay_in_integers(monkeypatch):
+    """On S5/o4.0 the two fullness tests and the separability solve run
+    on integer vectors only: the echelon builds no Fraction."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Fraction", counted)
+    G = symmetric_group(5)
+    H = next(H for H in corpus_subgroups(G) if H.name == "o4.0")
+    ts = TensorSquare(G, H)
+    assert separability_elements(G, H, ts=ts)[0] == "infinite"
+    assert not is_full_in_T(G, H, ts=ts)
+    assert not is_full_in_U(G, H, cap=G.order ** 2)
+    assert built == []
 
 
 def test_fullness_in_u_cap():
