@@ -257,12 +257,6 @@ class CharacterTableModP:
                 if (s * inv_order) % p != (1 if i == j else 0):
                     raise CheckFailed("rows are not orthonormal")
 
-    def to_json_dict(self):
-        return {"prime": self.prime, "seed": self.seed,
-                "degrees": list(self.degrees),
-                "table": [list(r) for r in self.table],
-                "class_sizes": list(self.class_data.sizes)}
-
 
 def character_table_mod_p(G, prime=None, seed=0):
     """Character table of a group or subgroup G with values in GF(prime).
@@ -337,10 +331,6 @@ class InclusionMatrix:
     entries: tuple           # rows = irreducibles of H, cols = irreducibles of G
     row_degrees: tuple
     col_degrees: tuple
-
-    @property
-    def shape(self):
-        return (len(self.entries), len(self.entries[0]))
 
     def as_lists(self):
         return [list(r) for r in self.entries]

@@ -9,7 +9,8 @@ the orbit indicator basis {g_i^-1 d (x) g_i : d in O, all i}, one orbit
 per H-orbit O on G -- already in reduced echelon form.  Fullness of the
 separability idempotent in T, and of the H-support projection in the
 bimodule endomorphism ring U, are decided by integer trace-form counts;
-for T one count per Casimir orbit suffices (proof in ``_teT_images``).
+for T one count per conjugacy class of G suffices (proof in
+``_teT_images``).
 """
 
 from collections import Counter
@@ -213,16 +214,12 @@ def _one_in_span(one, images):
 
 
 def _teT_images(ts):
-    """Trace-form images of 1 and of the Casimir orbits w, which span the
-    trace-form image of TeT.
+    """Trace-form images of 1 and of the G-class counts a^L, which span
+    the trace-form image of TeT.
 
     An image has one integer coordinate K * c + K' per pair of the c
     conjugacy classes of G.  On a basis point b (x) g_j the trace form (see
-    is_full_in_T) counts the h in H with (b h)^-1 in K and g_j^-1 h in K',
-    so the image of w is the direct count
-
-        tau(w)[K, K'] = #{((b, i) in w, h in H) : (b h)^-1 in K,
-                                                  g_i^-1 h in K'}.
+    is_full_in_T) counts the h in H with (b h)^-1 in K and g_j^-1 h in K'.
 
     TeT is spanned by the w.r with w Casimir and r in A^B, and tau(w.r)
     lies in the span of the tau(w):
@@ -235,31 +232,39 @@ def _teT_images(ts):
       d r in A^B, hence tau(w_d.r) = tau(w_{dr}).
 
     The w themselves lie in TeT (r = 1), so span tau(TeT) = span{tau(w)}.
-    All the images take dim * |H| = |G|^2 steps, moving no basis point.
-    Returns the image of 1 (the point 1 (x) 1) and a generator of the
-    images, one per Casimir orbit in the order of ts.casimir.
+    The image of the Casimir orbit w_O = {g_i^-1 d (x) g_i : d in O, all i}
+    of an H-orbit O is a class count: with L the G-class of O^-1 and z in L,
+
+        tau(w_O)[K, K'] = |O| * a^L[K, K'],
+        a^L[K, K'] = #{(y, x) in K x K' : y x = z}.
+
+    For the point (i, d) and h in H put x = g_i^-1 h and y = (g_i^-1 d h)^-1,
+    so y x = h^-1 d^-1 h.  As (i, h) runs over transversal x H, x runs
+    over G exactly once, and for a fixed h, d -> h^-1 d^-1 h is a bijection
+    from O onto O^-1; the number of (y, x) in K x K' with y x = u is the
+    same for every u in L.  Every G-class contains an H-orbit, so
+    span tau(TeT) = span{a^L : L a class of G}, and these c vectors are
+    linearly independent: on K = {1}, a^L is the indicator of L.
+
+    a^L is counted over the pairs (u^-1, u z), u in G, from the right map
+    of the least element z of L: c * |G| steps in all, moving no basis
+    point.  Returns the image of 1 (the point 1 (x) 1) and a generator of
+    the a^L, one per class in the order of conjugacy_classes.
     """
     G, inv = ts.G, ts.G.inverse
     classes = conjugacy_classes(G, indices=True)
     c = len(classes)
     class_of = part_labels(classes, G.order)
-    hidx = [G.index_of(h) for h in ts.H.elements]
-    # the K part per element index b (row b of the maps g -> g h) and the
-    # K' part per transversal index i, both listed over h in H
-    kpart = [[class_of[inv[x]] * c for x in row]
-             for row in zip(*map(G.right_map, hidx))]
-    kppart = [[class_of[G.mul(inv[rep], h)] for h in hidx]
-              for rep in ts.reps]
-    one = Counter(class_of[inv[h]] * c + class_of[h] for h in hidx)
+    one = Counter(class_of[inv[h]] * c + class_of[h]
+                  for h in map(G.index_of, ts.H.elements))
+    # the K part of the pair (u^-1, u z), per element index u
+    kpart = [class_of[y] * c for y in inv]
 
-    def image(w):
-        counts = Counter()
-        for idx in w:
-            b, i = divmod(idx, ts.n)
-            counts.update(map(add, kpart[b], kppart[i]))
-        return dict(counts)
+    def image(cls):
+        z_map = G.right_map(cls[0])
+        return dict(Counter(map(add, kpart, map(class_of.__getitem__, z_map))))
 
-    return dict(one), map(image, ts.casimir)
+    return dict(one), map(image, classes)
 
 
 def is_full_in_T(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
@@ -272,13 +277,13 @@ def is_full_in_T(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
     K (x) K' in the center of A (x) A^op acting on A (x)_B A; on a basis
     point b (x) g_j that trace counts, up to the constant factor dim, the
     h in H with (b h)^-1 in K and g_j^-1 h in K'.  So 1 is in TeT iff the
-    trace-form image of 1 lies in the span of the images of TeT, and those
-    are spanned by the images of the Casimir orbits (proof in
-    ``_teT_images``).  The images have one integer coordinate per pair of
-    conjugacy classes of G and are counted from class data, so the test
-    stays small no matter how large the tensor square is.  Repeated images
-    are skipped and the test stops as soon as the image of 1 is in the
-    span.
+    trace-form image of 1 lies in the span of the images of TeT.  Those
+    span what the c class-pair counts a^L span, one per class L of G with
+    a^L[K, K'] = #{(y, x) in K x K' : y x = z} for a z in L (proof in
+    ``_teT_images``).  The counts take c * |G| steps, read off the right
+    maps of the class representatives, so the test stays small no matter
+    how large the tensor square is; it stops as soon as the image of 1 is
+    in the span.
     """
     if ts is None:
         ts = TensorSquare(G, H, cap=cap)

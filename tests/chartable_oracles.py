@@ -5,7 +5,9 @@ element by element over H with Permutation inverses.  The class
 multiplication coefficients are counted from Permutation products.  The
 eigenspace split tries every lam in GF(p), as ``_Subspace.split_by`` did
 before it read the eigenvalues off the characteristic polynomial, and the
-determinant is plain Gaussian elimination mod p.
+determinant is plain Gaussian elimination mod p.  ``inclusion_shape`` and
+``table_json_dict`` read an inclusion matrix and a character table for the
+tests.
 """
 
 from sepdepth.chartable import _mat_vec, _Subspace
@@ -98,3 +100,16 @@ def split_by_scan(space, mat):
     if total != k:
         raise SplittingFailure("class matrix not diagonalizable mod p")
     return pieces
+
+
+def inclusion_shape(M):
+    """(rows, columns) of an inclusion matrix."""
+    return (len(M.entries), len(M.entries[0]))
+
+
+def table_json_dict(tab):
+    """A character table mod p as a JSON-ready dict."""
+    return {"prime": tab.prime, "seed": tab.seed,
+            "degrees": list(tab.degrees),
+            "table": [list(r) for r in tab.table],
+            "class_sizes": list(tab.class_data.sizes)}

@@ -9,7 +9,9 @@ idempotent check on e and the echelon kernel.  The T-product, the
 per-basis-point trace forms and the permutations of the tensor-square
 basis are computed from Permutation products; ``casimir_orbits`` searches
 the Casimir basis on all dim basis points, the reference for the closed
-form ``TensorSquare.casimir_basis``.
+form ``TensorSquare.casimir_basis``.  ``casimir_trace_images`` counts the
+trace-form image of each Casimir orbit point by point, the reference for
+the class-pair counts of ``groupalg._teT_images``.
 """
 
 from collections import Counter
@@ -20,7 +22,7 @@ from sepdepth.errors import CapExceeded, CheckFailed, NotInT
 from sepdepth.groupalg import DEFAULT_LINEAR_CAP, TensorSquare, idempotent_in_t
 from sepdepth.linalg import SparseEchelon
 from sepdepth.permgroup import (conjugacy_classes, h_orbits, index_orbits,
-                                right_transversal)
+                                part_labels, right_transversal)
 
 
 def _indicator(orbit):
@@ -220,6 +222,40 @@ def trace_image(ts, vec, signatures=None):
     for idx, v in vec.items():
         counts[sig_of[idx]] += v
     return project(sigs, counts)
+
+
+def casimir_trace_images(ts):
+    """Trace-form images of 1 and of each Casimir orbit w, by the direct
+    count over the points of w and H:
+
+        tau(w)[K, K'] = #{((b, i) in w, h in H) : (b h)^-1 in K,
+                                                  g_i^-1 h in K'},
+
+    keyed by K * c + K' for the c classes of G; dim * |H| = |G|^2 steps in
+    all.  Returns the image of 1 and the images, one per Casimir orbit in
+    the order of ts.casimir.
+    """
+    G, inv = ts.G, ts.G.inverse
+    classes = conjugacy_classes(G, indices=True)
+    c = len(classes)
+    class_of = part_labels(classes, G.order)
+    hidx = [G.index_of(h) for h in ts.H.elements]
+    # the K part per element index b (row b of the maps g -> g h) and the
+    # K' part per transversal index i, both listed over h in H
+    kpart = [[class_of[inv[x]] * c for x in row]
+             for row in zip(*map(G.right_map, hidx))]
+    kppart = [[class_of[G.mul(inv[rep], h)] for h in hidx]
+              for rep in ts.reps]
+    one = Counter(class_of[inv[h]] * c + class_of[h] for h in hidx)
+
+    def image(w):
+        counts = Counter()
+        for idx in w:
+            b, i = divmod(idx, ts.n)
+            counts.update(map(add, kpart[b], kppart[i]))
+        return dict(counts)
+
+    return dict(one), list(map(image, ts.casimir))
 
 
 def is_full_in_T_span(G, H, e=None, ts=None, cap=DEFAULT_LINEAR_CAP):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from chartable_oracles import (class_mult_by_products, det_mod_p,
-                               induction_matrix_mod_p, split_by_scan)
+                               inclusion_shape, induction_matrix_mod_p,
+                               split_by_scan, table_json_dict)
 from sepdepth.chartable import (_charpoly, _Subspace,
                                 character_table_mod_p, class_data,
                                 class_mult_coeffs, common_prime, dixon_prime,
@@ -156,7 +157,7 @@ def test_inclusion_matrix_s2_in_s3():
     assert M.as_lists() == [[1, 0, 1], [0, 1, 1]]
     assert M.row_degrees == (1, 1)
     assert M.col_degrees == (1, 1, 2)
-    assert M.shape == (2, 3)
+    assert inclusion_shape(M) == (2, 3)
 
 
 def test_table_value_and_json():
@@ -167,7 +168,7 @@ def test_table_value_and_json():
         for g in cls:
             assert [tab.value(i, g) for i in range(tab.num_chars)] == \
                 [row[k] for row in tab.table]
-    d = tab.to_json_dict()
+    d = table_json_dict(tab)
     assert d["degrees"] == [1, 1, 2, 3, 3]
     assert d["class_sizes"] == [1, 3, 6, 6, 8]
     assert d["table"] == [list(r) for r in tab.table]

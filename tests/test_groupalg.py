@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from groupalg_oracles import (TProductTable, USpace, casimir_orbits,
-                              casimir_space, centralizer_basis,
+                              casimir_space, casimir_trace_images,
+                              centralizer_basis,
                               corner_dims, e_index,
                               is_full_in_T_span, is_full_in_U_span,
                               t_basis, t_product, t_span_brute,
                               teT_candidates, trace_form_signatures,
                               trace_image, u_span_brute, u_trace_images,
                               unit)
-from sepdepth import linalg
+from sepdepth import chartable, linalg
 from sepdepth.corpus import corpus_pairs, corpus_subgroups
 from sepdepth.errors import CapExceeded, NotInT
 from sepdepth.groupalg import (TensorSquare, _teT_images,
@@ -20,8 +21,9 @@ from sepdepth.groupalg import (TensorSquare, _teT_images,
                                separability_elements, unique_separable)
 from sepdepth.linalg import SparseEchelon, nullspace, solve_affine
 from sepdepth.permgroup import (Permutation, all_subgroups,
-                                alternating_group, cyclic_group,
-                                dihedral_group, direct_product, h_orbits,
+                                alternating_group, conjugacy_classes,
+                                cyclic_group, dihedral_group,
+                                direct_product, h_orbits, part_labels,
                                 quaternion_group, symmetric_group)
 
 
@@ -157,7 +159,6 @@ def test_q8_dimension_gap():
     Q, Hi = q8_i_pair()
     assert len(centralizer_basis(Q, Hi)) == 6
     assert len(TensorSquare(Q, Hi).casimir_basis()) == 6
-    from sepdepth.permgroup import conjugacy_classes
     assert len(conjugacy_classes(Q)) == 5
 
 
@@ -199,8 +200,7 @@ def test_teT_images_are_the_casimir_traces():
     for G, H in _teT_pairs():
         ts = TensorSquare(G, H)
         signatures = trace_form_signatures(ts)
-        one, images = _teT_images(ts)
-        images = list(images)
+        one, images = casimir_trace_images(ts)
         assert len(images) == len(ts.casimir)
         assert one == trace_image(ts, unit(ts), signatures)
         r_sums = centralizer_basis(G, H)
@@ -223,6 +223,51 @@ def test_teT_images_span_the_w_r_images():
                              for vec in teT_candidates(ts))
         assert fast.rank == full.rank
         assert fast.contains(one) == full.contains(one)
+
+
+def test_casimir_traces_are_class_counts_on_the_corpus():
+    """On every corpus pair, uncapped, the image of the Casimir orbit w_O
+    of an H-orbit O is |O| times the class count a^L of the G-class L of
+    O^-1, and is_full_in_T agrees with the span of the Casimir images."""
+    pairs = 0
+    for name, G, H in corpus_pairs():
+        ts = TensorSquare(G, H, cap=G.order ** 2)
+        one, images = casimir_trace_images(ts)
+        fast_one, counts = _teT_images(ts)
+        counts = list(counts)
+        assert fast_one == one, name
+        class_of = part_labels(conjugacy_classes(G, indices=True), G.order)
+        for w, image in zip(ts.casimir, images):
+            # the points of w with i = 0 are d (x) 1 for d in O
+            orbit = [idx // ts.n for idx in w if idx % ts.n == 0]
+            a = counts[class_of[G.inverse[orbit[0]]]]
+            assert image == {k: len(orbit) * v for k, v in a.items()}, name
+        assert is_full_in_T(G, H, ts=ts) == \
+            SparseEchelon(images).contains(one), name
+        pairs += 1
+    assert pairs == 142
+
+
+def test_teT_images_need_only_g_class_data(monkeypatch):
+    """_teT_images yields at most one image per conjugacy class of G on
+    every corpus pair, and is_full_in_T decides D4 < S4 and the subgroups
+    of A4 with the character-table routines out of reach."""
+    for name, G, H in corpus_pairs():
+        _, images = _teT_images(TensorSquare(G, H, cap=G.order ** 2))
+        assert len(list(images)) <= len(conjugacy_classes(G)), name
+    S4 = symmetric_group(4)
+    D4, = (H for H in all_subgroups(S4) if H.order == 8)
+    A4 = alternating_group(4)
+    pairs = [(S4, D4)] + [(A4, H) for H in all_subgroups(A4)]
+    want = [is_full_in_T_span(G, H) for G, H in pairs]
+    assert want.count(True) == 1
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the T side read a character table")
+
+    monkeypatch.setattr(chartable, "class_mult_coeffs", unreachable)
+    monkeypatch.setattr(chartable, "character_table_mod_p", unreachable)
+    assert [is_full_in_T(G, H) for G, H in pairs] == want
 
 
 def test_idempotent_in_t_on_integers():
