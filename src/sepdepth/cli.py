@@ -115,7 +115,10 @@ def subgroup_from_spec(G, spec):
 
 def _frac(x):
     """A spec's rational entry: an int when it is integral, which keeps
-    integer input on the echelon's fraction-free path."""
+    integer input on the echelon's fraction-free path.  A JSON boolean is
+    not a rational, though Python's Fraction takes it for 0 or 1."""
+    if isinstance(x, bool):
+        raise SpecError(f"bad rational {x!r}: not a number")
     try:
         f = Fraction(x)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -137,9 +140,13 @@ def algebra_from_spec(spec):
             raise SpecError("matrix spec needs an integer 'matrix_size' "
                             "and a 'basis' list")
         m = _typed(spec["matrix_size"], int, "'matrix_size'")
+        if m < 1:
+            raise SpecError(f"'matrix_size' must be >= 1, got {m}")
         mats = [{(i, j): x for i, row in enumerate(_matrix(mat, m))
                  for j, x in enumerate(row) if x}
                 for mat in _typed(spec["basis"], list, "'basis'")]
+        if not mats:
+            raise SpecError("algebra dimension must be >= 1: 'basis' is empty")
         return findim._matrix_span_algebra(m, mats, name=name,
                                            labels=_labels(spec, len(mats)))
     try:
@@ -149,6 +156,9 @@ def algebra_from_spec(spec):
     except (KeyError, TypeError) as exc:
         raise SpecError(f"algebra spec needs 'structure' and 'unit': {exc}")
     n = len(cube)
+    if not n:
+        raise SpecError("algebra dimension must be >= 1: 'structure' is "
+                        "empty")
     if (any(len(row) != n or any(len(vec) != n for vec in row)
             for row in cube) or len(unit) != n):
         raise SpecError("structure constants must form an n x n x n cube")

@@ -194,15 +194,12 @@ class RelativeTensorSquare:
     Only the distinct nonzero relations reach the echelon: a triple with
     a_p b = 0 = b a_r gives the zero relation, and a relation equal to an
     earlier one already lies in the span, so neither would change the
-    rows.  The tensor vectors taken and returned by the ambient actions
-    below are sparse dicts {i*n + j: c} for b_i (x) b_j."""
+    rows.  Position i*n + j of a tensor vector is b_i (x) b_j."""
 
     def __init__(self, A, inclusion, cap=DEFAULT_LINEAR_CAP):
         n = A.dimension
         if n * n > cap:
             raise CapExceeded("dim(A tensor A)", n * n, cap)
-        self.A = A
-        self.n = n
         S, cols = A.table, A.table_columns()
         subs = [to_sparse(b) for b in inclusion.sub_basis]
         # a_p b and b a_r for every sub-basis vector b
@@ -226,72 +223,8 @@ class RelativeTensorSquare:
         self.free = [c for c in range(n * n)
                      if c not in self.relations.rows]
 
-    def project(self, vec):
-        """Reduce a sparse ambient tensor vector mod the relations; returns
-        its sparse coordinates {c: x} on the free (quotient) positions
-        free[c]."""
-        column = {pos: c for c, pos in enumerate(self.free)}
-        return {column[pos]: x for pos, x
-                in self.relations.reduce(vec, full=True).items()}
-
     def dim(self):
         return len(self.free)
-
-    def left_mult_ambient(self, a_vec, vec):
-        """a . t for a dense algebra element a and a sparse tensor t: each
-        row b_i (x) - of t's support is multiplied through A.multiply."""
-        n = self.n
-        rows = {}
-        for idx, c in vec.items():
-            i, j = divmod(idx, n)
-            rows.setdefault(i, []).append((j, c))
-        out = {}
-        for i, row in rows.items():
-            col = self.A.multiply(a_vec, _unit_vec(n, i))
-            for k, x in enumerate(col):
-                if x:
-                    for j, c in row:
-                        out[k * n + j] = out.get(k * n + j, 0) + c * x
-        return {k: x for k, x in out.items() if x}
-
-    def right_mult_ambient(self, vec, a_vec):
-        """t . a for a sparse tensor t and a dense algebra element a: each
-        column - (x) b_j of t's support is multiplied through
-        A.multiply."""
-        n = self.n
-        columns = {}
-        for idx, c in vec.items():
-            i, j = divmod(idx, n)
-            columns.setdefault(j, []).append((i, c))
-        out = {}
-        for j, column in columns.items():
-            row = self.A.multiply(_unit_vec(n, j), a_vec)
-            for k, x in enumerate(row):
-                if x:
-                    for i, c in column:
-                        out[i * n + k] = out.get(i * n + k, 0) + c * x
-        return {k: x for k, x in out.items() if x}
-
-    def mu_ambient(self, vec):
-        """mu(t) as a sparse algebra element, each b_i b_j of t's support
-        through A.multiply."""
-        n = self.n
-        out = {}
-        for idx, c in vec.items():
-            i, j = divmod(idx, n)
-            prod = self.A.multiply(_unit_vec(n, i), _unit_vec(n, j))
-            for k, x in enumerate(prod):
-                if x:
-                    out[k] = out.get(k, 0) + c * x
-        return {k: x for k, x in out.items() if x}
-
-    def lift(self, coords):
-        """Dense ambient representative of quotient coordinates."""
-        n = self.n
-        v = [Fraction(0)] * (n * n)
-        for c, pos in zip(coords, self.free):
-            v[pos] = c
-        return v
 
 
 def is_separable_extension(A, inclusion, cap=DEFAULT_LINEAR_CAP):
@@ -301,11 +234,12 @@ def is_separable_extension(A, inclusion, cap=DEFAULT_LINEAR_CAP):
     The witness is verified against the defining relations exactly.
     """
     rts = RelativeTensorSquare(A, inclusion, cap=cap)
-    q = rts.dim()
-    sol = SparseEchelon(separability_system(A, rts)).solution(q)
+    sol = SparseEchelon(separability_system(A, rts)).solution(rts.dim())
     if sol is None:
         return False, None
-    witness = rts.lift(to_dense(sol, q))
+    # quotient coordinate c is the basis tensor at position free[c]
+    witness = to_dense({rts.free[c]: x for c, x in sol.items()},
+                       A.dimension ** 2)
     verify_separability_witness(A, rts, witness)
     return True, witness
 
@@ -340,22 +274,42 @@ def separability_system(A, rts):
 
 
 def verify_separability_witness(A, rts, witness):
-    """Exact check: A-centrality residual zero in the quotient, mu = 1.
+    """Exact check: the witness t is A-central modulo the relations, and
+    mu(t) = 1.
 
-    The dense witness is made sparse once, and every action below runs on
-    its support only.  It acts on the witness through A.multiply (the
-    ambient actions of rts), not through separability_system's table
-    reads, so a slip in either one cannot verify itself.  The projection
-    is linear, so the residual a t - t a is zero in the quotient iff both
-    sides project to the same coordinates."""
+    The dense witness is made sparse once.  Each basis product b_i b_j the
+    check needs is taken through A.multiply on unit vectors, at most once
+    per pair, and kept in a local table; the check reads no structure
+    constant itself, so it shares no product code with separability_system
+    and a slip in either one cannot verify itself.  The quotient map onto
+    A (x)_B A is linear with kernel the span of the relations, so
+    b_a t = t b_a there iff the residual b_a t - t b_a lies in that span:
+    one forward reduction per b_a."""
     n = A.dimension
-    t = to_sparse(witness)
-    for a_idx in range(n):
-        a = _unit_vec(n, a_idx)
-        if (rts.project(rts.left_mult_ambient(a, t))
-                != rts.project(rts.right_mult_ambient(t, a))):
+    t = [divmod(idx, n) + (c,) for idx, c in to_sparse(witness).items()]
+    table = {}
+
+    def product(i, j):
+        if (i, j) not in table:
+            table[i, j] = to_sparse(A.multiply(_unit_vec(n, i),
+                                               _unit_vec(n, j)))
+        return table[i, j].items()
+
+    for a in range(n):
+        # the sum of c [(b_a b_i) (x) b_j - b_i (x) (b_j b_a)]
+        residual = {}
+        for i, j, c in t:
+            for k, x in product(a, i):
+                residual[k * n + j] = residual.get(k * n + j, 0) + c * x
+            for k, x in product(j, a):
+                residual[i * n + k] = residual.get(i * n + k, 0) - c * x
+        if not rts.relations.contains(residual):
             raise CheckFailed("witness: centrality residual nonzero")
-    if rts.mu_ambient(t) != to_sparse(A.unit):
+    mu = {}
+    for i, j, c in t:
+        for k, x in product(i, j):
+            mu[k] = mu.get(k, 0) + c * x
+    if {k: x for k, x in mu.items() if x} != to_sparse(A.unit):
         raise CheckFailed("witness: mu(e) != 1")
 
 

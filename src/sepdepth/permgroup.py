@@ -38,10 +38,7 @@ class Permutation:
         return _trusted(tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self):
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return _trusted(tuple(inv))
+        return _trusted(_inverse_images(self.images))
 
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.images))
@@ -87,30 +84,10 @@ def _trusted(images):
     return p
 
 
-def enumerate_closure(generators, cap=DEFAULT_GROUP_CAP):
-    """Closure of the generators under composition, as a sorted tuple.
-
-    Raises CapExceeded if the closure grows past cap.
-    """
-    if not generators:
-        raise ValueError("empty generator list")
-    degree = generators[0].degree
-    if any(g.degree != degree for g in generators):
-        raise ValueError("generators of unequal degree")
-    seen = {Permutation.identity(degree)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in generators:
-                q = g * p
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-                    if len(seen) > cap:
-                        raise CapExceeded("group order", len(seen), cap)
-        frontier = nxt
-    return tuple(sorted(seen))
+def _inverse_images(images):
+    """The images of the inverse permutation: the points sorted by their
+    images."""
+    return tuple(sorted(range(len(images)), key=images.__getitem__))
 
 
 class _Enumerated:
@@ -142,50 +119,64 @@ class _Enumerated:
 class FiniteGroup(_Enumerated):
     """A finitely generated permutation group, fully enumerated.
 
-    Its integer index data is built with it: the inverse of each element
-    as an index list (read off the image tuples), and a breadth-first tree
-    over the right maps g -> g * s of the generators and their inverses.
-    The right map of any element is its tree parent's map composed with one
-    generator map, and its left map g -> a * g is read off the right map of
-    a^-1 and the inverses, so no Permutation product is formed.  Both are
-    cached per element as they are asked for, never built as one eager
-    |G| x |G| table.
+    One breadth-first search over image tuples, along x -> x * s for each
+    generator s and its inverse, builds the group and its integer index
+    data: the elements (the tuples, sorted), the right maps of those steps
+    (the search's products, numbered by sort position), and the search
+    tree (each element's discovery parent and step).  The inverse of each
+    element is an index list read off its image tuple.  The right map of
+    any element is its tree parent's map composed with one step map, and
+    its left map g -> a * g is read off the right map of a^-1 and the
+    inverses, so no Permutation product is formed.  Both are cached per
+    element as they are asked for, never built as one eager |G| x |G|
+    table.  Raises CapExceeded once the search finds more than cap
+    elements.
     """
 
     def __init__(self, generators, name=None, cap=DEFAULT_GROUP_CAP):
         self.generators = list(generators)
         self.name = name
+        if not self.generators:
+            raise InvalidArgument("empty generator list")
         self.degree = self.generators[0].degree
-        self._set_elements(enumerate_closure(self.generators, cap))
-        self.identity = Permutation.identity(self.degree)
-        self._index = {p: i for i, p in enumerate(self.elements)}
-        pos = {p.images: i for p, i in self._index.items()}
-        ids = list(pos.values())    # the index ints, shared by every map
-        rows = [p.images for p in self.elements]
-        points = range(self.degree)
-        # inverse[i] is the index of elements[i]^-1; sorting the points by
-        # their images lists the inverse's images
-        self.inverse = [pos[tuple(sorted(points, key=r.__getitem__))]
-                        for r in rows]
-        self._steps = []    # the right maps of each generator and its inverse
-        for s in self.generators:
-            rmap = [pos[tuple(map(r.__getitem__, s.images))] for r in rows]
-            self._steps += [rmap, _inverted(rmap, ids)]
-        # the identity is element 0 (the least image tuple); element
-        # y = x * s has up[y] = x and via[y] = the position of s in _steps
-        self._up = up = [None] * self.order
-        up[0] = 0
-        self._via = via = [0] * self.order
-        queue = [0]
-        for x in queue:
-            for k, rmap in enumerate(self._steps):
-                y = rmap[x]
-                if up[y] is None:
-                    up[y] = x
-                    via[y] = k
-                    queue.append(y)
-        self._right_maps = {0: ids}
-        self._left_maps = {0: ids}
+        if any(g.degree != self.degree for g in self.generators):
+            raise InvalidArgument("generators of unequal degree")
+        # the images of each generator and of its inverse
+        steps = [t for s in self.generators
+                 for t in (s.images, _inverse_images(s.images))]
+        # search in discovery numbers: rows[x] is element x's image tuple,
+        # prods[k][x] the number of x * steps[k], and up[y], via[y] the x
+        # and k that found y = x * steps[k]
+        rows = [tuple(range(self.degree))]
+        found = {rows[0]: 0}
+        prods = [[] for _ in steps]
+        up, via = [0], [0]
+        for x, row in enumerate(rows):
+            for k, step in enumerate(steps):
+                y = tuple(map(row.__getitem__, step))
+                j = found.get(y)
+                if j is None:
+                    j = found[y] = len(rows)
+                    if j >= cap:
+                        raise CapExceeded("group order", j + 1, cap)
+                    rows.append(y)
+                    up.append(x)
+                    via.append(k)
+                prods[k].append(j)
+        # renumber by sort position; the identity, the least tuple, is 0
+        order = sorted(range(len(rows)), key=rows.__getitem__)
+        at = [0] * len(rows)
+        for i, x in enumerate(order):
+            at[x] = found[rows[x]] = i
+        self._index = found
+        self._set_elements(tuple(_trusted(rows[x]) for x in order))
+        self.identity = self.elements[0]
+        self.inverse = [found[_inverse_images(rows[x])] for x in order]
+        self._steps = [[at[prod[x]] for x in order] for prod in prods]
+        self._up = [at[up[x]] for x in order]
+        self._via = [via[x] for x in order]
+        self._right_maps = {0: list(range(self.order))}
+        self._left_maps = dict(self._right_maps)
 
     @property
     def parent(self):
@@ -193,7 +184,7 @@ class FiniteGroup(_Enumerated):
         return self
 
     def index_of(self, p):
-        return self._index[p]
+        return self._index[p.images]
 
     def mul(self, i, j):
         """Index of elements[i] * elements[j]: i moved by the generators
@@ -253,14 +244,6 @@ def _cycle_lengths(images):
             todo.remove(x)
             n += 1
         yield n
-
-
-def _inverted(perm, ids):
-    """The inverse of an index permutation (entries taken from ids)."""
-    out = [0] * len(perm)
-    for x, y in zip(ids, perm):
-        out[y] = x
-    return out
 
 
 class Subgroup(_Enumerated):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from sepdepth.errors import CheckFailed, InvalidAlgebra
 from sepdepth.findim import matrix_algebra
-from sepdepth.linalg import SparseEchelon, rank, rref, to_dense, to_sparse
+from sepdepth.linalg import SparseEchelon, rank, rref, to_sparse
 
 
 def unit_vec(n, i):
@@ -59,21 +59,26 @@ def dense_relations(A, inclusion):
 
 
 def dense_separability_system(A, rts):
-    """separability_system's rows from the ambient actions of the quotient
-    basis lifts, which act through A.multiply; their sparse results are
-    made dense to take the commutator."""
+    """separability_system's rows from dense products of unit vectors
+    through A.multiply: for the quotient basis tensor b_p (x) b_r at
+    free[c], each commutator with b_a is made dense, then reduced to its
+    normal form modulo the relations, and mu(b_p (x) b_r) = b_p b_r."""
     n, q = A.dimension, rts.dim()
+    units = [unit_vec(n, i) for i in range(n)]
+    column = {pos: c for c, pos in enumerate(rts.free)}
     rows = [{} for _ in range(n * q + n)]
-    for c in range(q):
-        lv = to_sparse(rts.lift(unit_vec(q, c)))
+    for c, pos in enumerate(rts.free):
+        p, r = divmod(pos, n)
         for a_idx in range(n):
-            a = unit_vec(n, a_idx)
-            left = to_dense(rts.left_mult_ambient(a, lv), n * n)
-            right = to_dense(rts.right_mult_ambient(lv, a), n * n)
-            diff = to_sparse([x - y for x, y in zip(left, right)])
-            for i, x in rts.project(diff).items():
-                rows[a_idx * q + i][c] = x
-        for k, x in enumerate(to_dense(rts.mu_ambient(lv), n)):
+            diff = [Fraction(0)] * (n * n)
+            for k, x in enumerate(A.multiply(units[a_idx], units[p])):
+                diff[k * n + r] += x
+            for k, x in enumerate(A.multiply(units[r], units[a_idx])):
+                diff[p * n + k] -= x
+            normal = rts.relations.reduce(to_sparse(diff), full=True)
+            for at, x in normal.items():
+                rows[a_idx * q + column[at]][c] = x
+        for k, x in enumerate(A.multiply(units[p], units[r])):
             if x:
                 rows[n * q + k][c] = x
     for k, x in enumerate(A.unit):

@@ -326,6 +326,26 @@ T2_SPEC = {"matrix_size": 2,
      "'labels' must be a list"),
     (dict(DUAL_NUMBERS, labels=["1", "x", "x2"]), {"vectors": [["1", "0"]]},
      "'labels' must be 2 strings"),
+    # a zero-dimensional algebra is no input
+    ({"structure": [], "unit": []}, {"vectors": []},
+     "algebra dimension must be >= 1: 'structure' is empty"),
+    ({"matrix_size": 0, "basis": []}, {"vectors": []},
+     "'matrix_size' must be >= 1, got 0"),
+    ({"matrix_size": -1, "basis": []}, {"vectors": []},
+     "'matrix_size' must be >= 1, got -1"),
+    ({"matrix_size": 2, "basis": []}, {"vectors": []},
+     "algebra dimension must be >= 1: 'basis' is empty"),
+    # a JSON boolean is not a rational
+    (dict(DUAL_NUMBERS, structure=[[[True, "0"], ["0", "1"]],
+                                   [["0", "1"], ["0", "0"]]]),
+     {"vectors": [["1", "0"]]}, "bad rational True"),
+    (dict(DUAL_NUMBERS, unit=[True, "0"]), {"vectors": [["1", "0"]]},
+     "bad rational True"),
+    (dict(T2_SPEC, basis=[[[True, "0"], ["0", "0"]]] + T2_SPEC["basis"][1:]),
+     {"vectors": [["1", "0", "1"]]}, "bad rational True"),
+    (DUAL_NUMBERS, {"vectors": [[True, "0"]]}, "bad rational True"),
+    (T2_SPEC, {"matrices": [[["1", "0"], ["0", True]]]},
+     "bad rational True"),
 ])
 def test_findim_demo_malformed_spec_exit_1(tmp_path, capsys, alg, sub,
                                            message):

@@ -14,9 +14,8 @@ from sepdepth.permgroup import (FiniteGroup, Permutation, all_subgroups,
                                 conjugacy_classes, cyclic_group,
                                 cyclic_subgroups, depth1_group,
                                 derived_subgroup, dihedral_group,
-                                direct_product, enumerate_closure,
-                                extraspecial_27, h_classes, h_orbits,
-                                hz_condition, is_normal,
+                                direct_product, extraspecial_27,
+                                h_classes, h_orbits, hz_condition, is_normal,
                                 lemma_S_via_centralizers, property_S,
                                 quaternion_group, right_transversal,
                                 symmetric_group)
@@ -144,8 +143,9 @@ def test_subgroup_of_another_parent_analysed_in_G():
 
 def test_enumerate_closure_cap():
     gens = symmetric_group(4).generators
-    with pytest.raises(CapExceeded):
-        enumerate_closure(gens, cap=10)
+    with pytest.raises(CapExceeded) as exc:
+        FiniteGroup(gens, cap=10)
+    assert exc.value.value == 11
 
 
 def test_standard_group_orders():
@@ -362,6 +362,31 @@ def test_criteria_form_no_permutation_products(monkeypatch):
     assert made == []
     G.elements[1] * G.elements[2]
     assert len(made) == 1
+
+
+def test_group_construction_forms_no_permutation_products(monkeypatch):
+    """Building the corpus groups and S6 multiplies no two Permutations:
+    the one search runs on image tuples."""
+    calls = []
+    mul = Permutation.__mul__
+
+    def counting(p, q):
+        calls.append((p, q))
+        return mul(p, q)
+
+    monkeypatch.setattr(Permutation, "__mul__", counting)
+    groups = corpus_groups()
+    assert symmetric_group(6).order == 720
+    assert groups and calls == []
+    Permutation((1, 0)) * Permutation((1, 0))
+    assert len(calls) == 1
+
+
+def test_group_needs_generators():
+    with pytest.raises(InvalidArgument, match="empty generator list"):
+        FiniteGroup([])
+    with pytest.raises(InvalidArgument, match="unequal degree"):
+        FiniteGroup([Permutation((1, 0)), Permutation((0, 2, 1))])
 
 
 def test_depth1_and_hz():
