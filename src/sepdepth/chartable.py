@@ -7,15 +7,23 @@ common eigenvectors are the central characters, and degrees lift uniquely
 to integers because p bounds 2*sqrt(|G|).  Character values themselves stay
 mod p; only integer-valued bilinear combinations (degrees, restriction
 multiplicities) are ever lifted.
+
+The central characters are separated by splitting one cyclic vector, the
+identity-class unit vector e_0, along the class matrices in turn: each
+piece of the characters is carried as its component of e_0, and a piece
+splits at the roots of its minimal polynomial under the class matrix
+(``_split_piece`` gives the proof).  A class matrix is built only while
+fewer pieces than classes exist.  Each final piece is
+(chi(1)^2 / |G|) * omega_chi, so the degree is read twice, from that
+coefficient and from the orthogonality sum, and the two must agree.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
 from math import isqrt, lcm
+from operator import mul
 
-from .errors import (CheckFailed, ElementNotInGroup, InvalidArgument,
-                     LiftInconsistency, SplittingFailure)
+from .errors import (CheckFailed, InvalidArgument, LiftInconsistency,
+                     SplittingFailure)
 from .permgroup import conjugacy_classes, part_labels
 
 
@@ -82,138 +90,87 @@ def class_mult_coeffs(G, cd, i):
     return a
 
 
-# --- GF(p) helpers ---------------------------------------------------------
+# --- the split along one cyclic vector -----------------------------------
 
 
-class _Subspace:
-    """Echelonized column subspace of GF(p)^r (vectors stored as rows)."""
+def _split_piece(v, mat, p):
+    """Split the piece v along the class matrix A = mat of a class K_i.
 
-    def __init__(self, vectors, p):
-        self.p = p
-        self.rows = []      # echelon rows
-        self.pivots = []
-        for v in vectors:
-            self._add(v)
+    A piece P of the central characters is carried as one vector
+    v_P = sum over chi in P of c_chi * omega_chi, each c_chi a unit mod p
+    and omega_chi (the central character, omega_chi[0] = 1) an eigenvector
+    of every class matrix.  The refinement starts from the identity-class
+    unit vector e_0, which is such a vector for the piece of all
+    characters: column orthogonality gives
 
-    def _add(self, v):
-        p = self.p
-        v = [x % p for x in v]
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv]:
-                f = v[piv]
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return
-        inv = pow(v[piv], -1, p)
-        v = [(x * inv) % p for x in v]
-        self.rows.append(v)
-        self.pivots.append(piv)
+        sum_chi chi(1) * chi(g_j) = |G| if j = 0, else 0,
 
-    @property
-    def dim(self):
-        return len(self.rows)
+    and omega_chi[j] = |C_j| * chi(g_j) / chi(1), so
 
-    def coords(self, v):
-        """Coordinates of v in the echelon basis (v must lie in the space)."""
-        p = self.p
-        v = [x % p for x in v]
-        cs = []
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            cs.append(c)
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
-        if any(v):
-            raise ArithmeticError("vector not in invariant subspace")
-        return cs
+        e_0 = sum_chi (chi(1)^2 / |G|) * omega_chi.
 
-    def split_by(self, mat):
-        """Split along eigenspaces of mat (restricted to this subspace).
+    Every coefficient chi(1)^2 / |G| is a unit: p = 1 mod exp(G), so p
+    does not divide |G|, and 0 < chi(1) < p/2.
 
-        The eigenvalues are the roots of det(xI - R) mod p for the
-        restriction R; the pieces are the nullspaces of R - lam*I at those
-        roots, in increasing lam.
-        """
-        p = self.p
-        k = self.dim
-        if k == 1:
-            return [self]
-        # restriction matrix R with mat . b_j = sum_i R[i][j] b_i; the
-        # coordinates of mat . b_j are column j of R, i.e. row j of R^t
-        Rt = [self.coords(_mat_vec(mat, row, p)) for row in self.rows]
-        charpoly = _charpoly(Rt, p)[::-1]
-        cols = list(zip(*self.rows))
-        pieces = []
-        total = 0
-        for lam in range(p):
-            # det(lam I - R) by Horner
-            if reduce(lambda v, c: (v * lam + c) % p, charpoly, 0):
-                continue
-            # nullspace of R - lam*I: the I part of those echelon rows of
-            # [(R - lam*I)^t | I] whose pivot falls in the I part
-            aug = _Subspace([[x - (lam if i == j else 0)
-                              for i, x in enumerate(Rt[j])]
-                             + [1 if i == j else 0 for i in range(k)]
-                             for j in range(k)], p)
-            null = [row[k:] for row, piv in zip(aug.rows, aug.pivots)
-                    if piv >= k]
-            pieces.append(_Subspace([_mat_vec(cols, nv, p) for nv in null],
-                                    p))
-            total += len(null)
-            if total == k:
-                break
-        if total != k:
-            raise SplittingFailure("class matrix not diagonalizable mod p")
-        return pieces
-
-
-def _charpoly(mat, p):
-    """Coefficients, constant term first, of det(xI - mat) mod p.
-
-    The matrix is brought to upper Hessenberg form by similarity
-    transformations, and the characteristic polynomials of its leading
-    blocks follow by the recurrence of Cohen, A Course in Computational
-    Algebraic Number Theory, Algorithm 2.2.9.
+    The minimal polynomial m of v under mat is read off the Krylov
+    sequence v, Av, A^2 v, ...: as the omega_chi are independent and the
+    c_chi nonzero, m is the product of (x - lam) over the distinct
+    eigenvalues lam = omega_chi(K_i) on P.  For each root lam the piece
+    q(A) v / q(lam), q = m / (x - lam), keeps the terms c_chi * omega_chi
+    with eigenvalue lam and drops the others, since q vanishes at every
+    other root and not at lam.  The pieces come in increasing lam.
     """
-    n = len(mat)
-    h = [[x % p for x in row] for row in mat]
-    for m in range(1, n - 1):
-        i = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if i is None:
+    # Krylov vectors, and echelon rows (pivot, row, combination) with
+    # row = sum_j comb[j] * krylov[j] and row[pivot] = 1
+    krylov = []
+    echelon = []
+    w = v
+    while True:
+        n = len(krylov)
+        u = w
+        comb = [0] * n + [1]
+        for piv, row, rc in echelon:
+            f = u[piv]
+            if f:
+                u = [(a - f * b) % p for a, b in zip(u, row)]
+                for j, b in enumerate(rc):
+                    comb[j] = (comb[j] - f * b) % p
+        piv = next((j for j, x in enumerate(u) if x), None)
+        if piv is None:
+            break
+        krylov.append(w)
+        inv = pow(u[piv], -1, p)
+        echelon.append((piv, [x * inv % p for x in u],
+                        [x * inv % p for x in comb]))
+        w = [sum(map(mul, row, w)) % p for row in mat]
+    # comb is the monic minimal polynomial, constant term first
+    if n == 1:
+        return [v]
+    pieces = []
+    for lam in range(p):
+        # q = m / (x - lam) by synthetic division; the remainder is m(lam)
+        q = [0] * n
+        acc = comb[n]
+        for d in range(n - 1, -1, -1):
+            q[d] = acc
+            acc = (comb[d] + lam * acc) % p
+        if acc:
             continue
-        h[i], h[m] = h[m], h[i]
-        for row in h:
-            row[i], row[m] = row[m], row[i]
-        tinv = pow(h[m][m - 1], -1, p)
-        for i in range(m + 1, n):
-            u = h[i][m - 1] * tinv % p
-            if u:
-                # row_i -= u row_m, then column_m += u column_i
-                h[i] = [(a - u * b) % p for a, b in zip(h[i], h[m])]
-                for row in h:
-                    row[m] = (row[m] + u * row[i]) % p
-    # polys[m] = det(xI - h[:m][:m])
-    polys = [[1]]
-    for m in range(n):
-        prev = polys[m]
-        # (x - h[m][m]) * prev
-        cur = [0] + prev
-        for d, c in enumerate(prev):
-            cur[d] = (cur[d] - h[m][m] * c) % p
-        t = 1
-        for i in range(m - 1, -1, -1):
-            t = t * h[i + 1][i] % p
-            f = t * h[i][m] % p
-            for d, c in enumerate(polys[i]):
-                cur[d] = (cur[d] - f * c) % p
-        polys.append(cur)
-    return polys[n]
-
-
-def _mat_vec(mat, v, p):
-    return [sum(row[j] * v[j] for j in range(len(v)) if v[j]) % p
-            for row in mat]
+        q_lam = 0
+        for c in reversed(q):
+            q_lam = (q_lam * lam + c) % p
+        if not q_lam:
+            break                       # lam is a repeated root
+        inv = pow(q_lam, -1, p)
+        piece = [0] * len(v)
+        for c, kv in zip(q, krylov):
+            if c:
+                c = c * inv % p
+                piece = [(a + c * b) % p for a, b in zip(piece, kv)]
+        pieces.append(piece)
+        if len(pieces) == n:
+            return pieces
+    raise SplittingFailure("class matrix not diagonalizable mod p")
 
 
 # --- the table -------------------------------------------------------------
@@ -231,15 +188,6 @@ class CharacterTableModP:
     def num_chars(self):
         return len(self.table)
 
-    def value(self, i, g):
-        """The value of character i at the element g of the table's group."""
-        cd = self.class_data
-        x = bisect_left(cd.elements, g)
-        if (x == len(cd.elements) or cd.elements[x] != g
-                or cd.class_of[x] is None):
-            raise ElementNotInGroup(repr(g))
-        return self.table[i][cd.class_of[x]]
-
     def check_invariants(self, order):
         p = self.prime
         cd = self.class_data
@@ -249,11 +197,12 @@ class CharacterTableModP:
                for i in range(len(self.table))):
             raise CheckFailed("identity column differs from the degrees")
         inv_order = pow(order % p, -1, p)
-        for i in range(len(self.table)):
-            for j in range(len(self.table)):
-                s = sum(cd.sizes[k] * self.table[i][k]
-                        * self.table[j][cd.inverse_map[k]]
-                        for k in range(cd.num_classes))
+        # row j weighted by class size, read at the inverse classes
+        duals = [[size * psi[k] for size, k in zip(cd.sizes, cd.inverse_map)]
+                 for psi in self.table]
+        for i, chi in enumerate(self.table):
+            for j, dual in enumerate(duals):
+                s = sum(map(mul, chi, dual))
                 if (s * inv_order) % p != (1 if i == j else 0):
                     raise CheckFailed("rows are not orthonormal")
 
@@ -273,39 +222,21 @@ def character_table_mod_p(G, prime=None, seed=0):
         raise InvalidArgument(
             f"{p} is not a prime = 1 mod {G.exponent()} above "
             f"2*sqrt({G.order})")
-    mats = [class_mult_coeffs(G, cd, i) for i in range(r)]
-    spaces = [_Subspace([[1 if i == j else 0 for j in range(r)]
-                         for i in range(r)], p)]
-
-    def refine(space_list, mat):
-        out = []
-        for sp in space_list:
-            out.extend(sp.split_by(mat) if sp.dim > 1 else [sp])
-        return out
-
-    for i in range(1, r):
-        spaces = refine(spaces, mats[i])
-        if all(sp.dim == 1 for sp in spaces):
-            break
-    # the class sums span Z(F_p G), which is F_p^r here, so two distinct
-    # central characters differ on some class sum: every space is a line
-    if any(sp.dim > 1 for sp in spaces):
-        raise SplittingFailure("eigenspace refinement stalled")
-
-    inv_order = pow(G.order % p, -1, p)
-    rows = []
-    for sp in spaces:
-        v = sp.rows[0]
-        # normalize so the identity-class entry is 1: v[j] = omega_j
-        v = [(x * pow(v[0], -1, p)) % p for x in v]
-        s = sum(v[j] * v[cd.inverse_map[j]] * pow(cd.sizes[j], -1, p)
-                for j in range(r)) % p
-        d2 = (G.order * pow(s, -1, p)) % p
-        d = _lift_sqrt(d2, p)
-        chi = tuple((d * v[j] * pow(cd.sizes[j], -1, p)) % p
-                    for j in range(r))
-        rows.append((d, chi))
-    rows.sort()
+    # one vector per piece, from e_0 (the piece of every character); the
+    # class sums span Z(F_p G), which is F_p^r here, so two distinct
+    # central characters differ on some class sum and r pieces are reached
+    # before the class matrices run out
+    pieces = [[1] + [0] * (r - 1)]
+    i = 0
+    while len(pieces) < r:
+        i += 1
+        if i == r:
+            raise SplittingFailure("refinement of e_0 stalled")
+        mat = class_mult_coeffs(G, cd, i)
+        pieces = [u for v in pieces for u in _split_piece(v, mat, p)]
+    inv_sizes = [pow(s, -1, p) for s in cd.sizes]
+    rows = sorted(_character_row(v, cd, inv_sizes, G.order, p)
+                  for v in pieces)
     table = CharacterTableModP(prime=p,
                                degrees=tuple(d for d, _ in rows),
                                table=tuple(chi for _, chi in rows),
@@ -313,6 +244,29 @@ def character_table_mod_p(G, prime=None, seed=0):
                                seed=seed)
     table.check_invariants(G.order)
     return table
+
+
+def _character_row(v, cd, inv_sizes, order, p):
+    """(degree, values mod p) of the character chi whose piece is
+    v = (chi(1)^2 / |G|) * omega_chi.
+
+    The degree is read twice: d^2 = |G| * v[0] from the coefficient, and
+    d^2 = |G| / s from the orthogonality sum
+    s = sum_j omega_j * omega_{j*} / |C_j| = |G| / chi(1)^2.
+    """
+    r = len(v)
+    d2 = order * v[0] % p
+    if not d2:
+        raise LiftInconsistency("piece has no identity-class component")
+    inv = pow(v[0], -1, p)
+    omega = [x * inv % p for x in v]
+    s = sum(omega[j] * omega[cd.inverse_map[j]] * inv_sizes[j]
+            for j in range(r)) % p
+    if d2 * s % p != order % p:
+        raise LiftInconsistency(
+            f"degree^2 {d2} from the identity class, but |G|/s differs")
+    d = _lift_sqrt(d2, p)
+    return d, tuple(d * omega[j] * inv_sizes[j] % p for j in range(r))
 
 
 def _lift_sqrt(d2, p):

@@ -24,7 +24,9 @@ class NotASubgroup(SepdepthError):
 
 
 class SplittingFailure(SepdepthError):
-    """The class-sum eigenspaces did not split into lines mod p."""
+    """The class matrices did not split e_0 into one piece per class mod p:
+    a minimal polynomial without distinct roots in GF(p), or pieces left
+    when the class matrices ran out."""
 
 
 class LiftInconsistency(SepdepthError):

@@ -2,20 +2,35 @@ import random
 
 import pytest
 
-from chartable_oracles import (class_mult_by_products, det_mod_p,
-                               inclusion_shape, induction_matrix_mod_p,
-                               split_by_scan, table_json_dict)
-from sepdepth.chartable import (_charpoly, _Subspace,
+from chartable_oracles import (_charpoly, class_mult_by_products,
+                               det_mod_p, eigenspace_table, inclusion_shape,
+                               induction_matrix_mod_p, table_json_dict,
+                               table_value)
+from sepdepth import chartable
+from sepdepth.chartable import (_character_row, _split_piece,
                                 character_table_mod_p, class_data,
                                 class_mult_coeffs, common_prime, dixon_prime,
                                 inclusion_matrix)
-from sepdepth.corpus import corpus_groups
+from sepdepth.corpus import corpus_groups, corpus_subgroups
 from sepdepth.errors import (ElementNotInGroup, InvalidArgument,
                              LiftInconsistency, SplittingFailure)
 from sepdepth.permgroup import (Permutation, alternating_group,
                                 conjugacy_classes, cyclic_group,
+                                dihedral_group, direct_product,
                                 extraspecial_27, quaternion_group,
                                 symmetric_group)
+
+
+@pytest.fixture(scope="module")
+def corpus_table_inputs():
+    """(group or subgroup, prime) for the 169 tables a corpus run builds:
+    each corpus group and each of its subgroups, at the group's prime."""
+    inputs = []
+    for G in corpus_groups():
+        p = common_prime(G, G)
+        inputs.append((G, p))
+        inputs += [(H, p) for H in corpus_subgroups(G)]
+    return inputs
 
 
 def test_dixon_prime_values():
@@ -92,32 +107,79 @@ def test_charpoly_is_the_determinant():
             assert value == det_mod_p(shifted, p), (p, mat)
 
 
-def test_split_by_matches_the_lambda_scan():
-    """On every corpus group, refining by each class matrix in turn gives
-    the same pieces, in the same order, as trying every lam."""
-    for G in corpus_groups():
-        cd = class_data(G)
-        r = cd.num_classes
-        p = dixon_prime(G.exponent(), G.order)
-        spaces = [_Subspace([[int(i == j) for j in range(r)]
-                             for i in range(r)], p)]
-        for i in range(1, r):
-            mat = class_mult_coeffs(G, cd, i)
-            new, old = [], []
-            for sp in spaces:
-                new += sp.split_by(mat)
-                old += split_by_scan(sp, mat)
-            assert [(q.rows, q.pivots) for q in new] == \
-                [(q.rows, q.pivots) for q in old], (G, i)
-            spaces = new
+def test_table_matches_the_eigenspace_route(corpus_table_inputs):
+    """Splitting e_0 along one cyclic vector gives the degrees and rows
+    of the eigenspace-basis route, on every table the corpus builds and
+    on five larger groups."""
+    extra = [symmetric_group(6), alternating_group(6),
+             direct_product(cyclic_group(4), cyclic_group(6)),
+             dihedral_group(15), cyclic_group(30)]
+    inputs = corpus_table_inputs + [
+        (G, dixon_prime(G.exponent(), G.order)) for G in extra]
+    assert len(inputs) == 169 + 5
+    for G, p in inputs:
+        tab = character_table_mod_p(G, prime=p)
+        assert (tab.degrees, tab.table) == eigenspace_table(G, p), G
+
+
+def test_class_matrices_built_only_while_pieces_are_missing(
+        corpus_table_inputs, monkeypatch):
+    """The refinement stops asking for class matrices once it has one
+    piece per class: 233 over the corpus's 169 tables, where building
+    every class matrix of every table would take 651."""
+    calls = []
+
+    def counted(G, cd, i):
+        calls.append(i)
+        return class_mult_coeffs(G, cd, i)
+
+    monkeypatch.setattr(chartable, "class_mult_coeffs", counted)
+    for G, p in corpus_table_inputs:
+        character_table_mod_p(G, prime=p)
+    assert len(calls) == 233
+    assert 0 not in calls
 
 
 def test_space_left_unsplit_raises(monkeypatch):
     """The class sums separate the central characters, so refinement ends
-    in lines; a space left wider than a line is refused, not retried."""
-    monkeypatch.setattr(_Subspace, "split_by", lambda self, mat: [self])
+    in one piece per class; a piece left unsplit when the class matrices
+    run out is refused, not retried."""
+    monkeypatch.setattr(chartable, "_split_piece", lambda v, mat, p: [v])
     with pytest.raises(SplittingFailure, match="stalled"):
         character_table_mod_p(symmetric_group(3))
+
+
+def test_minimal_polynomial_without_distinct_roots_raises():
+    """A piece whose minimal polynomial is not a product of distinct
+    linear factors over GF(p) is refused."""
+    # a nilpotent Jordan block: m = x^2, a repeated root
+    with pytest.raises(SplittingFailure, match="not diagonalizable"):
+        _split_piece([0, 1], [[0, 1], [0, 0]], 7)
+    # a rotation: m = x^2 + 1, which has no root mod 7
+    with pytest.raises(SplittingFailure, match="not diagonalizable"):
+        _split_piece([1, 0], [[0, 6], [1, 0]], 7)
+    # the same rotation mod 5, where i = 2 and -i = 3, splits
+    assert _split_piece([1, 0], [[0, 4], [1, 0]], 5) == [[3, 4], [3, 1]]
+
+
+def test_degree_routes_disagree_on_a_tampered_piece():
+    """Each final piece is (d^2 / |G|) * omega; the degree read off that
+    coefficient must equal the one from the orthogonality sum."""
+    G = symmetric_group(4)
+    tab = character_table_mod_p(G)
+    cd, p = tab.class_data, tab.prime
+    inv_sizes = [pow(s, -1, p) for s in cd.sizes]
+    for d, chi in zip(tab.degrees, tab.table):
+        # omega_j = |C_j| chi_j / d, and the piece is (d^2 / |G|) omega
+        coeff = d * d * pow(G.order, -1, p)
+        piece = [coeff * size * x * pow(d, -1, p) % p
+                 for size, x in zip(cd.sizes, chi)]
+        assert _character_row(piece, cd, inv_sizes, G.order, p) == (d, chi)
+        tampered = [2 * x % p for x in piece]
+        with pytest.raises(LiftInconsistency, match="differs"):
+            _character_row(tampered, cd, inv_sizes, G.order, p)
+        with pytest.raises(LiftInconsistency):
+            _character_row([0] + piece[1:], cd, inv_sizes, G.order, p)
 
 
 def test_degrees_s3_q8_trivial():
@@ -161,12 +223,13 @@ def test_inclusion_matrix_s2_in_s3():
 
 
 def test_table_value_and_json():
-    """value(i, g) reads row i at the class of the element g."""
+    """table_value(tab, i, g) reads row i at the class of the element
+    g."""
     G = symmetric_group(4)
     tab = character_table_mod_p(G)
     for k, cls in enumerate(conjugacy_classes(G)):
         for g in cls:
-            assert [tab.value(i, g) for i in range(tab.num_chars)] == \
+            assert [table_value(tab, i, g) for i in range(tab.num_chars)] == \
                 [row[k] for row in tab.table]
     d = table_json_dict(tab)
     assert d["degrees"] == [1, 1, 2, 3, 3]
@@ -175,7 +238,8 @@ def test_table_value_and_json():
 
 
 def test_table_value_outside_the_group_rejected():
-    """value(i, g) raises ElementNotInGroup for g outside the table's
+    """table_value(tab, i, g) raises ElementNotInGroup for g outside the
+    table's
     group, on a group table and on a subgroup table (which numbers its
     parent's elements)."""
     tab = character_table_mod_p(symmetric_group(3))
@@ -183,20 +247,20 @@ def test_table_value_outside_the_group_rejected():
     for g in (Permutation((0,)), Permutation((0, 1, 2, 3)),
               Permutation((3, 0, 1, 2))):
         with pytest.raises(ElementNotInGroup):
-            tab.value(0, g)
+            table_value(tab, 0, g)
     G = symmetric_group(4)
     C3 = G.subgroup([Permutation.from_cycles(4, [[0, 1, 2]])])
     tab = character_table_mod_p(C3)
     for k, cls in enumerate(conjugacy_classes(C3)):
         for h in cls:
-            assert [tab.value(i, h) for i in range(tab.num_chars)] == \
+            assert [table_value(tab, i, h) for i in range(tab.num_chars)] == \
                 [row[k] for row in tab.table]
     for g in G.elements:
         if g not in C3:
             with pytest.raises(ElementNotInGroup):
-                tab.value(1, g)
+                table_value(tab, 1, g)
     with pytest.raises(ElementNotInGroup):
-        tab.value(1, Permutation.from_cycles(5, [[0, 1, 2]]))
+        table_value(tab, 1, Permutation.from_cycles(5, [[0, 1, 2]]))
 
 
 def test_inclusion_matrix_full_subgroup_is_identity():
