@@ -83,10 +83,15 @@ def _implies(premise, conclusion):
 
 def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
                  matrix_only=False, table_g=None):
-    """Full invariant report for the group-algebra extension kH in kG."""
-    classes_g = conjugacy_classes(G, indices=True)
+    """Full invariant report for the group-algebra extension kH in kG.
+
+    Every routine reads H in its parent's numbering, so a subgroup built
+    in another group is first rebuilt in G from its generators."""
+    if H.parent is not G:
+        H = G.subgroup(H.generators, name=H.name)
+    classes_g = conjugacy_classes(G)
     classes_h = h_classes(G, H)
-    orbits = h_orbits(G, H, indices=True)
+    orbits = h_orbits(G, H)
 
     prop_s = property_S(G, H)
     lem_s = lemma_S_via_centralizers(G, H)
@@ -105,7 +110,8 @@ def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
 
     rep = AnalysisReport(
         group=G.name or "G", subgroup=H.name or "H",
-        group_order=G.order, subgroup_order=H.order, index=H.index,
+        group_order=G.order, subgroup_order=H.order,
+        index=G.order // H.order,
         num_classes_g=len(classes_g), num_classes_h=len(classes_h),
         num_h_orbits=len(orbits),
         property_s=prop_s, lemma_s=lem_s, hz=hz,

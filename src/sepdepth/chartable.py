@@ -23,7 +23,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from .errors import (CheckFailed, InvalidArgument, LiftInconsistency,
-                     SplittingFailure)
+                     NotASubgroup, SplittingFailure)
 from .permgroup import conjugacy_classes, part_labels
 
 
@@ -42,7 +42,7 @@ class ClassData:
 
 def class_data(G):
     """The class data of a group or subgroup G, in G.parent's indices."""
-    classes = conjugacy_classes(G, indices=True)
+    classes = conjugacy_classes(G)
     class_of = part_labels(classes, G.parent.order)
     inv = G.parent.inverse
     inverse_map = tuple(class_of[inv[cls[0]]] for cls in classes)
@@ -299,9 +299,11 @@ def common_prime(G, H):
 def inclusion_matrix(G, H, tableG=None, tableH=None):
     """Restriction-multiplicity matrix of kH inside kG.
 
-    H is a subgroup of G; the two character tables must share a prime.
-    Entries are lifted to least nonnegative residues and verified against
-    the exact column dimension identity.
+    H is a subgroup of G; the two character tables must share a prime
+    and number the same elements, those of G, so that each H class is read
+    in G's class labels by its first index.  Entries are lifted to least
+    nonnegative residues and verified against the exact column dimension
+    identity.
     """
     if tableG is None or tableH is None:
         p = common_prime(G, H)
@@ -311,11 +313,11 @@ def inclusion_matrix(G, H, tableG=None, tableH=None):
     if tableH.prime != p:
         raise LiftInconsistency("tables computed with different primes")
     cdG, cdH = tableG.class_data, tableH.class_data
+    if cdH.elements != cdG.elements:
+        raise NotASubgroup("tables number different element sets")
     inv_h = pow(H.order % p, -1, p)
-    # the G class of the inverse of each H class's representative, found
-    # through the element, since H's table may number H.parent's elements
-    g_class = [cdG.inverse_map[cdG.class_of[G.index_of(cdH.elements[c[0]])]]
-               for c in cdH.classes]
+    # the G class of the inverse of each H class's representative
+    g_class = [cdG.inverse_map[cdG.class_of[c[0]]] for c in cdH.classes]
     rows = []
     for chi in tableH.table:
         weighted = [size * x for size, x in zip(cdH.sizes, chi)]

@@ -45,15 +45,12 @@ def corpus_subgroups(G):
         subs.append(derived_subgroup(G))
         subs.append(G.trivial_subgroup())
         subs.append(G.full_subgroup())
-    # dedup by element set, sort by (order, sorted element images)
+    # dedup by element set, sort by (order, sorted element indices), which
+    # is the order of the sorted element images
     seen = {}
     for H in subs:
-        key = frozenset(H.element_set)
-        if key not in seen:
-            seen[key] = H
-    ordered = sorted(seen.values(),
-                     key=lambda H: (H.order,
-                                    sorted(p.images for p in H.elements)))
+        seen.setdefault((H.order, H.indices), H)
+    ordered = [seen[key] for key in sorted(seen)]
     counts = {}
     for H in ordered:
         i = counts.get(H.order, 0)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .errors import CheckFailed
 from .linalg import identity_matrix, mat_mul, transpose
+from .permgroup import _conjugation_maps, h_classes
 
 
 def zero_pattern(m):
@@ -116,7 +117,6 @@ def burciu_depth1(G, H):
     integer-coefficient comparison of the conjugated class sums, on H's
     classes read in G's element indices.
     """
-    from .permgroup import _conjugation_maps, h_classes
-    conj = list(_conjugation_maps(G, map(G.index_of, G.generators)))
+    conj = list(_conjugation_maps(G, G.gen_indices))
     classes = [set(cls) for cls in h_classes(G, H)]
     return all({c[x] for x in cls} == cls for c in conj for cls in classes)

@@ -59,11 +59,10 @@ class TensorSquare:
         j, h = self._coset[G.mul(self.reps[i], s)]
         return G.mul(G.mul(G.inverse[s], g), h) * n + j
 
-    def _invariant(self, t, elements):
-        """True iff s^-1 * t * s = t for every s in elements; looks only at
-        the support of t."""
-        G = self.G
-        for s in map(G.index_of, elements):
+    def _invariant(self, t, by):
+        """True iff s^-1 * t * s = t for every element index s in by; looks
+        only at the support of t."""
+        for s in by:
             for idx, c in t.items():
                 if t.get(self._conj_index(idx, s)) != c:
                     return False
@@ -110,7 +109,7 @@ class TensorSquare:
         G, n, inv = self.G, self.n, self.G.inverse
         # s^-1 d s = ((d^-1 s)^-1) s, from the right map of s alone
         conj = []
-        for s in map(G.index_of, self.H.generators):
+        for s in self.H.gen_indices:
             rs = G.right_map(s)
             conj.append([rs[inv[rs[inv[d]]]] for d in range(G.order)])
         orbits = [sorted(inv[rmap[inv[d]]] * n + i
@@ -128,11 +127,11 @@ class TensorSquare:
         return self._casimir
 
     def in_t(self, t):
-        return self._invariant(t, self.H.generators or [self.G.identity])
+        return self._invariant(t, self.H.gen_indices)
 
     def is_central(self, t):
         """A-centrality: invariance under conjugation by all generators."""
-        return self._invariant(t, self.G.generators)
+        return self._invariant(t, self.G.gen_indices)
 
     def canonical_separability_element(self):
         """(1/[G:H]) sum_i g_i^-1 (x) g_i."""
@@ -156,12 +155,11 @@ def separability_elements(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
     # copy of each is kept.
     mus = [ts.mu(dict.fromkeys(w, 1)) for w in ts.casimir]
     ncols = len(mus)
-    one = G.index_of(G.identity)
     rows = [{} for _ in range(G.order)]
     for a, m in enumerate(mus):
         for gi, c in m.items():
             rows[gi][a] = c
-    rows[one][ncols] = 1
+    rows[0][ncols] = 1      # the identity is element 0
     system = {frozenset(row.items()): row for row in rows}
     # the forward echelon decides it: the system is consistent iff column
     # ncols is no pivot, and the kernel of the coefficient matrix has
@@ -174,7 +172,7 @@ def separability_elements(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
     e = ts.canonical_separability_element()
     if not ts.is_central(e):
         raise CheckFailed("canonical separability element is not central")
-    if ts.mu(e) != {one: 1}:
+    if ts.mu(e) != {0: 1}:
         raise CheckFailed("mu of the canonical separability element is not 1")
     kind = "unique" if not kernel_dim else "infinite"
     return kind, e, kernel_dim
@@ -252,11 +250,10 @@ def _teT_images(ts):
     the a^L, one per class in the order of conjugacy_classes.
     """
     G, inv = ts.G, ts.G.inverse
-    classes = conjugacy_classes(G, indices=True)
+    classes = conjugacy_classes(G)
     c = len(classes)
     class_of = part_labels(classes, G.order)
-    one = Counter(class_of[inv[h]] * c + class_of[h]
-                  for h in map(G.index_of, ts.H.elements))
+    one = Counter(class_of[inv[h]] * c + class_of[h] for h in ts.H.indices)
     # the K part of the pair (u^-1, u z), per element index u
     kpart = [class_of[y] * c for y in inv]
 
@@ -329,12 +326,12 @@ def _u_trace_form_counts(G, H):
     times the count at x.  Returns the image of 1 and a generator of the
     nonzero candidate images, c by c.
     """
-    orbits = h_orbits(G, H, indices=True)
+    orbits = h_orbits(G, H)
     orbit_of = part_labels(orbits, G.order)
     classes = h_classes(G, H)
     r = len(classes)
     class_of = part_labels(classes, G.order)   # None off H
-    hidx = [G.index_of(k) for k in H.elements]
+    hidx = H.indices
     hclass = [class_of[x] for x in hidx]
     # coordinate (K, K') is K * r + K'; candidate (c, O) counts go under
     # O * r * r + K * r + K' while c is fixed

@@ -4,10 +4,15 @@ Groups are given by permutation generators and enumerated by breadth-first
 closure; everything downstream (conjugacy classes, centralizers, transversals,
 orbit partitions and the group-theoretic separability criteria) works on the
 group's integer index data: element inverses and the right maps g -> g * a,
-from which the left maps g -> a * g are read.  A subgroup is enumerated, and
-its classes are found, on its parent's element indices.  Elements are ordered
+from which the left maps g -> a * g are read.  Elements are ordered
 lexicographically by image sequence so every partition and transversal is
 reproducible.
+
+A subgroup keeps its elements' and generators' indices in its parent
+(``indices``, ``gen_indices``), set once when it is built; every (G, H)
+routine reads H in that numbering and returns index tuples.  So H is
+accepted in G only when its parent is G or has G's elements, which number
+alike (else NotASubgroup).
 """
 
 from math import lcm
@@ -42,14 +47,6 @@ class Permutation:
 
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.images))
-
-    def order(self):
-        n = 1
-        p = self
-        while not p.is_identity():
-            p = p * self
-            n += 1
-        return n
 
     @staticmethod
     def identity(degree):
@@ -91,19 +88,20 @@ def _inverse_images(images):
 
 
 class _Enumerated:
-    """What groups and subgroups share: the sorted elements, the exponent,
-    and the H-orbits, classes and right cosets computed in a group G, kept
-    per G.element_set, which fixes G's numbering: a group caching on
-    itself then holds no reference to itself."""
+    """What groups and subgroups share: the sorted elements, their indices
+    and their generators' indices in the parent's numbering, the exponent,
+    and the H-orbits, classes and right cosets in the parent, each computed
+    once.  They are kept as index data, so a group caching on itself
+    holds no reference to itself."""
 
-    def _set_elements(self, elements):
+    def _set_elements(self, elements, indices, gen_indices):
         self.elements = elements
+        self.indices = indices
+        self.gen_indices = gen_indices
         self.element_set = frozenset(elements)
         self.order = len(elements)
         self._exponent = None
-        self._h_orbits = {}
-        self._h_classes = {}
-        self._cosets = {}
+        self._h_orbits = self._h_classes = self._cosets = None
 
     def __contains__(self, p):
         return p in self.element_set
@@ -169,7 +167,11 @@ class FiniteGroup(_Enumerated):
         for i, x in enumerate(order):
             at[x] = found[rows[x]] = i
         self._index = found
-        self._set_elements(tuple(_trusted(rows[x]) for x in order))
+        # the search's first steps, from the identity, reach the generators
+        self._set_elements(tuple(_trusted(rows[x]) for x in order),
+                           range(len(rows)),
+                           [at[prods[2 * k][0]]
+                            for k in range(len(self.generators))])
         self.identity = self.elements[0]
         self.inverse = [found[_inverse_images(rows[x])] for x in order]
         self._steps = [[at[prod[x]] for x in order] for prod in prods]
@@ -248,8 +250,9 @@ def _cycle_lengths(images):
 
 class Subgroup(_Enumerated):
     """A subgroup of a FiniteGroup, enumerated from its own generators on
-    the parent's index data; its classes and character table are read in
-    the parent's element indices too."""
+    the parent's index data.  Its element and generator indices in the
+    parent are kept, and its classes and character table are read in
+    them."""
 
     def __init__(self, parent, generators, name=None):
         self.parent = parent
@@ -258,9 +261,10 @@ class Subgroup(_Enumerated):
         for g in self.generators:
             if g not in parent:
                 raise NotASubgroup(f"generator {g} not in parent group")
-        found = _closure(parent, [parent.index_of(g) for g in self.generators])
-        self._set_elements(
-            tuple(map(parent.elements.__getitem__, sorted(found))))
+        gen_indices = [parent.index_of(g) for g in self.generators]
+        indices = tuple(sorted(_closure(parent, gen_indices)))
+        self._set_elements(tuple(map(parent.elements.__getitem__, indices)),
+                           indices, gen_indices)
         if parent.order % self.order != 0:
             raise NotASubgroup("Lagrange check failed")
 
@@ -327,16 +331,10 @@ def _conjugation_orbits(G, by):
     return tuple(orbits)
 
 
-def _element_view(G, partition):
-    """A partition of G's element indices as a partition of its elements."""
-    return tuple(tuple(map(G.elements.__getitem__, c)) for c in partition)
-
-
-def conjugacy_classes(G, indices=False):
-    """Conjugacy classes of a group or subgroup G, sorted by (size, minimal
-    element); as element indices of G.parent if indices is set."""
-    classes = h_classes(G.parent, G)
-    return classes if indices else _element_view(G.parent, classes)
+def conjugacy_classes(G):
+    """Conjugacy classes of a group or subgroup G as index tuples of
+    G.parent, sorted by (size, least index)."""
+    return h_classes(G.parent, G)
 
 
 def _centralizer_indices(G, a):
@@ -354,8 +352,7 @@ def centralizer(G, a):
 
 
 def _center_indices(G):
-    gens = [(G.right_map(s), G.left_map(s))
-            for s in map(G.index_of, G.generators)]
+    gens = [(G.right_map(s), G.left_map(s)) for s in G.gen_indices]
     return [g for g in range(G.order)
             if all(r[g] == l[g] for r, l in gens)]
 
@@ -370,23 +367,21 @@ def right_cosets(G, H):
     """The right cosets of H in G as two index lists (label, factor):
     elements[x] = elements[factor[x]] * g_j with j = label[x], where g_j is
     the least element of the j-th right coset and the cosets are numbered
-    by least element.  Computed once per (G, H), and kept on H."""
+    by least element.  Computed once, and kept on H."""
     _check_subgroup(G, H)
-    cosets = H._cosets.get(G.element_set)
-    if cosets is None:
-        hidx = [G.index_of(h) for h in H.elements]
+    if H._cosets is None:
         label = [None] * G.order
         factor = [0] * G.order
         j = 0
         for g in range(G.order):
             if label[g] is None:
-                for h in hidx:
+                for h in H.indices:
                     x = G.mul(h, g)
                     label[x] = j
                     factor[x] = h
                 j += 1
-        cosets = H._cosets[G.element_set] = (label, factor)
-    return cosets
+        H._cosets = (label, factor)
+    return H._cosets
 
 
 def right_transversal(G, H):
@@ -399,34 +394,31 @@ def right_transversal(G, H):
     return reps
 
 
-def h_orbits(G, H, indices=False):
-    """Orbits of G under conjugation by H, sorted as conjugacy_classes(G),
-    which they refine; as element indices if indices is set.  Enumerated
-    once per (G, H), and kept on H as indices only."""
+def h_orbits(G, H):
+    """Orbits of G's element indices under conjugation by H, sorted as
+    conjugacy_classes(G), which they refine.  Enumerated once, and kept
+    on H."""
     _check_subgroup(G, H)
-    orbits = H._h_orbits.get(G.element_set)
-    if orbits is None:
-        orbits = H._h_orbits[G.element_set] = _conjugation_orbits(
-            G, map(G.index_of, H.generators))
-    return orbits if indices else _element_view(G, orbits)
+    if H._h_orbits is None:
+        H._h_orbits = _conjugation_orbits(G, H.gen_indices)
+    return H._h_orbits
 
 
 def h_classes(G, H):
     """Conjugacy classes of H in G's element indices: the H-orbits on G
     that lie inside H, which come in the order of conjugacy_classes(H).
-    Computed once per (G, H), and kept on H."""
-    classes = H._h_classes.get(G.element_set)
-    if classes is None:
-        classes = H._h_classes[G.element_set] = tuple(
-            orb for orb in h_orbits(G, H, indices=True)
-            if G.elements[orb[0]] in H)
-    return classes
+    Computed once, and kept on H."""
+    _check_subgroup(G, H)
+    if H._h_classes is None:
+        inside = set(H.indices)
+        H._h_classes = tuple(orb for orb in h_orbits(G, H)
+                             if orb[0] in inside)
+    return H._h_classes
 
 
 def property_S(G, H):
     """True iff every conjugacy class of G is a single H-orbit."""
-    return (h_orbits(G, H, indices=True)
-            == conjugacy_classes(G, indices=True))
+    return h_orbits(G, H) == conjugacy_classes(G)
 
 
 def _covers_cosets(G, H, elems):
@@ -450,8 +442,8 @@ def depth1_group(G, H):
     """True iff H * C_G(h) = G for every h in H (characteristic zero);
     the product set is tested as in lemma_S_via_centralizers."""
     _check_subgroup(G, H)
-    return all(_covers_cosets(G, H, _centralizer_indices(G, G.index_of(h)))
-               for h in H.elements)
+    return all(_covers_cosets(G, H, _centralizer_indices(G, h))
+               for h in H.indices)
 
 
 def hz_condition(G, H):
@@ -464,14 +456,16 @@ def is_normal(G, H):
     """True iff g h g^-1 lies in H for every generator g of G and h of H,
     each product read off G's index data."""
     _check_subgroup(G, H)
-    inv = G.inverse
-    return all(G.elements[G.mul(G.mul(g, G.index_of(h)), inv[g])] in H
-               for g in map(G.index_of, G.generators) for h in H.generators)
+    inv, inside = G.inverse, set(H.indices)
+    return all(G.mul(G.mul(g, h), inv[g]) in inside
+               for g in G.gen_indices for h in H.gen_indices)
 
 
 def _check_subgroup(G, H):
-    if H.parent is not G and not H.element_set <= G.element_set:
-        raise NotASubgroup("H is not a subgroup of G")
+    """H's indices are G's: its parent is G, or has G's elements, which
+    then sort, and so number, alike."""
+    if H.parent is not G and H.parent.element_set != G.element_set:
+        raise NotASubgroup("H is not a subgroup of G in G's numbering")
 
 
 # ---------------------------------------------------------------------------
@@ -632,5 +626,5 @@ def all_subgroups(G, up_to_conjugacy=True):
         elems = subs[key]
         out.append(Subgroup(G, [G.elements[i] for i in sorted(elems)],
                             name=f"order{len(elems)}"))
-    out.sort(key=lambda H: (H.order, tuple(p.images for p in H.elements)))
+    out.sort(key=lambda H: (H.order, H.indices))
     return out

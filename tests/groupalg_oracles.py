@@ -18,6 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from operator import add
 
+from permgroup_oracles import element_view
 from sepdepth.errors import CapExceeded, CheckFailed, NotInT
 from sepdepth.groupalg import DEFAULT_LINEAR_CAP, TensorSquare, idempotent_in_t
 from sepdepth.linalg import SparseEchelon
@@ -35,8 +36,7 @@ def _indicator(orbit):
 
 def centralizer_basis(G, H):
     """H-orbit sums spanning A^B, as kG coefficient dicts."""
-    orbits = h_orbits(G, H)
-    return [{G.index_of(g): Fraction(1) for g in orb} for orb in orbits]
+    return [dict.fromkeys(orb, Fraction(1)) for orb in h_orbits(G, H)]
 
 
 def group_vec_mul(G, u, v):
@@ -190,7 +190,7 @@ def trace_form_signatures(ts):
     distinct signatures, each a list of (K-index * r + K'-index, count)
     pairs, and for each basis index the position of its signature."""
     G, H = ts.G, ts.H
-    classes = conjugacy_classes(G)
+    classes = element_view(G, conjugacy_classes(G))
     r = len(classes)
     class_of = {g: ci for ci, cls in enumerate(classes) for g in cls}
     left = [[r * class_of[(b * h).inverse()] for h in H.elements]
@@ -236,10 +236,10 @@ def casimir_trace_images(ts):
     the order of ts.casimir.
     """
     G, inv = ts.G, ts.G.inverse
-    classes = conjugacy_classes(G, indices=True)
+    classes = conjugacy_classes(G)
     c = len(classes)
     class_of = part_labels(classes, G.order)
-    hidx = [G.index_of(h) for h in ts.H.elements]
+    hidx = ts.H.indices
     # the K part per element index b (row b of the maps g -> g h) and the
     # K' part per transversal index i, both listed over h in H
     kpart = [[class_of[inv[x]] * c for x in row]
@@ -451,9 +451,9 @@ def u_trace_images(G, H):
     over x in G, k in K and k' in K'.  lambda_c . f_O has the entries
     (w y, y o) for w in c, y in H and o in O; its image is divided by
     |H| |c|.  Returns the image of 1 and the nonzero candidate images."""
-    classes = conjugacy_classes(H)
+    classes = element_view(G, conjugacy_classes(H))
     r = len(classes)
-    orbits = [list(orb) for orb in h_orbits(G, H)]
+    orbits = element_view(G, h_orbits(G, H))
 
     def image(F):
         out = {}

@@ -6,7 +6,25 @@ every centralizer with ``g * a == a * g`` over all of G and enumerate the
 product set H * C itself.  ``permgroup._conjugation_orbits`` searches
 conjugation maps of generators on element indices; the oracle here
 conjugates by every element of the acting group with Permutation products.
+``permgroup`` returns partitions as index tuples; ``element_view`` reads
+them as elements, and ``element_order`` is the oracle for
+``FiniteGroup.exponent``.
 """
+
+
+def element_order(p):
+    """The least n >= 1 with p^n the identity, by repeated products."""
+    n = 1
+    q = p
+    while not q.is_identity():
+        q = q * p
+        n += 1
+    return n
+
+
+def element_view(G, partition):
+    """A partition of G's element indices as a partition of its elements."""
+    return tuple(tuple(map(G.elements.__getitem__, c)) for c in partition)
 
 
 def _product_set_is_G(G, H, C):

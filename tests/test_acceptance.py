@@ -14,6 +14,7 @@ import pytest
 from findim_oracles import (matrix_algebra_separability_witnesses,
                             monoid_decomposition_dims)
 from groupalg_oracles import centralizer_basis
+from permgroup_oracles import element_order
 from sepdepth.analyze import AGREE, DISAGREE, SKIPPED
 from sepdepth.chartable import (character_table_mod_p, common_prime,
                                 inclusion_matrix)
@@ -59,7 +60,7 @@ def test_criterion_01_symmetric_chain_depths():
 def test_criterion_02_q8_counterexample():
     t0 = time.time()
     Q = quaternion_group()
-    Hi = Q.subgroup([next(p for p in Q.elements if p.order() == 4)])
+    Hi = Q.subgroup([next(p for p in Q.elements if element_order(p) == 4)])
     prop_s = property_S(Q, Hi)
     uniq = unique_separable(Q, Hi)
     dim_cent = len(centralizer_basis(Q, Hi))

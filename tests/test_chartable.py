@@ -6,6 +6,7 @@ from chartable_oracles import (_charpoly, class_mult_by_products,
                                det_mod_p, eigenspace_table, inclusion_shape,
                                induction_matrix_mod_p, table_json_dict,
                                table_value)
+from permgroup_oracles import element_view
 from sepdepth import chartable
 from sepdepth.chartable import (_character_row, _split_piece,
                                 character_table_mod_p, class_data,
@@ -227,7 +228,7 @@ def test_table_value_and_json():
     g."""
     G = symmetric_group(4)
     tab = character_table_mod_p(G)
-    for k, cls in enumerate(conjugacy_classes(G)):
+    for k, cls in enumerate(element_view(G, conjugacy_classes(G))):
         for g in cls:
             assert [table_value(tab, i, g) for i in range(tab.num_chars)] == \
                 [row[k] for row in tab.table]
@@ -251,7 +252,7 @@ def test_table_value_outside_the_group_rejected():
     G = symmetric_group(4)
     C3 = G.subgroup([Permutation.from_cycles(4, [[0, 1, 2]])])
     tab = character_table_mod_p(C3)
-    for k, cls in enumerate(conjugacy_classes(C3)):
+    for k, cls in enumerate(element_view(G, conjugacy_classes(C3))):
         for h in cls:
             assert [table_value(tab, i, h) for i in range(tab.num_chars)] == \
                 [row[k] for row in tab.table]

@@ -1,5 +1,5 @@
 from depth_oracles import depth_report_json
-from permgroup_oracles import conjugation_orbits_by_products
+from permgroup_oracles import conjugation_orbits_by_products, element_order
 from sepdepth.depth import (bimodule_matrices, burciu_depth1, depth_report,
                             is_diagonal, min_depth, min_even_depth,
                             min_h_depth, min_odd_depth, zero_pattern)
@@ -76,7 +76,7 @@ def test_burciu_depth1():
     assert burciu_depth1(GX, GX.subgroup(list(GX.generators[:2])))
     Q = quaternion_group()
     assert not burciu_depth1(Q, Q.subgroup(
-        [next(p for p in Q.elements if p.order() == 4)]))
+        [next(p for p in Q.elements if element_order(p) == 4)]))
 
 
 def test_burciu_matches_matrix_criterion():

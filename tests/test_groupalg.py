@@ -12,6 +12,7 @@ from groupalg_oracles import (TProductTable, USpace, casimir_orbits,
                               teT_candidates, trace_form_signatures,
                               trace_image, u_span_brute, u_trace_images,
                               unit)
+from permgroup_oracles import element_order
 from sepdepth import chartable, linalg
 from sepdepth.corpus import corpus_pairs, corpus_subgroups
 from sepdepth.errors import CapExceeded, NotInT
@@ -38,7 +39,8 @@ def s3_pair(order):
 
 def q8_i_pair():
     Q = quaternion_group()
-    return Q, Q.subgroup([next(p for p in Q.elements if p.order() == 4)])
+    return Q, Q.subgroup(
+        [next(p for p in Q.elements if element_order(p) == 4)])
 
 
 class TestTensorSquare:
@@ -236,7 +238,7 @@ def test_casimir_traces_are_class_counts_on_the_corpus():
         fast_one, counts = _teT_images(ts)
         counts = list(counts)
         assert fast_one == one, name
-        class_of = part_labels(conjugacy_classes(G, indices=True), G.order)
+        class_of = part_labels(conjugacy_classes(G), G.order)
         for w, image in zip(ts.casimir, images):
             # the points of w with i = 0 are d (x) 1 for d in O
             orbit = [idx // ts.n for idx in w if idx % ts.n == 0]

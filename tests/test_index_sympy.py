@@ -29,6 +29,7 @@ def test_index_data_matches_sympy():
             sorted(map(len, S.conjugacy_classes())), G
         for cls in classes:
             a = cls[0]
-            cent = _centralizer_indices(G, G.index_of(a))
-            assert len(cent) == S.centralizer(perm[a]).order(), (G, a)
+            cent = _centralizer_indices(G, a)
+            assert len(cent) == S.centralizer(perm[G.elements[a]]).order(), \
+                (G, a)
             assert len(cent) * len(cls) == G.order

@@ -5,7 +5,8 @@ from math import lcm
 import pytest
 
 from permgroup_oracles import (conjugation_orbits_by_products,
-                               depth1_by_products, lemma_S_by_products)
+                               depth1_by_products, element_order,
+                               element_view, lemma_S_by_products)
 from sepdepth.corpus import corpus_groups, corpus_subgroups
 from sepdepth.errors import (CapExceeded, ElementNotInGroup, InvalidArgument,
                              NotASubgroup)
@@ -31,7 +32,7 @@ class TestPermutation:
 
     def test_inverse_and_order(self):
         c = Permutation.from_cycles(4, [[0, 1, 2, 3]])
-        assert c.order() == 4
+        assert element_order(c) == 4
         assert (c * c.inverse()).is_identity()
 
     def test_rejects_non_bijection(self):
@@ -138,7 +139,58 @@ def test_subgroup_of_another_parent_analysed_in_G():
     }
     for key, H in pairs.items():
         assert H.parent is not G
-        assert analyze_pair(G, H).to_json_dict() == expected[key], key
+        rep = analyze_pair(G, H)
+        assert rep.index == G.order // H.order, key
+        assert rep.to_json_dict() == expected[key], key
+
+
+def test_subgroups_are_read_in_their_parents_numbering():
+    """A (G, H) routine reads H's parent indices, so it takes H only when
+    its parent numbers G's elements: C3 built in A4 is refused in S4, while
+    D4 built in a second S4 gives what D4 built in S4 gives.  Two character
+    tables are likewise refused when they number different elements."""
+    from sepdepth.chartable import (character_table_mod_p, common_prime,
+                                    inclusion_matrix)
+    from sepdepth.permgroup import right_cosets
+    G = symmetric_group(4)
+    C3 = alternating_group(4).subgroup(
+        [Permutation.from_cycles(4, [[0, 1, 2]])])
+    for routine in (h_orbits, right_cosets, is_normal):
+        with pytest.raises(NotASubgroup):
+            routine(G, C3)
+    gens = [Permutation.from_cycles(4, [[0, 1, 2, 3]]),
+            Permutation.from_cycles(4, [[0, 2]])]
+    D4 = symmetric_group(4).subgroup(gens)
+    D4_in_G = G.subgroup(gens)
+    assert D4.parent is not G
+    for routine in (h_orbits, right_cosets, is_normal):
+        assert routine(G, D4) == routine(G, D4_in_G), routine
+    p = common_prime(G, C3)
+    with pytest.raises(NotASubgroup):
+        inclusion_matrix(G, C3, tableG=character_table_mod_p(G, prime=p),
+                         tableH=character_table_mod_p(C3, prime=p))
+    with pytest.raises(NotASubgroup):
+        inclusion_matrix(G, C3)
+    assert inclusion_matrix(G, D4) == inclusion_matrix(G, D4_in_G)
+
+
+def test_repeat_analysis_maps_only_the_transversal_to_indices(monkeypatch):
+    """H carries its parent indices, so a repeat analyze_pair(S5, A5) calls
+    FiniteGroup.index_of only on the [G:H] transversal elements."""
+    from sepdepth.analyze import analyze_pair
+    G = symmetric_group(5)
+    H = derived_subgroup(G)
+    analyze_pair(G, H)
+    calls = []
+    index_of = FiniteGroup.index_of
+
+    def counting(self, p):
+        calls.append(p)
+        return index_of(self, p)
+
+    monkeypatch.setattr(FiniteGroup, "index_of", counting)
+    analyze_pair(G, H)
+    assert 0 < len(calls) <= G.order // H.order
 
 
 def test_enumerate_closure_cap():
@@ -169,7 +221,7 @@ def test_exponents():
     assert extraspecial_27().exponent() == 3
     assert quaternion_group(4).exponent() == 4
     for G in corpus_groups():
-        assert G.exponent() == lcm(*(p.order() for p in G.elements)), G
+        assert G.exponent() == lcm(*map(element_order, G.elements)), G
 
 
 def test_classes_and_orbits_match_products():
@@ -181,18 +233,15 @@ def test_classes_and_orbits_match_products():
     for G in corpus_groups():
         if G.order > 60:
             continue
-        assert conjugacy_classes(G) == \
+        assert element_view(G, conjugacy_classes(G)) == \
             conjugation_orbits_by_products(G.elements, G.elements), G
         for H in corpus_subgroups(G):
             classes_h = conjugation_orbits_by_products(H.elements,
                                                        H.elements)
-            assert conjugacy_classes(H) == classes_h, H
-            assert tuple(tuple(map(G.elements.__getitem__, cls))
-                         for cls in h_classes(G, H)) == classes_h, H
-            assert h_orbits(G, H) == \
+            assert element_view(G, conjugacy_classes(H)) == classes_h, H
+            assert element_view(G, h_classes(G, H)) == classes_h, H
+            assert element_view(G, h_orbits(G, H)) == \
                 conjugation_orbits_by_products(G.elements, H.elements), H
-            assert h_orbits(G, H, indices=True) == tuple(
-                tuple(map(G.index_of, orb)) for orb in h_orbits(G, H))
 
 
 def test_corpus_builds_each_subgroup_once(monkeypatch):
@@ -235,7 +284,7 @@ def test_classes_partition_group():
 def test_center_and_centralizer():
     Q = quaternion_group()
     assert center(Q).order == 2
-    a = next(p for p in Q.elements if p.order() == 4)
+    a = next(p for p in Q.elements if element_order(p) == 4)
     assert centralizer(Q, a).order == 4
     with pytest.raises(ElementNotInGroup):
         centralizer(Q, Permutation.identity(Q.degree + 1))
@@ -259,7 +308,7 @@ def test_right_transversal():
 
 def test_h_orbits_refine_classes():
     G = quaternion_group()
-    H = G.subgroup([next(p for p in G.elements if p.order() == 4)])
+    H = G.subgroup([next(p for p in G.elements if element_order(p) == 4)])
     orbits = h_orbits(G, H)
     classes = conjugacy_classes(G)
     assert len(orbits) == 6 > len(classes) == 5
@@ -269,7 +318,7 @@ def test_h_orbits_refine_classes():
 
 def test_property_s_examples():
     G = quaternion_group()
-    H = G.subgroup([next(p for p in G.elements if p.order() == 4)])
+    H = G.subgroup([next(p for p in G.elements if element_order(p) == 4)])
     assert not property_S(G, H)
     assert property_S(G, G.full_subgroup())
     GX = direct_product(symmetric_group(3), cyclic_group(2))
@@ -394,7 +443,7 @@ def test_depth1_and_hz():
     Hz = Q.subgroup(list(center(Q).elements))
     assert depth1_group(Q, Hz)             # central subgroup
     assert depth1_group(Q, Q.trivial_subgroup())
-    Hi = Q.subgroup([next(p for p in Q.elements if p.order() == 4)])
+    Hi = Q.subgroup([next(p for p in Q.elements if element_order(p) == 4)])
     assert not depth1_group(Q, Hi)
     GX = direct_product(symmetric_group(3), cyclic_group(2))
     HX = GX.subgroup(list(GX.generators[:2]))
