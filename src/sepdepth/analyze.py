@@ -86,9 +86,10 @@ def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
     """Full invariant report for the group-algebra extension kH in kG.
 
     Every routine reads H in its parent's numbering, so a subgroup built
-    in another group is first rebuilt in G from its generators."""
+    in another group is first rebuilt in G from its generator elements."""
     if H.parent is not G:
-        H = G.subgroup(H.generators, name=H.name)
+        H = G.subgroup([H.parent.elements[i] for i in H.gen_indices],
+                       name=H.name)
     classes_g = conjugacy_classes(G)
     classes_h = h_classes(G, H)
     orbits = h_orbits(G, H)

@@ -96,8 +96,9 @@ def group_from_spec(spec, cap):
 def subgroup_from_spec(G, spec):
     _typed(spec, dict, "subgroup spec")
     if "generators" in spec:
-        gens = _perms(spec["generators"], G.degree)
-    elif "generator_indices" in spec:
+        return G.subgroup(_perms(spec["generators"], G.degree),
+                          name=_typed(spec.get("name", "H"), str, "'name'"))
+    if "generator_indices" in spec:
         idx = [_typed(i, int, "generator index") for i in
                _typed(spec["generator_indices"], list, "'generator_indices'")]
         if not idx:
@@ -106,11 +107,9 @@ def subgroup_from_spec(G, spec):
         if bad:
             raise SpecError(f"generator index {bad[0]} not in "
                             f"0..{G.order - 1}")
-        gens = [G.elements[i] for i in idx]
-    else:
-        raise SpecError(
-            "subgroup spec needs 'generators' or 'generator_indices'")
-    return Subgroup(G, gens, name=_typed(spec.get("name", "H"), str, "'name'"))
+        return Subgroup(G, idx,
+                        name=_typed(spec.get("name", "H"), str, "'name'"))
+    raise SpecError("subgroup spec needs 'generators' or 'generator_indices'")
 
 
 def _frac(x):

@@ -31,20 +31,19 @@ class TensorSquare:
     """Canonical-basis model of A (x)_B A for A = kG, B = kH.
 
     Basis index of g (x) g_i is  g_index * n + i  with elements of G sorted
-    and the transversal identity-first.  Everything runs on the index data
-    of G: the coset table x = h * g_j, the right maps of the transversal
-    (kept once per tensor square) and G.mul for single products.
+    and the transversal ``reps`` (indices) identity-first.  Everything runs
+    on G's index data: the coset table x = h * g_j, the right maps of the
+    transversal (kept once per tensor square) and G.mul for single products.
     """
 
     def __init__(self, G, H, cap=DEFAULT_LINEAR_CAP):
         self.G = G
         self.H = H
-        self.transversal = right_transversal(G, H)
-        self.n = len(self.transversal)
+        self.reps = right_transversal(G, H)
+        self.n = len(self.reps)
         self.dim = G.order * self.n
         if self.dim > cap:
             raise CapExceeded("dim(A tensor_B A)", self.dim, cap)
-        self.reps = [G.index_of(rep) for rep in self.transversal]
         self.rep_maps = [G.right_map(rep) for rep in self.reps]
         # coset factorization: _coset[x] = (j, h) with x = h * g_j
         self._coset = list(zip(*right_cosets(G, H)))

@@ -8,14 +8,15 @@ from which the left maps g -> a * g are read.  Elements are ordered
 lexicographically by image sequence so every partition and transversal is
 reproducible.
 
-A subgroup keeps its elements' and generators' indices in its parent
-(``indices``, ``gen_indices``), set once when it is built; every (G, H)
-routine reads H in that numbering and returns index tuples.  So H is
-accepted in G only when its parent is G or has G's elements, which number
-alike (else NotASubgroup).
+A subgroup is built from its generators' indices in its parent and keeps
+them and its elements' indices (``gen_indices``, ``indices``); only
+``FiniteGroup.subgroup`` and ``centralizer`` map a Permutation to its
+index.  Every (G, H) routine reads H in that numbering and returns index
+tuples, so H is accepted in G only when its parent is G or has G's
+elements, which number alike (else NotASubgroup).
 """
 
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (CapExceeded, CheckFailed, ElementNotInGroup,
                      InvalidArgument, NotASubgroup)
@@ -44,9 +45,6 @@ class Permutation:
 
     def inverse(self):
         return _trusted(_inverse_images(self.images))
-
-    def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
 
     @staticmethod
     def identity(degree):
@@ -224,13 +222,18 @@ class FiniteGroup(_Enumerated):
         return lmap
 
     def subgroup(self, generators, name=None):
-        return Subgroup(self, generators, name=name)
+        """The subgroup generated by Permutations, mapped to indices."""
+        generators = list(generators)
+        bad = [g for g in generators if g not in self]
+        if bad:
+            raise NotASubgroup(f"generator {bad[0]} not in parent group")
+        return Subgroup(self, map(self.index_of, generators), name=name)
 
     def trivial_subgroup(self):
-        return Subgroup(self, [self.identity], name="1")
+        return Subgroup(self, [0], name="1")
 
     def full_subgroup(self):
-        return Subgroup(self, self.generators, name=self.name)
+        return Subgroup(self, self.gen_indices, name=self.name)
 
     def __repr__(self):
         return f"FiniteGroup({self.name or 'unnamed'}, order={self.order})"
@@ -249,19 +252,15 @@ def _cycle_lengths(images):
 
 
 class Subgroup(_Enumerated):
-    """A subgroup of a FiniteGroup, enumerated from its own generators on
-    the parent's index data.  Its element and generator indices in the
-    parent are kept, and its classes and character table are read in
-    them."""
+    """The subgroup of a FiniteGroup generated by the elements with indices
+    gen_indices, enumerated on the parent's index data.  Its element and
+    generator indices in the parent are kept, and its classes and
+    character table are read in them."""
 
-    def __init__(self, parent, generators, name=None):
+    def __init__(self, parent, gen_indices, name=None):
         self.parent = parent
-        self.generators = list(generators)
         self.name = name
-        for g in self.generators:
-            if g not in parent:
-                raise NotASubgroup(f"generator {g} not in parent group")
-        gen_indices = [parent.index_of(g) for g in self.generators]
+        gen_indices = list(gen_indices)
         indices = tuple(sorted(_closure(parent, gen_indices)))
         self._set_elements(tuple(map(parent.elements.__getitem__, indices)),
                            indices, gen_indices)
@@ -347,8 +346,8 @@ def centralizer(G, a):
     """C_G(a) as a Subgroup."""
     if a not in G:
         raise ElementNotInGroup(repr(a))
-    elems = _centralizer_indices(G, G.index_of(a))
-    return Subgroup(G, [G.elements[g] for g in elems], name=f"C({G.name})")
+    return Subgroup(G, _centralizer_indices(G, G.index_of(a)),
+                    name=f"C({G.name})")
 
 
 def _center_indices(G):
@@ -359,8 +358,7 @@ def _center_indices(G):
 
 def center(G):
     """Z(G) as a Subgroup."""
-    return Subgroup(G, [G.elements[g] for g in _center_indices(G)],
-                    name=f"Z({G.name})")
+    return Subgroup(G, _center_indices(G), name=f"Z({G.name})")
 
 
 def right_cosets(G, H):
@@ -385,11 +383,11 @@ def right_cosets(G, H):
 
 
 def right_transversal(G, H):
-    """One representative per right coset Hg; identity first, then the
-    lexicographically minimal element of each remaining coset."""
+    """Element indices of one representative per right coset Hg: the
+    identity first, then the least element of each remaining coset."""
     _, factor = right_cosets(G, H)
-    reps = [G.elements[x] for x, h in enumerate(factor) if h == 0]
-    if not reps[0].is_identity():
+    reps = [x for x, h in enumerate(factor) if h == 0]
+    if reps[0] != 0:
         raise CheckFailed("transversal does not start with the identity")
     return reps
 
@@ -558,15 +556,19 @@ def direct_product(G, K, name=None):
 
 
 def derived_subgroup(G):
-    inv = G.inverse
-    right_inv = [G.right_map(b) for b in inv]
-    comms = set()
-    for a in range(G.order):
-        # a b a^-1 b^-1, read off the left map of a and right maps
-        la, rinv = G.left_map(a), right_inv[a]
-        comms.update(right_inv[b][rinv[la[b]]] for b in range(G.order))
-    return Subgroup(G, [G.elements[c] for c in sorted(comms)],
-                    name=f"[{G.name},{G.name}]")
+    """[G, G] as the normal closure of the commutators of G's generators:
+    each commutator, and each conjugate of a kept one by a generator of G,
+    is kept while it lies outside the closure of those kept so far."""
+    inv, mul, gens = G.inverse, G.mul, G.gen_indices
+    queue = [mul(mul(a, b), mul(inv[a], inv[b]))
+             for i, a in enumerate(gens) for b in gens[i + 1:]]
+    found, inside = [], {0}
+    for y in queue:
+        if y not in inside:
+            found.append(y)
+            inside = set(_closure(G, found))
+            queue.extend(mul(mul(s, y), inv[s]) for s in gens)
+    return Subgroup(G, found, name=f"[{G.name},{G.name}]")
 
 
 def _conjugacy_key(G, elems):
@@ -585,46 +587,43 @@ def _conjugacy_key(G, elems):
 
 
 def cyclic_subgroups(G):
-    subs = {}
-    keys = {}
+    """One <g> per conjugacy class of cyclic subgroups, g the least index
+    generating a member, sorted by (order, indices).  <g'> is conjugate to
+    <g> iff g' is conjugate to some g^k with gcd(k, |g|) = 1, so g is kept
+    unless its class holds a generator of an earlier kept <g>."""
+    class_of = part_labels(conjugacy_classes(G), G.order)
+    covered, subs = set(), []
     for g in range(G.order):
-        elems = frozenset(_closure(G, [g]))
-        key = keys.get(elems)
-        if key is None:
-            key = keys[elems] = _conjugacy_key(G, elems)
-        if key not in subs:
-            p = G.elements[g]
-            subs[key] = Subgroup(G, [p], name=f"<{list(p.images)}>")
-    return [subs[k] for k in sorted(subs)]
+        if class_of[g] in covered:
+            continue
+        powers = _closure(G, [g])  # g^0, g^1, ... in order
+        covered.update(class_of[x] for k, x in enumerate(powers)
+                       if gcd(k, len(powers)) == 1)
+        subs.append(Subgroup(G, [g],
+                             name=f"<{list(G.elements[g].images)}>"))
+    subs.sort(key=lambda H: (H.order, H.indices))
+    return subs
 
 
-def all_subgroups(G, up_to_conjugacy=True):
-    """Every subgroup of G (up to conjugacy by default).  Desk scale only."""
-    triv = frozenset([0])
-    found = {triv: [0]}  # frozenset of element indices -> generator list
-    frontier = [triv]
-    while frontier:
-        nxt = []
-        for elems in frontier:
-            gens = found[elems]
-            for g in range(G.order):
-                if g in elems:
-                    continue
+def all_subgroups(G):
+    """Every subgroup of G up to conjugacy, each built from the short
+    generator list that found it.  Desk scale only."""
+    found = {frozenset([0]): []}  # element indices -> generator list
+    queue = list(found)
+    for elems in queue:
+        gens = found[elems]
+        for g in range(G.order):
+            if g not in elems:
                 new = frozenset(_closure(G, gens + [g]))
                 if new not in found:
                     found[new] = gens + [g]
-                    nxt.append(new)
-        frontier = nxt
+                    queue.append(new)
+    # found fills breadth first, in generator-count order, so each
+    # class's first subgroup has the fewest generators
     subs = {}
-    for elems, gens in found.items():
-        key = _conjugacy_key(G, elems) if up_to_conjugacy else \
-            tuple(sorted(elems))
-        if key not in subs or len(found[subs[key]]) > len(gens):
-            subs[key] = elems
-    out = []
-    for key in sorted(subs):
-        elems = subs[key]
-        out.append(Subgroup(G, [G.elements[i] for i in sorted(elems)],
-                            name=f"order{len(elems)}"))
+    for elems in found:
+        subs.setdefault(_conjugacy_key(G, elems), elems)
+    out = [Subgroup(G, found[elems], name=f"order{len(elems)}")
+           for elems in subs.values()]
     out.sort(key=lambda H: (H.order, H.indices))
     return out

@@ -18,7 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from operator import add
 
-from permgroup_oracles import element_view
+from permgroup_oracles import element_view, generators
 from sepdepth.errors import CapExceeded, CheckFailed, NotInT
 from sepdepth.groupalg import DEFAULT_LINEAR_CAP, TensorSquare, idempotent_in_t
 from sepdepth.linalg import SparseEchelon
@@ -53,7 +53,7 @@ def group_vec_mul(G, u, v):
 def e_index(G, H):
     """sum_i g_i^-1 g_i as a kG vector; checked central and
     transversal-independent."""
-    trans = right_transversal(G, H)
+    trans = [G.elements[r] for r in right_transversal(G, H)]
     out = _transversal_index_sum(G, trans)
     # second transversal: maximal coset representatives
     alt = []
@@ -90,9 +90,14 @@ def basis_index(ts, g, i):
     return ts.G.index_of(g) * ts.n + i
 
 
+def transversal(ts):
+    """The tensor square's transversal as elements."""
+    return [ts.G.elements[r] for r in ts.reps]
+
+
 def coset_factor(ts, x):
     """(k, h) with x = h * g_k, by group products."""
-    for k, rep in enumerate(ts.transversal):
+    for k, rep in enumerate(transversal(ts)):
         h = x * rep.inverse()
         if h in ts.H:
             return k, h
@@ -103,7 +108,7 @@ def right_perm(ts, a):
     """Index permutation of t -> t * a, by group products:
     (g (x) g_i) a = g h (x) g_j  where g_i a = h g_j."""
     out = [0] * ts.dim
-    for i, rep in enumerate(ts.transversal):
+    for i, rep in enumerate(transversal(ts)):
         j, h = coset_factor(ts, rep * a)
         for gi, g in enumerate(ts.G.elements):
             out[gi * ts.n + i] = basis_index(ts, g * h, j)
@@ -139,7 +144,7 @@ def casimir_space(G, H, cap=DEFAULT_LINEAR_CAP):
 
 def t_basis(ts):
     """Orbit-indicator basis of T."""
-    perms = conj_perms(ts, ts.H.generators or [ts.G.identity])
+    perms = conj_perms(ts, generators(ts.H))
     return [_indicator(o) for o in index_orbits(ts.dim, perms)]
 
 
@@ -151,7 +156,8 @@ def t_product_index(ts, idx1, idx2):
     gi, i = divmod(idx1, ts.n)
     gpi, j = divmod(idx2, ts.n)
     g, gp = ts.G.elements[gi], ts.G.elements[gpi]
-    k, h = coset_factor(ts, ts.transversal[i] * ts.transversal[j])
+    reps = transversal(ts)
+    k, h = coset_factor(ts, reps[i] * reps[j])
     return basis_index(ts, gp * g * h, k)
 
 
@@ -196,7 +202,7 @@ def trace_form_signatures(ts):
     left = [[r * class_of[(b * h).inverse()] for h in H.elements]
             for b in G.elements]
     right = [[class_of[rep.inverse() * h] for h in H.elements]
-             for rep in ts.transversal]
+             for rep in transversal(ts)]
     position = {}
     sig_of = []
     for lrow in left:
@@ -329,7 +335,7 @@ class USpace:
             raise CapExceeded("dim(U ambient)", self.ambient, cap)
         perms = []
         N = G.order
-        for h in (H.generators or [G.identity]):
+        for h in generators(H):
             # F[y][x] = F[h y][h x]  and  F[y][x] = F[y h][x h]
             lp = [G.index_of(h * g) for g in G.elements]
             rp = [G.index_of(g * h) for g in G.elements]

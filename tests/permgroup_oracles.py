@@ -8,18 +8,74 @@ conjugation maps of generators on element indices; the oracle here
 conjugates by every element of the acting group with Permutation products.
 ``permgroup`` returns partitions as index tuples; ``element_view`` reads
 them as elements, and ``element_order`` is the oracle for
-``FiniteGroup.exponent``.
+``FiniteGroup.exponent``.  ``cyclic_subgroups_by_keys`` and
+``derived_subgroup_by_commutators`` are the subgroup harvest that
+conjugates every cyclic subgroup by all of G and takes every commutator;
+``every_subgroup`` lists all subgroups, not one per conjugacy class.
 """
+
+from sepdepth.permgroup import (Subgroup, _closure, _conjugacy_key,
+                                all_subgroups)
+
+
+def is_identity(p):
+    return all(i == j for i, j in enumerate(p.images))
 
 
 def element_order(p):
     """The least n >= 1 with p^n the identity, by repeated products."""
     n = 1
     q = p
-    while not q.is_identity():
+    while not is_identity(q):
         q = q * p
         n += 1
     return n
+
+
+def generators(H):
+    """H's generators as elements of its parent."""
+    return [H.parent.elements[i] for i in H.gen_indices]
+
+
+def cyclic_subgroups_by_keys(G):
+    """One <g> per conjugacy class of cyclic subgroups, the first g in
+    index order, each class told by the least sorted index tuple among
+    the conjugates of <g> by all of G; sorted by that key."""
+    subs, keys = {}, {}
+    for g in range(G.order):
+        elems = frozenset(_closure(G, [g]))
+        key = keys.get(elems)
+        if key is None:
+            key = keys[elems] = _conjugacy_key(G, elems)
+        subs.setdefault(key, g)
+    return [Subgroup(G, [subs[k]]) for k in sorted(subs)]
+
+
+def derived_subgroup_by_commutators(G):
+    """[G, G] generated by a b a^-1 b^-1 for every pair of elements, read
+    off the left map of each a and the right maps of all inverses."""
+    inv = G.inverse
+    right_inv = [G.right_map(b) for b in inv]
+    comms = set()
+    for a in range(G.order):
+        la, rinv = G.left_map(a), right_inv[a]
+        comms.update(right_inv[b][rinv[la[b]]] for b in range(G.order))
+    return Subgroup(G, sorted(comms))
+
+
+def every_subgroup(G):
+    """Every subgroup of G, sorted by (order, indices): each conjugate
+    g H g^-1 of each all_subgroups representative H, by Permutation
+    products, built from the indices of its conjugated generators."""
+    at = {p: i for i, p in enumerate(G.elements)}
+    found = {}
+    for H in all_subgroups(G):
+        for g in G.elements:
+            ginv = g.inverse()
+            key = tuple(sorted(at[g * h * ginv] for h in H.elements))
+            found.setdefault(key, [at[g * s * ginv] for s in generators(H)])
+    return [Subgroup(G, found[key])
+            for key in sorted(found, key=lambda t: (len(t), t))]
 
 
 def element_view(G, partition):

@@ -1,5 +1,6 @@
 from depth_oracles import depth_report_json
-from permgroup_oracles import conjugation_orbits_by_products, element_order
+from permgroup_oracles import (conjugation_orbits_by_products, element_order,
+                               every_subgroup)
 from sepdepth.depth import (bimodule_matrices, burciu_depth1, depth_report,
                             is_diagonal, min_depth, min_even_depth,
                             min_h_depth, min_odd_depth, zero_pattern)
@@ -93,7 +94,7 @@ def test_burciu_matches_products():
     Permutation products) under conjugation by every element of G."""
     seen = set()
     for G in (symmetric_group(4), quaternion_group(), dihedral_group(6)):
-        for H in all_subgroups(G, up_to_conjugacy=False):
+        for H in every_subgroup(G):
             brute = all({g * x * g.inverse() for x in cls} == set(cls)
                         for cls in conjugation_orbits_by_products(
                             H.elements, H.elements)

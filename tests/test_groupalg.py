@@ -12,7 +12,7 @@ from groupalg_oracles import (TProductTable, USpace, casimir_orbits,
                               teT_candidates, trace_form_signatures,
                               trace_image, u_span_brute, u_trace_images,
                               unit)
-from permgroup_oracles import element_order
+from permgroup_oracles import element_order, every_subgroup
 from sepdepth import chartable, linalg
 from sepdepth.corpus import corpus_pairs, corpus_subgroups
 from sepdepth.errors import CapExceeded, NotInT
@@ -321,7 +321,7 @@ def test_fullness_in_u_cross_check():
     checked = 0
     for G in (symmetric_group(3), quaternion_group(), dihedral_group(4),
               alternating_group(4), symmetric_group(4), dihedral_group(6)):
-        for H in all_subgroups(G, up_to_conjugacy=False):
+        for H in every_subgroup(G):
             assert is_full_in_U(G, H) == is_full_in_U_span(G, H), (G, H)
             checked += 1
     assert checked == 78

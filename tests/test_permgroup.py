@@ -5,14 +5,16 @@ from math import lcm
 import pytest
 
 from permgroup_oracles import (conjugation_orbits_by_products,
-                               depth1_by_products, element_order,
-                               element_view, lemma_S_by_products)
+                               cyclic_subgroups_by_keys, depth1_by_products,
+                               derived_subgroup_by_commutators, element_order,
+                               element_view, every_subgroup, generators,
+                               is_identity, lemma_S_by_products)
 from sepdepth.corpus import corpus_groups, corpus_subgroups
 from sepdepth.errors import (CapExceeded, ElementNotInGroup, InvalidArgument,
                              NotASubgroup)
-from sepdepth.permgroup import (FiniteGroup, Permutation, all_subgroups,
-                                alternating_group, center, centralizer,
-                                conjugacy_classes, cyclic_group,
+from sepdepth.permgroup import (FiniteGroup, Permutation, Subgroup,
+                                all_subgroups, alternating_group, center,
+                                centralizer, conjugacy_classes, cyclic_group,
                                 cyclic_subgroups, depth1_group,
                                 derived_subgroup, dihedral_group,
                                 direct_product, extraspecial_27,
@@ -33,7 +35,7 @@ class TestPermutation:
     def test_inverse_and_order(self):
         c = Permutation.from_cycles(4, [[0, 1, 2, 3]])
         assert element_order(c) == 4
-        assert (c * c.inverse()).is_identity()
+        assert is_identity(c * c.inverse())
 
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
@@ -73,7 +75,7 @@ def test_analyze_pair_enumerates_class_partitions_once(monkeypatch):
                     Permutation.from_cycles(4, [[0, 1, 2]])])
     analyze.analyze_pair(G, H)
     assert sorted(calls, key=repr) == sorted(
-        [(24, frozenset(G.generators)), (24, frozenset(H.generators))],
+        [(24, frozenset(G.generators)), (24, frozenset(generators(H)))],
         key=repr)
 
 
@@ -174,9 +176,10 @@ def test_subgroups_are_read_in_their_parents_numbering():
     assert inclusion_matrix(G, D4) == inclusion_matrix(G, D4_in_G)
 
 
-def test_repeat_analysis_maps_only_the_transversal_to_indices(monkeypatch):
-    """H carries its parent indices, so a repeat analyze_pair(S5, A5) calls
-    FiniteGroup.index_of only on the [G:H] transversal elements."""
+def test_repeat_analysis_maps_no_permutation_to_an_index(monkeypatch):
+    """H carries its parent indices and the transversal is an index list,
+    so a repeat analyze_pair(S5, A5) calls FiniteGroup.index_of not at
+    all."""
     from sepdepth.analyze import analyze_pair
     G = symmetric_group(5)
     H = derived_subgroup(G)
@@ -190,7 +193,7 @@ def test_repeat_analysis_maps_only_the_transversal_to_indices(monkeypatch):
 
     monkeypatch.setattr(FiniteGroup, "index_of", counting)
     analyze_pair(G, H)
-    assert 0 < len(calls) <= G.order // H.order
+    assert calls == []
 
 
 def test_enumerate_closure_cap():
@@ -294,6 +297,10 @@ def test_subgroup_validation():
     G = symmetric_group(3)
     with pytest.raises(NotASubgroup):
         G.subgroup([Permutation.identity(5)])
+    # generators may come as any iterable, Permutations or indices
+    H = G.subgroup(iter([Permutation((1, 2, 0))]))
+    assert H.order == 3
+    assert Subgroup(G, iter(H.gen_indices)).indices == H.indices
 
 
 def test_right_transversal():
@@ -301,8 +308,8 @@ def test_right_transversal():
     H = G.subgroup([Permutation.from_cycles(4, [[0, 1, 2]])])
     reps = right_transversal(G, H)
     assert len(reps) == H.index == 8
-    assert reps[0].is_identity()
-    cosets = {frozenset(h * r for h in H.elements) for r in reps}
+    assert reps[0] == 0 and is_identity(G.elements[0])
+    cosets = {frozenset(h * G.elements[r] for h in H.elements) for r in reps}
     assert len(cosets) == 8
 
 
@@ -339,7 +346,7 @@ def test_centralizer_criteria_match_products():
     seen = set()
     for G in (symmetric_group(3), quaternion_group(), dihedral_group(4),
               alternating_group(4), symmetric_group(4), dihedral_group(6)):
-        for H in all_subgroups(G, up_to_conjugacy=False):
+        for H in every_subgroup(G):
             lem, d1 = lemma_S_via_centralizers(G, H), depth1_group(G, H)
             assert lem == lemma_S_by_products(G, H), (G, H)
             assert d1 == depth1_by_products(G, H), (G, H)
@@ -474,7 +481,7 @@ def test_normality_matches_products():
     seen = set()
     for G in (symmetric_group(4), quaternion_group(), dihedral_group(6),
               alternating_group(4)):
-        for H in all_subgroups(G, up_to_conjugacy=False):
+        for H in every_subgroup(G):
             brute = all(g * h * g.inverse() in H
                         for g in G.elements for h in H.elements)
             assert is_normal(G, H) == brute, (G, H)
@@ -498,3 +505,37 @@ def test_subgroup_harvests():
     assert len(all_subgroups(direct_product(cyclic_group(2),
                                             cyclic_group(2)))) == 5
     assert len(cyclic_subgroups(symmetric_group(4))) == 5
+
+
+def test_harvest_matches_conjugating_by_all_of_G():
+    """cyclic_subgroups, read off G's classes, keeps the same <g> as
+    conjugating every cyclic subgroup by all of G, and derived_subgroup,
+    a normal closure, gives the group of all commutators: on every corpus
+    group and on S6, A6, C4xC6, D15 and Q24."""
+    extra = [symmetric_group(6), alternating_group(6),
+             direct_product(cyclic_group(4), cyclic_group(6)),
+             dihedral_group(15), quaternion_group(12)]
+    def reps(subs):
+        return sorted((H.gen_indices, H.indices) for H in subs)
+
+    for G in corpus_groups() + extra:
+        assert reps(cyclic_subgroups(G)) == \
+            reps(cyclic_subgroups_by_keys(G)), G
+        assert derived_subgroup(G).indices == \
+            derived_subgroup_by_commutators(G).indices, G
+
+
+def test_cyclic_harvest_caches_few_maps():
+    """Harvesting S6's cyclic subgroups caches fewer than |S6| right and
+    left maps in all, where conjugating each by all of G caches 1440."""
+    G = symmetric_group(6)
+    assert len(cyclic_subgroups(G)) == 11
+    assert len(G._right_maps) + len(G._left_maps) < G.order
+
+
+def test_corpus_subgroups_have_short_generator_lists():
+    """Each harvested subgroup is built from a short generator list, not
+    from all of its elements."""
+    for G in corpus_groups():
+        for H in corpus_subgroups(G):
+            assert len(H.gen_indices) <= 4, (G, H)
