@@ -115,7 +115,11 @@ def subgroup_from_spec(G, spec):
 def _frac(x):
     """A spec's rational entry: an int when it is integral, which keeps
     integer input on the echelon's fraction-free path.  A JSON boolean is
-    not a rational, though Python's Fraction takes it for 0 or 1."""
+    not a rational, though Python's Fraction takes it for 0 or 1.  The
+    strings "0" and "1", most entries of a structure-constant spec, skip
+    Fraction's parser."""
+    if x == "0" or x == "1":
+        return int(x)
     if isinstance(x, bool):
         raise SpecError(f"bad rational {x!r}: not a number")
     try:

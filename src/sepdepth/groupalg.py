@@ -5,8 +5,9 @@ The tensor square A (x)_B A is spanned by {g (x) g_i} for g in G and g_i in
 a fixed right transversal of H, with the rewrite g_i * a = h * g_j pulling
 everything back onto the canonical basis.  kG is a Frobenius extension of
 kH with dual bases g_i^-1, g_i, so the A-central (Casimir) subspace has
-the orbit indicator basis {g_i^-1 d (x) g_i : d in O, all i}, one orbit
-per H-orbit O on G -- already in reduced echelon form.  Fullness of the
+the basis w_O = sum_{d in O} sum_i g_i^-1 d (x) g_i, one per H-orbit O on
+G, and the separability system mu(t) = 1 on it needs one row per
+conjugacy class of G, never a point of the tensor square.  Fullness of the
 separability idempotent in T, and of the H-support projection in the
 bimodule endomorphism ring U, are decided by integer trace-form counts;
 for T one count per conjugacy class of G suffices (proof in
@@ -15,10 +16,9 @@ for T one count per conjugacy class of G suffices (proof in
 
 from collections import Counter
 from fractions import Fraction
-from math import lcm
 from operator import add
 
-from .errors import CapExceeded, CheckFailed, NotInT
+from .errors import CapExceeded, CheckFailed
 from .linalg import SparseEchelon
 from .permgroup import (conjugacy_classes, h_classes, h_orbits,
                         index_orbits, part_labels, right_cosets,
@@ -32,8 +32,8 @@ class TensorSquare:
 
     Basis index of g (x) g_i is  g_index * n + i  with elements of G sorted
     and the transversal ``reps`` (indices) identity-first.  Everything runs
-    on G's index data: the coset table x = h * g_j, the right maps of the
-    transversal (kept once per tensor square) and G.mul for single products.
+    on G's index data: the coset table x = h * g_j and G.mul for single
+    products.
     """
 
     def __init__(self, G, H, cap=DEFAULT_LINEAR_CAP):
@@ -44,7 +44,6 @@ class TensorSquare:
         self.dim = G.order * self.n
         if self.dim > cap:
             raise CapExceeded("dim(A tensor_B A)", self.dim, cap)
-        self.rep_maps = [G.right_map(rep) for rep in self.reps]
         # coset factorization: _coset[x] = (j, h) with x = h * g_j
         self._coset = list(zip(*right_cosets(G, H)))
         self._casimir = None
@@ -58,65 +57,32 @@ class TensorSquare:
         j, h = self._coset[G.mul(self.reps[i], s)]
         return G.mul(G.mul(G.inverse[s], g), h) * n + j
 
-    def _invariant(self, t, by):
-        """True iff s^-1 * t * s = t for every element index s in by; looks
+    def is_central(self, t):
+        """A-centrality: s^-1 * t * s = t for every generator s of G; looks
         only at the support of t."""
-        for s in by:
+        for s in self.G.gen_indices:
             for idx, c in t.items():
                 if t.get(self._conj_index(idx, s)) != c:
                     return False
         return True
 
-    def mu(self, t):
-        """Multiplication map g (x) g_i -> g * g_i, as a kG vector."""
-        out = {}
-        for idx, c in t.items():
-            g, i = divmod(idx, self.n)
-            k = self.rep_maps[i][g]
-            out[k] = out.get(k, 0) + c
-        return {k: v for k, v in out.items() if v}
-
-    def t_square(self, t):
-        """The T-product t . t, read off G's cached index maps.
-
-        (g (x) g_i) . (g' (x) g_j) = g' g h (x) g_k  where g_i g_j = h g_k.
-        """
-        G, n, reps = self.G, self.n, self.reps
-        terms = [(divmod(idx, n), c) for idx, c in t.items()]
-        out = {}
-        for (gp, j), c2 in terms:
-            rep_j, left_gp = self.rep_maps[j], G.left_map(gp)
-            for (g, i), c1 in terms:
-                k, h = self._coset[rep_j[reps[i]]]
-                key = G.right_map(h)[left_gp[g]] * n + k
-                out[key] = out.get(key, 0) + c1 * c2
-        return {k: v for k, v in out.items() if v}
-
-    # --- distinguished subspaces (orbit bases) ---
-
     def casimir_basis(self):
-        """Orbit basis of (A (x)_B A)^A, each orbit a sorted index tuple
-        standing for its 0/1 indicator, ordered by least point.
+        """The H-orbits O on G, one per element of the orbit basis
+        w_O = sum_{d in O} sum_i g_i^-1 d (x) g_i of (A (x)_B A)^A, as
+        sorted index tuples ordered by least element.
 
         d -> sum_i g_i^-1 d (x) g_i maps A^B onto the Casimir space (dual
-        bases of the Frobenius extension), so the orbits are the sets
-        {g_i^-1 d (x) g_i : d in O, all i}, one per H-orbit O on G.  The
-        H-orbits are searched here, under d -> s^-1 d s for H's generators
-        s, apart from permgroup.h_orbits.  The point of (d, i) is read off
-        a transversal right map: (g_i^-1 d)^-1 = d^-1 g_i.
+        bases of the Frobenius extension), so the w_O, with disjoint
+        supports, are a basis.  The H-orbits are searched here, under
+        d -> s^-1 d s for H's generators s, apart from permgroup.h_orbits.
         """
-        G, n, inv = self.G, self.n, self.G.inverse
+        G, inv = self.G, self.G.inverse
         # s^-1 d s = ((d^-1 s)^-1) s, from the right map of s alone
         conj = []
         for s in self.H.gen_indices:
             rs = G.right_map(s)
             conj.append([rs[inv[rs[inv[d]]]] for d in range(G.order)])
-        orbits = [sorted(inv[rmap[inv[d]]] * n + i
-                         for d in orb
-                         for i, rmap in enumerate(self.rep_maps))
-                  for orb in index_orbits(G.order, conj)]
-        orbits.sort()
-        return list(map(tuple, orbits))
+        return index_orbits(G.order, conj)
 
     @property
     def casimir(self):
@@ -124,13 +90,6 @@ class TensorSquare:
         if self._casimir is None:
             self._casimir = self.casimir_basis()
         return self._casimir
-
-    def in_t(self, t):
-        return self._invariant(t, self.H.gen_indices)
-
-    def is_central(self, t):
-        """A-centrality: invariance under conjugation by all generators."""
-        return self._invariant(t, self.G.gen_indices)
 
     def canonical_separability_element(self):
         """(1/[G:H]) sum_i g_i^-1 (x) g_i."""
@@ -145,25 +104,31 @@ def separability_elements(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
     Returns (kind, witness, kernel_dim) with kind in
     {"none", "unique", "infinite"}.  The witness, when the index is
     invertible, is the canonical element (1/[G:H]) sum g_i^-1 (x) g_i.
+
+    The Casimir space has the basis w_O, one per H-orbit O
+    (``TensorSquare.casimir_basis``), and mu(w_O) = sum_{d in O} sum_i
+    g_i^-1 d g_i is central in kG.  So sum_O c_O mu(w_O) = 1 holds iff it
+    holds at one element z of each conjugacy class L of G, and
+    mu(w_O)[z] = #{i : g_i z g_i^-1 in O}: c rows, c * [G:H] conjugations
+    in all, the identity class carrying the right-hand side.
     """
     if ts is None:
         ts = TensorSquare(G, H, cap=cap)
-    # affine system: sum_a c_a mu(w_a) = 1 in kG, with integer mu(w_a).
-    # Row gi holds the mu(w_a)[gi] and, in column ncols, [gi = 1].  Each
-    # mu(w_a) is central, so conjugate elements give equal rows and one
-    # copy of each is kept.
-    mus = [ts.mu(dict.fromkeys(w, 1)) for w in ts.casimir]
-    ncols = len(mus)
-    rows = [{} for _ in range(G.order)]
-    for a, m in enumerate(mus):
-        for gi, c in m.items():
-            rows[gi][a] = c
-    rows[0][ncols] = 1      # the identity is element 0
-    system = {frozenset(row.items()): row for row in rows}
+    orbit_of = part_labels(ts.casimir, G.order)
+    ncols = len(ts.casimir)
+    inv = G.inverse
+    # row L holds the mu(w_O)[z] at O and, in column ncols, [z = 1]; the
+    # identity class comes first
+    rows = []
+    for cls in conjugacy_classes(G):
+        z_map = G.right_map(cls[0])
+        rows.append(dict(Counter(orbit_of[G.mul(z_map[rep], inv[rep])]
+                                 for rep in ts.reps)))
+    rows[0][ncols] = 1
     # the forward echelon decides it: the system is consistent iff column
     # ncols is no pivot, and the kernel of the coefficient matrix has
     # dimension ncols - (rank - [ncols is a pivot])
-    ech = SparseEchelon(system.values())
+    ech = SparseEchelon(rows)
     consistent = ncols not in ech.rows
     kernel_dim = ncols - ech.rank + (not consistent)
     if not consistent:
@@ -171,7 +136,11 @@ def separability_elements(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
     e = ts.canonical_separability_element()
     if not ts.is_central(e):
         raise CheckFailed("canonical separability element is not central")
-    if ts.mu(e) != {0: 1}:
+    mu_e = Counter()
+    for idx, c in e.items():
+        g, i = divmod(idx, ts.n)
+        mu_e[G.mul(g, ts.reps[i])] += c
+    if mu_e != {0: 1}:
         raise CheckFailed("mu of the canonical separability element is not 1")
     kind = "unique" if not kernel_dim else "infinite"
     return kind, e, kernel_dim
@@ -180,16 +149,6 @@ def separability_elements(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
 def unique_separable(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
     kind, _, _ = separability_elements(G, H, ts=ts, cap=cap)
     return kind == "unique"
-
-
-def idempotent_in_t(ts, e):
-    """True iff e . e = e, tested on integers: with d the lcm of the
-    denominators of e and s = d e, e is idempotent iff s . s = d s."""
-    if not ts.in_t(e):
-        raise NotInT("element is not H-central")
-    d = lcm(*(v.denominator for v in e.values()))
-    s = {k: int(v * d) for k, v in e.items()}
-    return ts.t_square(s) == {k: d * v for k, v in s.items()}
 
 
 def _one_in_span(one, images):
@@ -280,11 +239,13 @@ def is_full_in_T(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
     maps of the class representatives, so the test stays small no matter
     how large the tensor square is; it stops as soon as the image of 1 is
     in the span.
+
+    e is an idempotent of T with no check here: for an A-central e with
+    mu(e) = 1, e . e = sum e'^1 e e'^2 = e mu(e') = e, and
+    ``separability_elements`` checks both premises on e.
     """
     if ts is None:
         ts = TensorSquare(G, H, cap=cap)
-    if not idempotent_in_t(ts, ts.canonical_separability_element()):
-        raise NotInT("e is not an idempotent of T")
     one, images = _teT_images(ts)
     return _one_in_span(one, images)
 

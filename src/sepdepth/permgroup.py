@@ -267,10 +267,6 @@ class Subgroup(_Enumerated):
         if parent.order % self.order != 0:
             raise NotASubgroup("Lagrange check failed")
 
-    @property
-    def index(self):
-        return self.parent.order // self.order
-
     def __repr__(self):
         return f"Subgroup({self.name or 'unnamed'}, order={self.order})"
 

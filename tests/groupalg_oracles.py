@@ -4,26 +4,32 @@ kG, tensor-square and U computations they use, for tests only.
 Each one spans an ideal explicitly -- TeT inside the tensor square, UEU
 inside the |G| x |G| matrix coordinates of U -- so the tests can hold the
 integer trace-form tests ``is_full_in_T`` and ``is_full_in_U`` against
-them.  They share no code with those tests beyond the group data, the
-idempotent check on e and the echelon kernel.  The T-product, the
-per-basis-point trace forms and the permutations of the tensor-square
-basis are computed from Permutation products; ``casimir_orbits`` searches
-the Casimir basis on all dim basis points, the reference for the closed
-form ``TensorSquare.casimir_basis``.  ``casimir_trace_images`` counts the
-trace-form image of each Casimir orbit point by point, the reference for
-the class-pair counts of ``groupalg._teT_images``.
+them.  They share no code with those tests beyond the group data and the
+echelon kernel.  The T-product, the per-basis-point trace forms and the
+permutations of the tensor-square basis are computed from Permutation
+products; ``casimir_orbits`` searches the Casimir basis on all dim basis
+points, the reference for ``casimir_points``, the point form of the
+H-orbits of ``TensorSquare.casimir_basis``.  ``mu_system`` solves
+mu(t) = 1 on the searched Casimir orbits with one row per element of G,
+the reference for the one row per class of ``separability_elements``.
+``idempotent_in_t`` checks e . e = e on the points of e, which
+``is_full_in_T`` takes from mu(e) = 1 and the A-centrality of e.
+``casimir_trace_images`` counts the trace-form image of each Casimir
+orbit point by point, the reference for the class-pair counts of
+``groupalg._teT_images``.
 """
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from permgroup_oracles import element_view, generators
 from sepdepth.errors import CapExceeded, CheckFailed, NotInT
-from sepdepth.groupalg import DEFAULT_LINEAR_CAP, TensorSquare, idempotent_in_t
+from sepdepth.groupalg import DEFAULT_LINEAR_CAP, TensorSquare
 from sepdepth.linalg import SparseEchelon
 from sepdepth.permgroup import (conjugacy_classes, h_orbits, index_orbits,
-                                part_labels, right_transversal)
+                                part_labels, right_cosets, right_transversal)
 
 
 def _indicator(orbit):
@@ -127,8 +133,52 @@ def conj_perms(ts, elements):
 
 def casimir_orbits(ts):
     """The Casimir basis by an orbit search of conjugation by G's
-    generators on all dim basis points, ordered as ts.casimir_basis()."""
+    generators on all dim basis points, ordered by least point."""
     return index_orbits(ts.dim, conj_perms(ts, ts.G.generators))
+
+
+def casimir_points(ts):
+    """The point form of ts.casimir: the support {g_i^-1 d (x) g_i : d in
+    O, all i} of w_O for each H-orbit O, by group products, as sorted
+    index tuples ordered by least point, as casimir_orbits."""
+    G = ts.G
+    inverses = [rep.inverse() for rep in transversal(ts)]
+    return sorted(tuple(sorted(basis_index(ts, inv * G.elements[d], i)
+                               for d in orbit
+                               for i, inv in enumerate(inverses)))
+                  for orbit in ts.casimir)
+
+
+def mu(ts, t):
+    """Multiplication map g (x) g_i -> g * g_i, as a kG vector, by group
+    products."""
+    G, reps = ts.G, transversal(ts)
+    out = {}
+    for idx, c in t.items():
+        g, i = divmod(idx, ts.n)
+        k = G.index_of(G.elements[g] * reps[i])
+        out[k] = out.get(k, 0) + c
+    return {k: v for k, v in out.items() if v}
+
+
+def mu_system(ts):
+    """(kind, kernel_dim, Casimir count) of sum_w c_w mu(w) = 1 over the
+    Casimir orbits w of the orbit search casimir_orbits, with one row per
+    element of G: the row of g holds the mu(w)[g] and, in the last column,
+    [g = 1]."""
+    G = ts.G
+    mus = [mu(ts, dict.fromkeys(w, 1)) for w in casimir_orbits(ts)]
+    ncols = len(mus)
+    rows = [{} for _ in range(G.order)]
+    for a, m in enumerate(mus):
+        for g, c in m.items():
+            rows[g][a] = c
+    rows[G.index_of(G.identity)][ncols] = 1
+    ech = SparseEchelon(rows)
+    if ncols in ech.rows:
+        return "none", ncols - ech.rank + 1, ncols
+    kernel_dim = ncols - ech.rank
+    return ("unique" if not kernel_dim else "infinite"), kernel_dim, ncols
 
 
 def unit(ts):
@@ -139,7 +189,7 @@ def unit(ts):
 def casimir_space(G, H, cap=DEFAULT_LINEAR_CAP):
     """The tensor square and its Casimir basis as 0/1 indicator vectors."""
     ts = TensorSquare(G, H, cap=cap)
-    return ts, [dict.fromkeys(orbit, 1) for orbit in ts.casimir]
+    return ts, [dict.fromkeys(orbit, 1) for orbit in casimir_points(ts)]
 
 
 def t_basis(ts):
@@ -168,6 +218,51 @@ def t_product(ts, t1, t2):
             k = t_product_index(ts, i1, i2)
             out[k] = out.get(k, 0) + c1 * c2
     return {k: v for k, v in out.items() if v}
+
+
+def t_square(ts, t):
+    """The T-product t . t, read off G's index maps and coset table.
+
+    (g (x) g_i) . (g' (x) g_j) = g' g h (x) g_k  where g_i g_j = h g_k.
+    """
+    G, n, reps = ts.G, ts.n, ts.reps
+    coset = list(zip(*right_cosets(G, ts.H)))
+    terms = [(divmod(idx, n), c) for idx, c in t.items()]
+    out = {}
+    for (gp, j), c2 in terms:
+        rep_j, left_gp = G.right_map(reps[j]), G.left_map(gp)
+        for (g, i), c1 in terms:
+            k, h = coset[rep_j[reps[i]]]
+            key = G.right_map(h)[left_gp[g]] * n + k
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def in_t(ts, t):
+    """H-centrality: s^-1 * t * s = t for H's generators s, point by point
+    from group products."""
+    G, reps = ts.G, transversal(ts)
+    coset = {h * rep: (k, h) for k, rep in enumerate(reps)
+             for h in ts.H.elements}
+    for s in generators(ts.H):
+        for idx, c in t.items():
+            g, i = divmod(idx, ts.n)
+            # (g (x) g_i) s = g h (x) g_j  where g_i s = h g_j
+            j, h = coset[reps[i] * s]
+            if t.get(basis_index(ts, s.inverse() * G.elements[g] * h,
+                                 j)) != c:
+                return False
+    return True
+
+
+def idempotent_in_t(ts, e):
+    """True iff e . e = e, tested on integers: with d the lcm of the
+    denominators of e and s = d e, e is idempotent iff s . s = d s."""
+    if not in_t(ts, e):
+        raise NotInT("element is not H-central")
+    d = lcm(*(v.denominator for v in e.values()))
+    s = {k: int(v * d) for k, v in e.items()}
+    return t_square(ts, s) == {k: d * v for k, v in s.items()}
 
 
 def teT_candidates(ts):
@@ -239,7 +334,7 @@ def casimir_trace_images(ts):
 
     keyed by K * c + K' for the c classes of G; dim * |H| = |G|^2 steps in
     all.  Returns the image of 1 and the images, one per Casimir orbit in
-    the order of ts.casimir.
+    the order of casimir_points.
     """
     G, inv = ts.G, ts.G.inverse
     classes = conjugacy_classes(G)
@@ -261,7 +356,7 @@ def casimir_trace_images(ts):
             counts.update(map(add, kpart[b], kppart[i]))
         return dict(counts)
 
-    return dict(one), list(map(image, ts.casimir))
+    return dict(one), list(map(image, casimir_points(ts)))
 
 
 def is_full_in_T_span(G, H, e=None, ts=None, cap=DEFAULT_LINEAR_CAP):
@@ -395,8 +490,8 @@ def corner_dims(G, H, ts=None, U=None, cap=DEFAULT_LINEAR_CAP):
     e = ts.canonical_separability_element()
     n = ts.n
     ech = SparseEchelon()
-    for w in ts.casimir:
-        z = ts.mu(dict.fromkeys(w, 1))
+    for w in casimir_points(ts):
+        z = mu(ts, dict.fromkeys(w, 1))
         vec = {}
         for gi, coeff in z.items():
             g = G.elements[gi]

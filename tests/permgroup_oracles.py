@@ -11,7 +11,8 @@ them as elements, and ``element_order`` is the oracle for
 ``FiniteGroup.exponent``.  ``cyclic_subgroups_by_keys`` and
 ``derived_subgroup_by_commutators`` are the subgroup harvest that
 conjugates every cyclic subgroup by all of G and takes every commutator;
-``every_subgroup`` lists all subgroups, not one per conjugacy class.
+``every_subgroup`` lists all subgroups, not one per conjugacy class, and
+``subgroup_index`` is [G:H].
 """
 
 from sepdepth.permgroup import (Subgroup, _closure, _conjugacy_key,
@@ -35,6 +36,11 @@ def element_order(p):
 def generators(H):
     """H's generators as elements of its parent."""
     return [H.parent.elements[i] for i in H.gen_indices]
+
+
+def subgroup_index(H):
+    """[G:H] for H in its parent G."""
+    return H.parent.order // H.order
 
 
 def cyclic_subgroups_by_keys(G):

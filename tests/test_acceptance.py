@@ -13,7 +13,7 @@ import pytest
 
 from findim_oracles import (matrix_algebra_separability_witnesses,
                             monoid_decomposition_dims)
-from groupalg_oracles import centralizer_basis
+from groupalg_oracles import centralizer_basis, idempotent_in_t, mu
 from permgroup_oracles import element_order
 from sepdepth.analyze import AGREE, DISAGREE, SKIPPED
 from sepdepth.chartable import (character_table_mod_p, common_prime,
@@ -26,7 +26,7 @@ from sepdepth.findim import (RelativeTensorSquare, AlgebraInclusion,
                              structural_matrix_example,
                              upper_triangular_algebra,
                              verify_separability_witness)
-from sepdepth.groupalg import TensorSquare, idempotent_in_t, unique_separable
+from sepdepth.groupalg import TensorSquare, unique_separable
 from sepdepth.permgroup import (Permutation, conjugacy_classes, property_S,
                                 quaternion_group, symmetric_group)
 
@@ -181,7 +181,7 @@ def test_criterion_10_canonical_idempotent_everywhere(corpus_reports):
         ts = TensorSquare(G, H, cap=10 ** 9)
         e = ts.canonical_separability_element()
         ident = {G.index_of(G.identity): 1}
-        if not (ts.mu(e) == ident and ts.is_central(e)
+        if not (mu(ts, e) == ident and ts.is_central(e)
                 and idempotent_in_t(ts, e)):
             bad.append(name)
     _verdict(10, f"mu(e)=1, A-central, e.e=e on {len(reports)} pairs, "

@@ -1,9 +1,10 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from sepdepth.cli import main
+from sepdepth.cli import SpecError, _frac, main
 
 S3_GROUP = {"name": "S3", "degree": 3,
             "generators": [[1, 0, 2], [1, 2, 0]]}
@@ -355,6 +356,23 @@ def test_findim_demo_malformed_spec_exit_1(tmp_path, capsys, alg, sub,
     b.write_text(json.dumps(sub))
     assert main(["findim-demo", str(a), str(b)]) == 1
     assert message in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("0", 0), ("1", 1), ("1/2", Fraction(1, 2)), ("2/2", 1),
+    (True, "bad rational True: not a number"),
+    ("x", "bad rational 'x': Invalid literal for Fraction: 'x'"),
+])
+def test_spec_rationals(entry, value):
+    """A spec entry parses to an int when integral, else a Fraction; a
+    boolean or a bad string fails with its one-line message."""
+    if isinstance(value, str):
+        with pytest.raises(SpecError) as exc:
+            _frac(entry)
+        assert str(exc.value) == value
+    else:
+        got = _frac(entry)
+        assert got == value and type(got) is type(value)
 
 
 def test_findim_demo_cap_linear_env_exit_2(capsys, monkeypatch):

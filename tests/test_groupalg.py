@@ -1,25 +1,27 @@
+import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from groupalg_oracles import (TProductTable, USpace, casimir_orbits,
-                              casimir_space, casimir_trace_images,
-                              centralizer_basis,
-                              corner_dims, e_index,
-                              is_full_in_T_span, is_full_in_U_span,
-                              t_basis, t_product, t_span_brute,
-                              teT_candidates, trace_form_signatures,
-                              trace_image, u_span_brute, u_trace_images,
-                              unit)
+                              casimir_points, casimir_space,
+                              casimir_trace_images, centralizer_basis,
+                              corner_dims, e_index, idempotent_in_t, in_t,
+                              is_full_in_T_span, is_full_in_U_span, mu,
+                              mu_system, t_basis, t_product, t_span_brute,
+                              t_square, teT_candidates,
+                              trace_form_signatures, trace_image,
+                              u_span_brute, u_trace_images, unit)
 from permgroup_oracles import element_order, every_subgroup
 from sepdepth import chartable, linalg
+from sepdepth.cli import main as cli_main
 from sepdepth.corpus import corpus_pairs, corpus_subgroups
 from sepdepth.errors import CapExceeded, NotInT
 from sepdepth.groupalg import (TensorSquare, _teT_images,
-                               _u_trace_form_counts, idempotent_in_t,
-                               is_full_in_T, is_full_in_U,
-                               separability_elements, unique_separable)
+                               _u_trace_form_counts, is_full_in_T,
+                               is_full_in_U, separability_elements,
+                               unique_separable)
 from sepdepth.linalg import SparseEchelon, nullspace, solve_affine
 from sepdepth.permgroup import (Permutation, all_subgroups,
                                 alternating_group, conjugacy_classes,
@@ -74,9 +76,9 @@ class TestTensorSquare:
         for G, H in (s3_pair(2), s3_pair(3), q8_i_pair()):
             ts = TensorSquare(G, H)
             e = ts.canonical_separability_element()
-            assert ts.in_t(e)
+            assert in_t(ts, e)
             assert ts.is_central(e)
-            assert ts.mu(e) == {G.index_of(G.identity): Fraction(1)}
+            assert mu(ts, e) == {G.index_of(G.identity): Fraction(1)}
             assert idempotent_in_t(ts, e)
             assert not idempotent_in_t(
                 ts, {k: 2 * v for k, v in e.items()})
@@ -87,18 +89,24 @@ class TestTensorSquare:
             assert len(ts.casimir_basis()) == len(h_orbits(G, H))
 
     def test_casimir_basis_equals_orbit_search_on_corpus(self):
-        """The closed form from the H-orbits equals the orbit search of
+        """The point form of the H-orbits equals the orbit search of
         conjugation on all basis points, order included, on every corpus
         pair with the cap lifted to |G|^2."""
         for name, G, H in corpus_pairs():
             ts = TensorSquare(G, H, cap=G.order ** 2)
-            assert ts.casimir_basis() == casimir_orbits(ts), name
+            assert casimir_points(ts) == casimir_orbits(ts), name
 
     def test_casimir_basis_reads_no_h_orbits(self, monkeypatch):
-        """casimir_basis searches its own H-orbits, so the report's
-        casimir_dim stays a route apart from property S, which reads
-        permgroup.h_orbits."""
+        """casimir_basis searches its own H-orbits, and the separability
+        rows are labelled by them, so the report's casimir_dim and
+        separability_kind stay a route apart from property S, which reads
+        permgroup.h_orbits.  The rows read G's classes, which are
+        computed before the H-orbits are refused."""
         from sepdepth import groupalg, permgroup
+        G = symmetric_group(4)
+        H = G.subgroup([Permutation((1, 0, 2, 3)),
+                        Permutation((2, 3, 0, 1))])
+        conjugacy_classes(G)
 
         def refuse(*args, **kwargs):
             raise AssertionError("H-orbits read from permgroup")
@@ -106,12 +114,11 @@ class TestTensorSquare:
         for name in ("h_orbits", "_conjugation_orbits"):
             monkeypatch.setattr(permgroup, name, refuse)
         monkeypatch.setattr(groupalg, "h_orbits", refuse)
-        G = symmetric_group(4)
-        H = G.subgroup([Permutation((1, 0, 2, 3)),
-                        Permutation((2, 3, 0, 1))])
         ts = TensorSquare(G, H)
-        assert ts.casimir_basis() == casimir_orbits(ts)
+        assert casimir_points(ts) == casimir_orbits(ts)
         assert len(ts.casimir) == 8     # the H-orbits of D4 on S4
+        # 8 H-orbits and 5 classes of S4
+        assert separability_elements(G, H, ts=ts)[::2] == ("infinite", 3)
 
 
 def test_separability_kinds():
@@ -137,7 +144,7 @@ def test_separability_triple_matches_dense_solve():
         if G.order >= 60:
             continue
         ts = TensorSquare(G, H)
-        mus = [ts.mu(dict.fromkeys(w, 1)) for w in ts.casimir]
+        mus = [mu(ts, dict.fromkeys(w, 1)) for w in casimir_points(ts)]
         one = G.index_of(G.identity)
         sol, null = solve_affine([[m.get(gi, 0) for m in mus]
                                   for gi in range(G.order)],
@@ -146,6 +153,51 @@ def test_separability_triple_matches_dense_solve():
                 "unique" if not null else "infinite")
         got_kind, _, kdim = separability_elements(G, H, ts=ts)
         assert (got_kind, kdim) == (kind, len(null)), name
+
+
+def _larger_pairs():
+    """An S6 point stabiliser, A6 over A5, and the subgroups of C4 x C6
+    and of D15 (up to conjugacy)."""
+    S6 = symmetric_group(6)
+    yield "S6/S5", S6, S6.subgroup([Permutation((1, 0, 2, 3, 4, 5)),
+                                     Permutation((1, 2, 3, 4, 0, 5))])
+    A6 = alternating_group(6)
+    yield "A6/A5", A6, A6.subgroup([Permutation((1, 2, 0, 3, 4, 5)),
+                                     Permutation((1, 2, 3, 4, 0, 5))])
+    for G in (direct_product(cyclic_group(4), cyclic_group(6)),
+              dihedral_group(15)):
+        for H in all_subgroups(G):
+            yield f"{G.name}/{H.order}", G, H
+
+
+def test_class_rows_match_the_element_rows():
+    """The c rows, one per class of G, give the kind, kernel dimension and
+    Casimir count of the |G|-row mu system over the searched Casimir
+    orbits, on every corpus pair with the cap lifted to |G|^2 and on
+    larger pairs."""
+    pairs = list(corpus_pairs())
+    assert len(pairs) == 142
+    for name, G, H in pairs + list(_larger_pairs()):
+        ts = TensorSquare(G, H, cap=G.order ** 2)
+        kind, _, kdim = separability_elements(G, H, ts=ts)
+        assert (kind, kdim, len(ts.casimir)) == mu_system(ts), name
+
+
+def test_closed_forms_on_the_corpus(capsys):
+    """At --cap-linear 16384, on all 142 corpus pairs: the Casimir space
+    has one dimension per H-orbit, the separability kernel one per H-orbit
+    beyond the classes of G, and e is full in T exactly when H = G."""
+    assert cli_main(["corpus", "--cap-linear", "16384"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    pairs = list(corpus_pairs())
+    assert len(reports) == len(pairs) == 142
+    for (name, G, H), r in zip(pairs, reports):
+        assert not r["caps_hit"], name
+        _, _, kdim = separability_elements(G, H, cap=16384)
+        assert r["casimir_dim"] == r["num_h_orbits"], name
+        assert kdim == r["num_h_orbits"] - r["num_classes_g"], name
+        assert r["full_in_t"] == (r["subgroup_order"] == r["group_order"]), \
+            name
 
 
 def test_unique_separable_examples():
@@ -239,7 +291,7 @@ def test_casimir_traces_are_class_counts_on_the_corpus():
         counts = list(counts)
         assert fast_one == one, name
         class_of = part_labels(conjugacy_classes(G), G.order)
-        for w, image in zip(ts.casimir, images):
+        for w, image in zip(casimir_points(ts), images):
             # the points of w with i = 0 are d (x) 1 for d in O
             orbit = [idx // ts.n for idx in w if idx % ts.n == 0]
             a = counts[class_of[G.inverse[orbit[0]]]]
@@ -282,11 +334,12 @@ def test_idempotent_in_t_on_integers():
     assert not idempotent_in_t(ts, {k: 2 * v for k, v in e.items()})
     # e plus a fifth of a Casimir element with mu = 0 is again a
     # separability idempotent
-    mus = [ts.mu(dict.fromkeys(w, 1)) for w in ts.casimir]
+    points = casimir_points(ts)
+    mus = [mu(ts, dict.fromkeys(w, 1)) for w in points]
     kernel, = nullspace([[m.get(g, 0) for m in mus]
                          for g in range(G.order)])
     mixed = dict(e)
-    for w, c in zip(ts.casimir, kernel):
+    for w, c in zip(points, kernel):
         for idx in w:
             mixed[idx] = mixed.get(idx, 0) + c / 5
     mixed = {k: v for k, v in mixed.items() if v}
@@ -381,7 +434,7 @@ def test_t_square_is_the_t_product():
         e = ts.canonical_separability_element()
         for t in (e, {k: 2 * v for k, v in e.items()},
                   {3: Fraction(2), 7: Fraction(-1), 11: Fraction(1, 3)}):
-            assert ts.t_square(t) == t_product(ts, t, t)
+            assert t_square(ts, t) == t_product(ts, t, t)
 
 
 def test_u_span_brute_cross_check():
