@@ -1,22 +1,34 @@
 """Minimum depth and H-depth from zero patterns of inclusion-matrix powers.
 
-All matrix powers are taken over exact big integers; "equal number of zero
-entries" is implemented as equal zero positions, which is equivalent for
-powers of nonnegative symmetric matrices because the zero set only shrinks.
-The even-depth rule (compare S^(n-1)M with S^n M) is a derived criterion,
-flagged as such in reports.
+S = M M^t and T = M^t M stay integer matrices, but the scans read only
+where their powers vanish, so they run on boolean row masks: row i of a
+power is an int with bit j set where entry (i, j) is nonzero, and a step
+ORs the previous power's masks over the set bits of a row of S or T.
+That is exact because the entries are nonnegative: no sum of products
+cancels.  The diagonal of S and T is positive on the nonzero lines of M
+(their squared lengths), so the zero set only shrinks and "equal number
+of zero entries" is equal masks.  The even-depth rule (compare S^(n-1)M
+with S^n M) is a derived criterion, flagged as such in reports.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul, or_
 
-from .errors import CheckFailed
-from .linalg import identity_matrix, mat_mul, transpose
+from .errors import CheckFailed, InvalidArgument
 from .permgroup import _conjugation_maps, h_classes
 
 
-def zero_pattern(m):
-    """Boolean matrix, True where the entry is zero."""
-    return tuple(tuple(x == 0 for x in row) for row in m)
+def _check(M):
+    """Refuse anything but a nonempty rectangular matrix of ints >= 0."""
+    if not M or not M[0]:
+        raise InvalidArgument("depth: empty matrix")
+    if any(len(row) != len(M[0]) for row in M):
+        raise InvalidArgument("depth: ragged matrix, rows of unequal length")
+    if any(type(x) is not int for row in M for x in row):
+        raise InvalidArgument("depth: matrix entries must be integers")
+    if min(map(min, M)) < 0:
+        raise InvalidArgument("depth: matrix entries must be nonnegative")
 
 
 def is_diagonal(m):
@@ -24,35 +36,42 @@ def is_diagonal(m):
                for j, x in enumerate(row) if i != j)
 
 
+def _gram(rows):
+    """The symmetric matrix of inner products of the rows, each once."""
+    g = [[0] * len(rows) for _ in rows]
+    for i, a in enumerate(rows):
+        for j in range(i, len(rows)):
+            g[i][j] = g[j][i] = sum(map(mul, a, rows[j]))
+    return g
+
+
 def bimodule_matrices(M):
     """S = M M^t and T = M^t M for an inclusion matrix given as lists."""
-    Mt = transpose(M)
-    return mat_mul(M, Mt), mat_mul(Mt, M)
+    _check(M)
+    return _gram(M), _gram(list(zip(*M)))
 
 
-def _stable_exponent(step, start, M):
-    """Least n >= 0 with step^n start and step^(n+1) start sharing a zero
-    pattern; step is S or T, which commute with their own powers."""
-    power = start
-    for n in range(len(M) * len(M[0]) + 2):
-        nxt = mat_mul(step, power)
-        if zero_pattern(power) == zero_pattern(nxt):
+def _support(m):
+    """Row i as the list of the j with m[i][j] nonzero: its set bits."""
+    return [[j for j, x in enumerate(row) if x] for row in m]
+
+
+def _scan(step, power):
+    """Least n >= 0 with step^n start and step^(n+1) start sharing their
+    row masks; power holds the start's masks, step the supports of S or T.
+    Row i of step^n start is the OR of start's rows within distance n of
+    i in the graph of step, so the masks settle within len(step) steps."""
+    for n in range(len(step) + 2):
+        nxt = [reduce(or_, map(power.__getitem__, js), 0) for js in step]
+        if nxt == power:
             return n
         power = nxt
     raise CheckFailed("depth scan failed to stabilize")
 
 
-def _odd(S, M):
-    return 2 * _stable_exponent(S, identity_matrix(len(S)), M) + 1
-
-
-def _even(S, M):
-    return 2 * _stable_exponent(S, M, M) + 2
-
-
 def min_odd_depth(M):
     """Least 2n+1 with S^n and S^(n+1) sharing a zero pattern (S^0 = I)."""
-    return _odd(bimodule_matrices(M)[0], M)
+    return depth_report(M).min_odd_depth
 
 
 def min_h_depth(M):
@@ -62,7 +81,7 @@ def min_h_depth(M):
     diagonal; each later power corresponds to one more tensor factor of A
     in the A-A-bimodule comparison.
     """
-    return _odd(bimodule_matrices(M)[1], M)
+    return depth_report(M).min_h_depth
 
 
 def min_even_depth(M):
@@ -71,13 +90,12 @@ def min_even_depth(M):
     Derived matrix criterion (the source rules cover only the odd and
     H-depth cases); validated against depth-2 <=> normality on the corpus.
     """
-    return _even(bimodule_matrices(M)[0], M)
+    return depth_report(M).min_even_depth
 
 
 def min_depth(M):
     """Minimum of the odd and even depth scans; 1 iff S is diagonal."""
-    S, _ = bimodule_matrices(M)
-    return min(_odd(S, M), _even(S, M))
+    return depth_report(M).min_depth
 
 
 @dataclass
@@ -95,18 +113,17 @@ class DepthReport:
 def depth_report(M):
     """All depth invariants of one inclusion matrix."""
     S, T = bimodule_matrices(M)
-    odd = _odd(S, M)
-    even = _even(S, M)
-    rep = DepthReport(matrix=M, S=S, T=T,
-                      min_odd_depth=odd,
-                      min_even_depth=even,
-                      min_h_depth=_odd(T, M),
-                      min_depth=min(odd, even))
-    if abs(rep.min_depth - rep.min_h_depth) > 2:
+    step = _support(S)  # shared by the odd and the even scan
+    odd = 2 * _scan(step, [1 << i for i in range(len(S))]) + 1
+    even = 2 * _scan(step, [sum(1 << j for j in js) for js in _support(M)]) + 2
+    h = 2 * _scan(_support(T), [1 << i for i in range(len(T))]) + 1
+    if abs(min(odd, even) - h) > 2:
         raise CheckFailed("depth and H-depth differ by more than 2")
-    if rep.min_h_depth % 2 == 0 or rep.min_odd_depth % 2 == 0:
+    if h % 2 == 0 or odd % 2 == 0:
         raise CheckFailed("odd depth or H-depth came out even")
-    return rep
+    return DepthReport(matrix=M, S=S, T=T, min_odd_depth=odd,
+                       min_even_depth=even, min_h_depth=h,
+                       min_depth=min(odd, even))
 
 
 def burciu_depth1(G, H):

@@ -14,7 +14,6 @@ affine solve, rank) are list-in/list-out adapters over it.
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import mul
 
 
 def to_sparse(vec):
@@ -219,19 +218,3 @@ def solve_affine(mat, rhs):
 def rank(mat):
     return _echelon(mat).rank
 
-
-# ---------------------------------------------------------------------------
-# integer matrices (depth computations)
-
-
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -170,7 +170,6 @@ class FiniteGroup(_Enumerated):
                            range(len(rows)),
                            [at[prods[2 * k][0]]
                             for k in range(len(self.generators))])
-        self.identity = self.elements[0]
         self.inverse = [found[_inverse_images(rows[x])] for x in order]
         self._steps = [[at[prod[x]] for x in order] for prod in prods]
         self._up = [at[up[x]] for x in order]

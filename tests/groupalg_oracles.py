@@ -173,7 +173,7 @@ def mu_system(ts):
     for a, m in enumerate(mus):
         for g, c in m.items():
             rows[g][a] = c
-    rows[G.index_of(G.identity)][ncols] = 1
+    rows[0][ncols] = 1  # the identity is index 0
     ech = SparseEchelon(rows)
     if ncols in ech.rows:
         return "none", ncols - ech.rank + 1, ncols
@@ -183,7 +183,7 @@ def mu_system(ts):
 
 def unit(ts):
     """1 (x) 1."""
-    return {basis_index(ts, ts.G.identity, 0): Fraction(1)}
+    return {basis_index(ts, ts.G.elements[0], 0): Fraction(1)}
 
 
 def casimir_space(G, H, cap=DEFAULT_LINEAR_CAP):

@@ -180,7 +180,7 @@ def test_criterion_10_canonical_idempotent_everywhere(corpus_reports):
     for name, G, H, _ in reports:
         ts = TensorSquare(G, H, cap=10 ** 9)
         e = ts.canonical_separability_element()
-        ident = {G.index_of(G.identity): 1}
+        ident = {0: 1}
         if not (mu(ts, e) == ident and ts.is_central(e)
                 and idempotent_in_t(ts, e)):
             bad.append(name)

@@ -1,9 +1,19 @@
-from depth_oracles import depth_report_json
+import json
+import os
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+from depth_oracles import depth_report_json, depths_by_powers, zero_pattern
 from permgroup_oracles import (conjugation_orbits_by_products, element_order,
                                every_subgroup)
+from sepdepth.chartable import inclusion_matrix
 from sepdepth.depth import (bimodule_matrices, burciu_depth1, depth_report,
                             is_diagonal, min_depth, min_even_depth,
-                            min_h_depth, min_odd_depth, zero_pattern)
+                            min_h_depth, min_odd_depth)
+from sepdepth.errors import InvalidArgument
 from sepdepth.permgroup import (Permutation, all_subgroups,
                                 alternating_group, cyclic_group,
                                 dihedral_group, direct_product,
@@ -81,9 +91,7 @@ def test_burciu_depth1():
 
 
 def test_burciu_matches_matrix_criterion():
-    from sepdepth.chartable import inclusion_matrix
     for G in (symmetric_group(3), quaternion_group(), alternating_group(4)):
-        from sepdepth.permgroup import all_subgroups
         for H in all_subgroups(G):
             S, _ = bimodule_matrices(inclusion_matrix(G, H).as_lists())
             assert burciu_depth1(G, H) == is_diagonal(S)
@@ -102,3 +110,116 @@ def test_burciu_matches_products():
             assert burciu_depth1(G, H) == brute, (G, H)
             seen.add(brute)
     assert seen == {True, False}
+
+
+def _mask_route(M):
+    """bimodule_matrices and the four depth scans of sepdepth.depth."""
+    return (*bimodule_matrices(M), min_odd_depth(M), min_even_depth(M),
+            min_h_depth(M), min_depth(M))
+
+
+def _report_route(M):
+    rep = depth_report(M)
+    return (rep.S, rep.T, rep.min_odd_depth, rep.min_even_depth,
+            rep.min_h_depth, rep.min_depth)
+
+
+def test_masks_match_powers_on_the_corpus(corpus_reports):
+    reports, _ = corpus_reports
+    assert len(reports) == 142
+    for name, _, _, rep in reports:
+        M = rep.inclusion_matrix
+        oracle = depths_by_powers(M)
+        assert _mask_route(M) == oracle == _report_route(M), name
+
+
+def test_masks_match_powers_on_recorded_large_matrices():
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "matrix_reports.json")
+    with open(path) as fh:
+        cases = json.load(fh)
+    assert sorted(cases) == ["A5<S5", "S5<S6", "S6<S7"]
+    for name, case in cases.items():
+        M = json.loads(case["output"])["inclusion_matrix"]
+        oracle = depths_by_powers(M)
+        assert _mask_route(M) == oracle == _report_route(M), name
+
+
+def test_masks_match_powers_on_the_symmetric_chain():
+    """kS_n inside kS_{n+1} (criterion 1): depth 2n-1, H-depth 2n+1."""
+    for n in (2, 3, 4, 5):
+        G = symmetric_group(n + 1)
+        H = G.subgroup([Permutation(tuple([1, 0] + list(range(2, n + 1)))),
+                        Permutation(tuple(list(range(1, n)) + [0, n]))])
+        M = inclusion_matrix(G, H).as_lists()
+        oracle = depths_by_powers(M)
+        assert _mask_route(M) == oracle == _report_route(M), n
+        assert oracle[4:] == (2 * n + 1, 2 * n - 1)
+
+
+def _random_matrix(rng):
+    r, s = rng.randint(1, 7), rng.randint(1, 9)
+    density = rng.choice((0.1, 0.3, 0.6, 1.0))
+    M = [[rng.randint(1, 4) if rng.random() < density else 0
+          for _ in range(s)] for _ in range(r)]
+    if rng.random() < 0.3:
+        M[rng.randrange(r)] = [0] * s
+    if rng.random() < 0.3:
+        j = rng.randrange(s)
+        for row in M:
+            row[j] = 0
+    return M
+
+
+def test_masks_match_powers_on_random_matrices():
+    """Sparse and dense nonnegative matrices, some with zero rows or
+    columns, and the all-zero ones."""
+    rng = random.Random(22011)
+    mats = [_random_matrix(rng) for _ in range(400)]
+    mats += [[[0]], [[0, 0, 0]], [[0], [0]], [[0, 0], [0, 0]]]
+    zero_lines = 0
+    for M in mats:
+        oracle = depths_by_powers(M)
+        assert _mask_route(M) == oracle, M
+        zero_lines += not all(map(any, M)) or not all(map(any, zip(*M)))
+    assert zero_lines > 100
+
+
+def test_oracle_calls_nothing_in_sepdepth():
+    """depths_by_powers shares no code with the mask route."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        depths_by_powers([[1, 0, 1], [0, 1, 1]])
+    finally:
+        sys.setprofile(None)
+    assert not any(os.sep + "sepdepth" + os.sep in f for f in called)
+    assert any(f.endswith("depth_oracles.py") for f in called)
+
+
+BAD_MATRICES = {  # case: (word in the message, matrices)
+    "empty": ("empty", ([[]], [], [[], []])),
+    "ragged": ("ragged", ([[1, 2], [3]], [[1], [2, 0]])),
+    "non_integer": ("integers", ([[1, 0.5]], [[Fraction(1)]], [[1, "1"]],
+                                 [[None]], [[True, 0]], [[1.0]])),
+    "negative": ("nonnegative", ([[1, -1]], [[0], [-2]])),
+}
+ENTRY_POINTS = (bimodule_matrices, depth_report, min_depth, min_odd_depth,
+                min_even_depth, min_h_depth)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MATRICES))
+def test_invalid_matrix_refused(case):
+    """Each public entry point raises InvalidArgument with a one-line
+    message instead of scanning a malformed matrix."""
+    word, mats = BAD_MATRICES[case]
+    for M in mats:
+        for fn in ENTRY_POINTS:
+            with pytest.raises(InvalidArgument, match=word) as err:
+                fn(M)
+            assert "\n" not in str(err.value), (fn, M)

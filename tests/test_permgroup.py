@@ -50,7 +50,7 @@ class TestPermutation:
         G = dihedral_group(5)
         for p in G.elements:
             assert type(p.inverse()) is Permutation
-            assert p.inverse() * p == G.identity
+            assert p.inverse() * p == G.elements[0]
             for q in G.elements:
                 r = p * q
                 assert type(r) is Permutation and r in G
