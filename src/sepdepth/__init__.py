@@ -18,7 +18,7 @@ from .findim import (AlgebraInclusion, StructureConstantAlgebra,
                      is_separable_extension, matrix_algebra, prop_rad_check,
                      radical, upper_triangular_algebra)
 from .groupalg import (TensorSquare, is_full_in_T, is_full_in_U,
-                       separability_elements, unique_separable)
+                       separability_elements)
 from .permgroup import (FiniteGroup, Permutation, Subgroup,
                         alternating_group, conjugacy_classes, cyclic_group,
                         depth1_group, dihedral_group, direct_product,

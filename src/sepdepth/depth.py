@@ -119,8 +119,6 @@ def depth_report(M):
     h = 2 * _scan(_support(T), [1 << i for i in range(len(T))]) + 1
     if abs(min(odd, even) - h) > 2:
         raise CheckFailed("depth and H-depth differ by more than 2")
-    if h % 2 == 0 or odd % 2 == 0:
-        raise CheckFailed("odd depth or H-depth came out even")
     return DepthReport(matrix=M, S=S, T=T, min_odd_depth=odd,
                        min_even_depth=even, min_h_depth=h,
                        min_depth=min(odd, even))

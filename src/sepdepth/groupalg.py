@@ -9,9 +9,11 @@ the basis w_O = sum_{d in O} sum_i g_i^-1 d (x) g_i, one per H-orbit O on
 G, and the separability system mu(t) = 1 on it needs one row per
 conjugacy class of G, never a point of the tensor square.  Fullness of the
 separability idempotent in T, and of the H-support projection in the
-bimodule endomorphism ring U, are decided by integer trace-form counts;
-for T one count per conjugacy class of G suffices (proof in
-``_teT_images``).
+bimodule endomorphism ring U, are decided by integer trace-form counts:
+for T one count per conjugacy class of G (proof in ``_teT_images``), for
+U one per conjugacy class of H, r * |H| steps in all (proof in
+``is_full_in_U``).  The U test keeps its cap on dim(U ambient) = |G|^2,
+though that bounds none of its work.
 """
 
 from collections import Counter
@@ -20,9 +22,8 @@ from operator import add
 
 from .errors import CapExceeded, CheckFailed
 from .linalg import SparseEchelon
-from .permgroup import (conjugacy_classes, h_classes, h_orbits,
-                        index_orbits, part_labels, right_cosets,
-                        right_transversal)
+from .permgroup import (conjugacy_classes, h_classes, index_orbits,
+                        part_labels, right_cosets, right_transversal)
 
 DEFAULT_LINEAR_CAP = 4096
 
@@ -146,11 +147,6 @@ def separability_elements(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
     return kind, e, kernel_dim
 
 
-def unique_separable(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
-    kind, _, _ = separability_elements(G, H, ts=ts, cap=cap)
-    return kind == "unique"
-
-
 def _one_in_span(one, images):
     """True iff the vector one lies in the span of the images.
 
@@ -254,74 +250,71 @@ def is_full_in_U(G, H, cap=DEFAULT_LINEAR_CAP):
     """Fullness of the H-support projection E in U = End_{kH-kH}(kG).
 
     U is semisimple in characteristic zero and its center is spanned by the
-    H-class-sum pairs K (x) K' acting on kG by y -> sum k y k'.  So, as for
-    T, 1 lies in the ideal UEU iff the trace-form image of 1 lies in the
-    span of the images of a spanning set of UEU, and the images have one
-    coordinate per pair of conjugacy classes of H.  The spanning set is
-    {lambda_c . f_O}: c runs over the H-orbit sums (a basis of A^B) and f_O
-    over the basis of V = E . U (bimodule maps A -> B), one 0/1 map per
-    H-orbit O with the entries (y, y o), y in H and o in O.
+    H-class-sum pairs z = K (x) K' acting on kG by y -> K y K'.  So, as for
+    T, 1 lies in the ideal UEU iff the trace-form image
+    tau(u)[K, K'] = Tr(z . u) of 1 lies in the span of tau(UEU), and the
+    images have one coordinate per pair of the r conjugacy classes of H.
+    That span is the span of the r H-class counts
 
-    The images are integer counts (``_u_trace_form_counts``); repeated
-    ones are skipped and the test stops as soon as the image of 1 is in
-    their span.
+        b^C[K, K'] = #{k in K : k x_C in K'^-1},  x_C in C,
+
+    one per class C of H:
+
+    - z commutes with U, so Tr(z u E u') = Tr(z u' u E), and
+      span tau(UEU) = span tau(UE).
+    - With E = iota . pi (pi: kG -> kH the H-support projection, iota the
+      inclusion), Tr_{kG}(z v iota pi) = Tr_{kH}(z|_{kH} pi v iota).
+    - pi v iota runs over End_{kH-kH}(kH), which is Z(kH) acting by
+      multiplication, spanned by the H-class sums C.
+    - Tr_{kH}(y -> K C y K') = |H| |C| b^C[K, K']: the coefficient of y
+      in K C y K' counts the (k, x, k') in K x C x K' with
+      y^-1 k x y = k'^-1, that is the (k, x) with k x in K'^-1, as K'^-1
+      is closed under H-conjugation; and H-conjugation permutes the pairs
+      (k, x) in K x C, so the count can be taken at one x_C.
+
+    The image of 1 is tau(1)[K, K'] = sum over (k, k') in K x K' of
+    #{x in G : x^-1 k x = k'^-1}, that is |K| |K'| |G| / |L| when K and
+    K'^-1 lie in one G-class L, and 0 otherwise.
+
+    The b^C are counted off the right map of the least element x_C of C,
+    r * |H| steps in all (``_u_images``); the test stops as soon as the
+    image of 1 is in their span.  The cap on dim(U ambient) = |G|^2 is
+    checked first, though no U work grows with it.
     """
     ambient = G.order * G.order
     if ambient > cap:
         raise CapExceeded("dim(U ambient)", ambient, cap)
-    one, images = _u_trace_form_counts(G, H)
+    one, images = _u_images(G, H)
     return _one_in_span(one, images)
 
 
-def _u_trace_form_counts(G, H):
-    """The trace-form images for ``is_full_in_U``, as integer vectors keyed
-    by K * r + K' for the r classes of H.
-
-    Tr((K (x) K') . lambda_c . f_O) is |H| times the number of triples
-    (w, k, k') with w in c, k in K, k' in K' and k w k' in O; the image of
-    1 counts the triples (x, k, k') with k x k' = x.  Conjugation by H
-    permutes these triples, so each image is counted at one representative
-    w (or x) per H-orbit: the candidates are rescaled by 1 / (|H| |c|),
-    which leaves their span alone, and the image of 1 is |orbit of x|
-    times the count at x.  Returns the image of 1 and a generator of the
-    nonzero candidate images, c by c.
-    """
-    orbits = h_orbits(G, H)
-    orbit_of = part_labels(orbits, G.order)
+def _u_images(G, H):
+    """The image of 1 and a generator of the H-class counts b^C, one per
+    class of H in the order of h_classes, as integer vectors keyed by
+    K * r + K' for the r classes of H (see is_full_in_U)."""
+    inv = G.inverse
     classes = h_classes(G, H)
     r = len(classes)
     class_of = part_labels(classes, G.order)   # None off H
-    hidx = H.indices
-    hclass = [class_of[x] for x in hidx]
-    # coordinate (K, K') is K * r + K'; candidate (c, O) counts go under
-    # O * r * r + K * r + K' while c is fixed
-    orbit_key = [oi * r * r for oi in orbit_of]
-    pair_keys = [[K * r + Kp for Kp in hclass] for K in range(r)]
-    # row y: the element indices of y k' for k' in H
-    rows = list(zip(*(G.right_map(k) for k in hidx)))
-    inv = G.inverse
-    reps = [orb[0] for orb in orbits]
-
+    g_classes = conjugacy_classes(G)
+    g_class_of = part_labels(g_classes, G.order)
     one = {}
-    for x, orb in zip(reps, orbits):
-        for k, K in zip(hidx, hclass):
-            # the k' with k x k' = x
-            Kp = class_of[G.mul(G.mul(inv[x], inv[k]), x)]
+    for K, kc in enumerate(classes):
+        L = g_class_of[kc[0]]
+        for Kp, kpc in enumerate(classes):
+            if g_class_of[inv[kpc[0]]] == L:
+                one[K * r + Kp] = (len(kc) * len(kpc) * G.order
+                                   // len(g_classes[L]))
+    hidx = H.indices
+    kpart = [class_of[k] * r for k in hidx]
+
+    def image(cls):
+        x_map = G.right_map(cls[0])
+        counts = Counter()
+        for k, K in zip(hidx, kpart):
+            Kp = class_of[inv[x_map[k]]]
             if Kp is not None:
-                key = K * r + Kp
-                one[key] = one.get(key, 0) + len(orb)
+                counts[K + Kp] += 1
+        return dict(counts)
 
-    def images():
-        for w in reps:
-            counts = Counter()
-            for k, K in zip(hidx, hclass):
-                counts.update(map(add, map(orbit_key.__getitem__,
-                                           rows[G.mul(k, w)]),
-                                  pair_keys[K]))
-            by_orbit = {}
-            for key, cnt in counts.items():
-                oi, coord = divmod(key, r * r)
-                by_orbit.setdefault(oi, {})[coord] = cnt
-            yield from by_orbit.values()
-
-    return one, images()
+    return one, map(image, classes)

@@ -16,7 +16,11 @@ the reference for the one row per class of ``separability_elements``.
 ``is_full_in_T`` takes from mu(e) = 1 and the A-centrality of e.
 ``casimir_trace_images`` counts the trace-form image of each Casimir
 orbit point by point, the reference for the class-pair counts of
-``groupalg._teT_images``.
+``groupalg._teT_images``.  ``_u_trace_form_counts`` counts the images of
+UEU's spanning set {lambda_c . f_O}, one per pair of H-orbits, the
+reference for the H-class counts of ``groupalg._u_images``, and
+``u_class_traces`` takes those counts as traces over kH from Permutation
+products.
 """
 
 from collections import Counter
@@ -28,8 +32,9 @@ from permgroup_oracles import element_view, generators
 from sepdepth.errors import CapExceeded, CheckFailed, NotInT
 from sepdepth.groupalg import DEFAULT_LINEAR_CAP, TensorSquare
 from sepdepth.linalg import SparseEchelon
-from sepdepth.permgroup import (conjugacy_classes, h_orbits, index_orbits,
-                                part_labels, right_cosets, right_transversal)
+from sepdepth.permgroup import (conjugacy_classes, h_classes, h_orbits,
+                                index_orbits, part_labels, right_cosets,
+                                right_transversal)
 
 
 def _indicator(orbit):
@@ -581,6 +586,87 @@ def u_trace_images(G, H):
             if img:
                 images.append(img)
     return one, images
+
+
+def u_class_traces(G, H):
+    """The H-class counts b^C of ``groupalg._u_images`` from Permutation
+    products: Tr_{kH}(y -> K C y K') counts the (y, k, x, k') in
+    H x K x C x K' with k x y k' = y, and b^C[K, K'] is that trace over
+    |H| |C|.  Returns the nonzero images, one per class C of H."""
+    classes = element_view(G, conjugacy_classes(H))
+    r = len(classes)
+    images = []
+    for C in classes:
+        image = {}
+        for ki, K in enumerate(classes):
+            for kpi, Kp in enumerate(classes):
+                total = sum(k * x * y * kp == y for y in H.elements
+                            for k in K for x in C for kp in Kp)
+                if total:
+                    image[ki * r + kpi] = Fraction(total,
+                                                   H.order * len(C))
+        images.append(image)
+    return images
+
+
+def _u_trace_form_counts(G, H):
+    """The trace-form images of 1 and of UEU's spanning set
+    {lambda_c . f_O}, as integer vectors keyed by K * r + K' for the r
+    classes of H, the reference for the H-class counts of
+    ``groupalg._u_images``.
+
+    c runs over the H-orbit sums (a basis of A^B) and f_O over the basis of
+    V = E . U (bimodule maps A -> B), one 0/1 map per H-orbit O with the
+    entries (y, y o), y in H and o in O.
+
+    Tr((K (x) K') . lambda_c . f_O) is |H| times the number of triples
+    (w, k, k') with w in c, k in K, k' in K' and k w k' in O; the image of
+    1 counts the triples (x, k, k') with k x k' = x.  Conjugation by H
+    permutes these triples, so each image is counted at one representative
+    w (or x) per H-orbit: the candidates are rescaled by 1 / (|H| |c|),
+    which leaves their span alone, and the image of 1 is |orbit of x|
+    times the count at x.  Returns the image of 1 and a generator of the
+    nonzero candidate images, c by c.
+    """
+    orbits = h_orbits(G, H)
+    orbit_of = part_labels(orbits, G.order)
+    classes = h_classes(G, H)
+    r = len(classes)
+    class_of = part_labels(classes, G.order)   # None off H
+    hidx = H.indices
+    hclass = [class_of[x] for x in hidx]
+    # coordinate (K, K') is K * r + K'; candidate (c, O) counts go under
+    # O * r * r + K * r + K' while c is fixed
+    orbit_key = [oi * r * r for oi in orbit_of]
+    pair_keys = [[K * r + Kp for Kp in hclass] for K in range(r)]
+    # row y: the element indices of y k' for k' in H
+    rows = list(zip(*(G.right_map(k) for k in hidx)))
+    inv = G.inverse
+    reps = [orb[0] for orb in orbits]
+
+    one = {}
+    for x, orb in zip(reps, orbits):
+        for k, K in zip(hidx, hclass):
+            # the k' with k x k' = x
+            Kp = class_of[G.mul(G.mul(inv[x], inv[k]), x)]
+            if Kp is not None:
+                key = K * r + Kp
+                one[key] = one.get(key, 0) + len(orb)
+
+    def images():
+        for w in reps:
+            counts = Counter()
+            for k, K in zip(hidx, hclass):
+                counts.update(map(add, map(orbit_key.__getitem__,
+                                           rows[G.mul(k, w)]),
+                                  pair_keys[K]))
+            by_orbit = {}
+            for key, cnt in counts.items():
+                oi, coord = divmod(key, r * r)
+                by_orbit.setdefault(oi, {})[coord] = cnt
+            yield from by_orbit.values()
+
+    return one, images()
 
 
 def u_span_brute(U):

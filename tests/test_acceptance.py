@@ -26,7 +26,7 @@ from sepdepth.findim import (RelativeTensorSquare, AlgebraInclusion,
                              structural_matrix_example,
                              upper_triangular_algebra,
                              verify_separability_witness)
-from sepdepth.groupalg import TensorSquare, unique_separable
+from sepdepth.groupalg import TensorSquare, separability_elements
 from sepdepth.permgroup import (Permutation, conjugacy_classes, property_S,
                                 quaternion_group, symmetric_group)
 
@@ -62,7 +62,7 @@ def test_criterion_02_q8_counterexample():
     Q = quaternion_group()
     Hi = Q.subgroup([next(p for p in Q.elements if element_order(p) == 4)])
     prop_s = property_S(Q, Hi)
-    uniq = unique_separable(Q, Hi)
+    uniq = separability_elements(Q, Hi)[0] == "unique"
     dim_cent = len(centralizer_basis(Q, Hi))
     dim_center = len(conjugacy_classes(Q))
     elapsed = time.time() - t0

@@ -1,28 +1,29 @@
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from groupalg_oracles import (TProductTable, USpace, casimir_orbits,
-                              casimir_points, casimir_space,
+from groupalg_oracles import (TProductTable, USpace, _u_trace_form_counts,
+                              casimir_orbits, casimir_points, casimir_space,
                               casimir_trace_images, centralizer_basis,
                               corner_dims, e_index, idempotent_in_t, in_t,
                               is_full_in_T_span, is_full_in_U_span, mu,
                               mu_system, t_basis, t_product, t_span_brute,
                               t_square, teT_candidates,
                               trace_form_signatures, trace_image,
-                              u_span_brute, u_trace_images, unit)
+                              u_class_traces, u_span_brute, u_trace_images,
+                              unit)
 from permgroup_oracles import element_order, every_subgroup
 from sepdepth import chartable, linalg
 from sepdepth.cli import main as cli_main
 from sepdepth.corpus import corpus_pairs, corpus_subgroups
 from sepdepth.errors import CapExceeded, NotInT
-from sepdepth.groupalg import (TensorSquare, _teT_images,
-                               _u_trace_form_counts, is_full_in_T,
-                               is_full_in_U, separability_elements,
-                               unique_separable)
-from sepdepth.linalg import SparseEchelon, nullspace, solve_affine
+from sepdepth.groupalg import (TensorSquare, _one_in_span, _teT_images,
+                               _u_images, is_full_in_T, is_full_in_U,
+                               separability_elements)
+from sepdepth.linalg import SparseEchelon, nullspace, rank, solve_affine
 from sepdepth.permgroup import (Permutation, all_subgroups,
                                 alternating_group, conjugacy_classes,
                                 cyclic_group, dihedral_group,
@@ -113,7 +114,8 @@ class TestTensorSquare:
 
         for name in ("h_orbits", "_conjugation_orbits"):
             monkeypatch.setattr(permgroup, name, refuse)
-        monkeypatch.setattr(groupalg, "h_orbits", refuse)
+        # groupalg keeps no reference of its own to h_orbits
+        assert not hasattr(groupalg, "h_orbits")
         ts = TensorSquare(G, H)
         assert casimir_points(ts) == casimir_orbits(ts)
         assert len(ts.casimir) == 8     # the H-orbits of D4 on S4
@@ -201,10 +203,11 @@ def test_closed_forms_on_the_corpus(capsys):
 
 def test_unique_separable_examples():
     Q, Hi = q8_i_pair()
-    assert not unique_separable(Q, Hi)
-    assert unique_separable(Q, Q.full_subgroup())
+    assert separability_elements(Q, Hi)[0] != "unique"
+    assert separability_elements(Q, Q.full_subgroup())[0] == "unique"
     GX = direct_product(symmetric_group(3), cyclic_group(2))
-    assert unique_separable(GX, GX.subgroup(list(GX.generators[:2])))
+    assert separability_elements(
+        GX, GX.subgroup(list(GX.generators[:2])))[0] == "unique"
 
 
 def test_q8_dimension_gap():
@@ -390,6 +393,86 @@ def test_u_trace_form_counts_are_the_explicit_traces():
             assert one == want_one
             assert Counter(frozenset(i.items()) for i in images) == \
                 Counter(frozenset(i.items()) for i in want_images)
+
+
+def _same_span(left, right):
+    """Equal rank, and each list inside the other's span."""
+    left, right = SparseEchelon(left), SparseEchelon(right)
+    return (left.rank == right.rank
+            and all(map(right.contains, left.basis()))
+            and all(map(left.contains, right.basis())))
+
+
+def test_u_class_images_match_the_orbit_images():
+    """The r H-class counts b^C give the same image of 1, and span the
+    same space, as the per-orbit counts over lambda_c . f_O: on every
+    corpus pair (the verdict at cap |G|^2 too), on every subgroup of the
+    six groups of test_fullness_in_u_cross_check, and on S6 and A6 over
+    the point stabilisers S5 and A5."""
+    def check(G, H):
+        one, images = _u_images(G, H)
+        want_one, want_images = _u_trace_form_counts(G, H)
+        want_images = list(want_images)
+        assert one == want_one, (G, H)
+        assert _same_span(list(images), want_images), (G, H)
+        return _one_in_span(want_one, want_images)
+
+    for name, G, H in corpus_pairs():
+        assert is_full_in_U(G, H, cap=G.order ** 2) == check(G, H), name
+    checked = 0
+    for G in (symmetric_group(3), quaternion_group(), dihedral_group(4),
+              alternating_group(4), symmetric_group(4), dihedral_group(6)):
+        for H in every_subgroup(G):
+            check(G, H)
+            checked += 1
+    assert checked == 78
+    for G, n in ((symmetric_group(6), 2), (alternating_group(6), 3)):
+        H = G.subgroup([Permutation.from_cycles(6, [list(range(n))]),
+                        Permutation.from_cycles(6, [list(range(5))])])
+        assert H.order == G.order // 6
+        check(G, H)
+
+
+def test_u_class_counts_are_the_explicit_traces():
+    """Each b^C times |H| |C| is the trace over kH of y -> K C y K', from
+    Permutation products, and the image of 1 is the explicit trace of the
+    identity of kG."""
+    for G in (symmetric_group(3), quaternion_group(), dihedral_group(4),
+              alternating_group(4)):
+        for H in all_subgroups(G):
+            one, images = _u_images(G, H)
+            assert one == u_trace_images(G, H)[0]
+            assert list(images) == u_class_traces(G, H)
+
+
+def test_one_in_span_is_rank_membership():
+    """_one_in_span decides membership as the dense ranks do, on the U
+    images of every subgroup of S4 and on random integer vectors, with
+    repeated images among them."""
+    rng = random.Random(23)
+
+    def vector(keys):
+        return {k: rng.choice((-2, -1, 1, 2)) for k in keys}
+
+    cases = []
+    G = symmetric_group(4)
+    for H in every_subgroup(G):
+        one, images = _u_images(G, H)
+        cases.append((one, list(images)))
+    for _ in range(200):
+        images = [vector(rng.sample(range(6), 3))
+                  for _ in range(rng.randint(1, 5))]
+        images.append(dict(rng.choice(images)))
+        cases.append((vector(rng.sample(range(6), 4)), images))
+    seen = set()
+    for one, images in cases:
+        width = 1 + max(max(v, default=0) for v in images + [one])
+        dense = [[v.get(k, 0) for k in range(width)] for v in images]
+        want = rank(dense) == rank(dense + [[one.get(k, 0)
+                                             for k in range(width)]])
+        assert _one_in_span(one, images) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_corpus_span_tests_stay_in_integers(monkeypatch):

@@ -20,9 +20,9 @@ from sepdepth.permgroup import (FiniteGroup, Permutation, Subgroup,
                                 derived_subgroup, dihedral_group,
                                 direct_product, extraspecial_27,
                                 h_classes, h_orbits, hz_condition, is_normal,
-                                lemma_S_via_centralizers, property_S,
-                                quaternion_group, right_transversal,
-                                symmetric_group)
+                                lemma_S_via_centralizers, part_labels,
+                                property_S, quaternion_group,
+                                right_transversal, symmetric_group)
 
 
 class TestPermutation:
@@ -233,12 +233,15 @@ def test_classes_and_orbits_match_products():
     partitions, in the same order, as conjugating by every element with
     Permutation products: classes of each corpus group of order <= 60,
     of each of its corpus subgroups (as the H-orbits inside H), and their
-    H-orbits."""
+    H-orbits.  part_labels names each element's class."""
     for G in corpus_groups():
         if G.order > 60:
             continue
-        assert element_view(G, conjugacy_classes(G)) == \
-            conjugation_orbits_by_products(G.elements, G.elements), G
+        classes = conjugation_orbits_by_products(G.elements, G.elements)
+        assert element_view(G, conjugacy_classes(G)) == classes, G
+        labels = part_labels(conjugacy_classes(G), G.order)
+        assert all(g in classes[label]
+                   for g, label in zip(G.elements, labels)), G
         for H in corpus_subgroups(G):
             classes_h = conjugation_orbits_by_products(H.elements,
                                                        H.elements)
