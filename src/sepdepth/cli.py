@@ -7,8 +7,9 @@ Subcommands:
 * ``findim-demo`` — radical/separability report for a structure-constant
   algebra extension, from JSON specs or a named built-in fixture.
 
-Exit codes: 0 success, 1 parse/validation error, 2 dimension cap exceeded,
-3 cross-criterion disagreement.
+Exit codes: 0 success, 1 parse/validation error, 2 cap exceeded (the group
+cap, or the linear cap in ``findim-demo``; ``analyze`` and ``corpus`` report
+the linear cap in ``caps_hit``), 3 cross-criterion disagreement.
 """
 
 import argparse
@@ -364,8 +365,9 @@ def build_parser():
         p.add_argument("--cap-group", type=int, default=None,
                        help="max group order (env SEPDEPTH_CAP_GROUP)")
         p.add_argument("--cap-linear", type=int, default=None,
-                       help="max linear-algebra dimension "
-                            "(env SEPDEPTH_CAP_LINEAR)")
+                       help="max dim(A (x)_B A) = |G|*[G:H]; a pair over "
+                            "it reports its matrix side and names the cap "
+                            "in caps_hit (env SEPDEPTH_CAP_LINEAR)")
         p.add_argument("--matrix-only", action="store_true",
                        help="skip the tensor-square linear algebra")
         p.add_argument("--format", choices=("json", "tsv"), default="json")

@@ -12,8 +12,7 @@ separability idempotent in T, and of the H-support projection in the
 bimodule endomorphism ring U, are decided by integer trace-form counts:
 for T one count per conjugacy class of G (proof in ``_teT_images``), for
 U one per conjugacy class of H, r * |H| steps in all (proof in
-``is_full_in_U``).  The U test keeps its cap on dim(U ambient) = |G|^2,
-though that bounds none of its work.
+``is_full_in_U``).
 """
 
 from collections import Counter
@@ -150,22 +149,18 @@ def separability_elements(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
 def _one_in_span(one, images):
     """True iff the vector one lies in the span of the images.
 
-    Repeated images are skipped, and the test stops as soon as one is in
-    the span of the images seen so far.
+    The test stops as soon as one is in the span of the images seen so
+    far.  Both callers' images are pairwise distinct (on K = {1}, a^L is
+    the indicator of L and b^C that of C^-1), so none is deduplicated.
     """
     ech = SparseEchelon()
-    seen = set()
     for image in images:
-        key = frozenset(image.items())
-        if key in seen:
-            continue
-        seen.add(key)
         if ech.add(image) and ech.contains(one):
             return True
     return False
 
 
-def _teT_images(ts):
+def _teT_images(G, H):
     """Trace-form images of 1 and of the G-class counts a^L, which span
     the trace-form image of TeT.
 
@@ -203,11 +198,11 @@ def _teT_images(ts):
     point.  Returns the image of 1 (the point 1 (x) 1) and a generator of
     the a^L, one per class in the order of conjugacy_classes.
     """
-    G, inv = ts.G, ts.G.inverse
+    inv = G.inverse
     classes = conjugacy_classes(G)
     c = len(classes)
     class_of = part_labels(classes, G.order)
-    one = Counter(class_of[inv[h]] * c + class_of[h] for h in ts.H.indices)
+    one = Counter(class_of[inv[h]] * c + class_of[h] for h in H.indices)
     # the K part of the pair (u^-1, u z), per element index u
     kpart = [class_of[y] * c for y in inv]
 
@@ -218,7 +213,7 @@ def _teT_images(ts):
     return dict(one), map(image, classes)
 
 
-def is_full_in_T(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
+def is_full_in_T(G, H):
     """Fullness of the canonical separability idempotent e in T.
 
     T = (A (x)_B A)^B, and TeT = T iff 1 is in TeT, which (T being
@@ -240,13 +235,11 @@ def is_full_in_T(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
     mu(e) = 1, e . e = sum e'^1 e e'^2 = e mu(e') = e, and
     ``separability_elements`` checks both premises on e.
     """
-    if ts is None:
-        ts = TensorSquare(G, H, cap=cap)
-    one, images = _teT_images(ts)
+    one, images = _teT_images(G, H)
     return _one_in_span(one, images)
 
 
-def is_full_in_U(G, H, cap=DEFAULT_LINEAR_CAP):
+def is_full_in_U(G, H):
     """Fullness of the H-support projection E in U = End_{kH-kH}(kG).
 
     U is semisimple in characteristic zero and its center is spanned by the
@@ -278,12 +271,8 @@ def is_full_in_U(G, H, cap=DEFAULT_LINEAR_CAP):
 
     The b^C are counted off the right map of the least element x_C of C,
     r * |H| steps in all (``_u_images``); the test stops as soon as the
-    image of 1 is in their span.  The cap on dim(U ambient) = |G|^2 is
-    checked first, though no U work grows with it.
+    image of 1 is in their span.
     """
-    ambient = G.order * G.order
-    if ambient > cap:
-        raise CapExceeded("dim(U ambient)", ambient, cap)
     one, images = _u_images(G, H)
     return _one_in_span(one, images)
 

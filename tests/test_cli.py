@@ -103,15 +103,70 @@ def test_corpus_honours_cap_group(capsys, monkeypatch):
     assert main(["corpus", "--corpus-filter", "S3/full"]) == 0
 
 
+# what the linear cap skips: the separability solve and both fullness tests
+LINEAR_SIDE = ("casimir_dim", "unique_separable", "separability_kind",
+               "full_in_t", "full_in_u")
+
+
 def test_cap_linear_env(s3_files, capsys, monkeypatch):
-    monkeypatch.setenv("SEPDEPTH_CAP_LINEAR", "2")
+    """A pair over the linear cap names it once in caps_hit, leaves the
+    solve and both fullness tests null, reports its matrix side as an
+    uncapped run does, and exits 0."""
     g, h = s3_files
     assert main(["analyze", g, h]) == 0
+    full = json.loads(capsys.readouterr().out)
+    monkeypatch.setenv("SEPDEPTH_CAP_LINEAR", "2")
+    assert main(["analyze", g, h]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["caps_hit"]
-    assert out["full_in_t"] is None
+    assert out["caps_hit"] == ["dim(A tensor_B A) = 18 exceeds cap 2"]
+    assert all(out[k] is None for k in LINEAR_SIDE)
+    assert all(full[k] is not None for k in LINEAR_SIDE)
     # the matrix-side results survive the cap
     assert out["min_depth"] == 3
+    for key in set(full) - set(LINEAR_SIDE) - {"caps_hit", "agreements"}:
+        assert out[key] == full[key], key
+    skipped = {"property_s_vs_unique_separable", "unique_implies_depth1"}
+    assert {k for k, v in out["agreements"].items()
+            if v == "SKIPPED(cap)"} == skipped
+    assert {k: v for k, v in out["agreements"].items() if k not in skipped} \
+        == {k: v for k, v in full["agreements"].items() if k not in skipped}
+
+
+def test_cap_linear_bounds_only_the_tensor_square(tmp_path, s3_files,
+                                                   capsys, monkeypatch):
+    """The one linear cap is on dim(A tensor_B A) = |G|*[G:H]: S3 > S3
+    has a tensor square of dimension 6, so a cap of 35 (under |G|^2 = 36)
+    skips nothing, and E is full in U."""
+    g, _ = s3_files
+    h = tmp_path / "s3.json"
+    h.write_text(json.dumps({"name": "S3",
+                             "generators": S3_GROUP["generators"]}))
+    monkeypatch.setenv("SEPDEPTH_CAP_LINEAR", "35")
+    assert main(["analyze", g, str(h)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["caps_hit"] == []
+    assert out["full_in_u"] is True
+    assert out["full_in_t"] is True
+    assert out["casimir_dim"] == 3
+
+
+def test_large_pair_hits_the_linear_cap_at_the_default(tmp_path, capsys,
+                                                       monkeypatch):
+    """C7 < S7 at the default caps: the tensor square (5040 * 720) is over
+    the linear cap, the only cap named, and analyze exits 0."""
+    monkeypatch.delenv("SEPDEPTH_CAP_LINEAR", raising=False)
+    monkeypatch.delenv("SEPDEPTH_CAP_GROUP", raising=False)
+    cycle = [1, 2, 3, 4, 5, 6, 0]
+    g = tmp_path / "s7.json"
+    h = tmp_path / "c7.json"
+    g.write_text(json.dumps({"name": "S7", "degree": 7,
+                             "generators": [[1, 0, 2, 3, 4, 5, 6], cycle]}))
+    h.write_text(json.dumps({"name": "C7", "generators": [cycle]}))
+    assert main(["analyze", str(g), str(h)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["caps_hit"] == ["dim(A tensor_B A) = 3628800 exceeds cap 4096"]
+    assert all(out[k] is None for k in LINEAR_SIDE)
+    assert out["min_depth"] is not None
 
 
 def test_corpus_filtered_tsv(capsys):

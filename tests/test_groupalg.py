@@ -273,7 +273,7 @@ def test_teT_images_span_the_w_r_images():
     for G, H in _teT_pairs():
         ts = TensorSquare(G, H)
         signatures = trace_form_signatures(ts)
-        one, images = _teT_images(ts)
+        one, images = _teT_images(G, H)
         fast = SparseEchelon(images)
         full = SparseEchelon(trace_image(ts, vec, signatures)
                              for vec in teT_candidates(ts))
@@ -289,7 +289,7 @@ def test_casimir_traces_are_class_counts_on_the_corpus():
     for name, G, H in corpus_pairs():
         ts = TensorSquare(G, H, cap=G.order ** 2)
         one, images = casimir_trace_images(ts)
-        fast_one, counts = _teT_images(ts)
+        fast_one, counts = _teT_images(G, H)
         counts = list(counts)
         assert fast_one == one, name
         class_of = part_labels(conjugacy_classes(G), G.order)
@@ -298,7 +298,7 @@ def test_casimir_traces_are_class_counts_on_the_corpus():
             orbit = [idx // ts.n for idx in w if idx % ts.n == 0]
             a = counts[class_of[G.inverse[orbit[0]]]]
             assert image == {k: len(orbit) * v for k, v in a.items()}, name
-        assert is_full_in_T(G, H, ts=ts) == \
+        assert is_full_in_T(G, H) == \
             SparseEchelon(images).contains(one), name
         pairs += 1
     assert pairs == 142
@@ -309,7 +309,7 @@ def test_teT_images_need_only_g_class_data(monkeypatch):
     every corpus pair, and is_full_in_T decides D4 < S4 and the subgroups
     of A4 with the character-table routines out of reach."""
     for name, G, H in corpus_pairs():
-        _, images = _teT_images(TensorSquare(G, H, cap=G.order ** 2))
+        _, images = _teT_images(G, H)
         assert len(list(images)) <= len(conjugacy_classes(G)), name
     S4 = symmetric_group(4)
     D4, = (H for H in all_subgroups(S4) if H.order == 8)
@@ -418,7 +418,7 @@ def test_u_class_images_match_the_orbit_images():
         return _one_in_span(want_one, want_images)
 
     for name, G, H in corpus_pairs():
-        assert is_full_in_U(G, H, cap=G.order ** 2) == check(G, H), name
+        assert is_full_in_U(G, H) == check(G, H), name
     checked = 0
     for G in (symmetric_group(3), quaternion_group(), dihedral_group(4),
               alternating_group(4), symmetric_group(4), dihedral_group(6)):
@@ -489,21 +489,9 @@ def test_corpus_span_tests_stay_in_integers(monkeypatch):
     H = next(H for H in corpus_subgroups(G) if H.name == "o4.0")
     ts = TensorSquare(G, H)
     assert separability_elements(G, H, ts=ts)[0] == "infinite"
-    assert not is_full_in_T(G, H, ts=ts)
-    assert not is_full_in_U(G, H, cap=G.order ** 2)
+    assert not is_full_in_T(G, H)
+    assert not is_full_in_U(G, H)
     assert built == []
-
-
-def test_fullness_in_u_cap():
-    """The cap still bounds |G|^2, with the same message as the span."""
-    G, H2 = s3_pair(2)
-    with pytest.raises(CapExceeded) as fast:
-        is_full_in_U(G, H2, cap=35)
-    assert str(fast.value) == "dim(U ambient) = 36 exceeds cap 35"
-    with pytest.raises(CapExceeded) as span:
-        is_full_in_U_span(G, H2, cap=35)
-    assert str(span.value) == str(fast.value)
-    assert is_full_in_U(G, H2, cap=36) is False
 
 
 def test_t_square_is_the_t_product():

@@ -418,7 +418,7 @@ def test_criteria_form_no_permutation_products(monkeypatch):
     assert not lemma_S_via_centralizers(G, H)
     assert not depth1_group(G, H)
     assert not is_full_in_T(G, H)
-    assert not is_full_in_U(G, H, cap=G.order ** 2)
+    assert not is_full_in_U(G, H)
     assert made == []
     G.elements[1] * G.elements[2]
     assert len(made) == 1

@@ -10,7 +10,7 @@ import test_groupalg
 import test_linalg
 import test_permgroup
 from permgroup_oracles import element_order
-from sepdepth.groupalg import is_full_in_U
+from sepdepth.groupalg import is_full_in_T, is_full_in_U
 from sepdepth.permgroup import (Permutation, alternating_group,
                                 quaternion_group, symmetric_group)
 
@@ -52,8 +52,9 @@ SHARED = {
         (test_linalg, "test_integer_normal_form_matches_fraction_span"),
 }
 
-# the U route itself
+# the U and T routes themselves
 U_ROUTE = {"groupalg.is_full_in_U", "groupalg._u_images"}
+T_ROUTE = {"groupalg.is_full_in_T", "groupalg._teT_images"}
 
 # the routes is_full_in_U is checked against in analyze_pair
 U_FORBIDDEN = {"permgroup.depth1_group", "depth.burciu_depth1",
@@ -86,26 +87,48 @@ def test_shared_functions_have_oracles():
         assert callable(getattr(module, test, None)), name
 
 
-def test_full_in_u_shares_only_group_data():
-    """is_full_in_U on fresh S4 > A4, S4 > D4 and Q8 > <i> enters none of
-    the depth-1 routes it is checked against, nothing in chartable or
-    depth (so not the class constants class_mult_coeffs, though the b^C
-    are H's class constants), and otherwise only the allow-list."""
+def fresh_pairs():
+    """S4 > A4, S4 > D4 and Q8 > <i>, each in a group with no class data
+    cached yet."""
     D4_gens = [Permutation.from_cycles(4, [[0, 1, 2, 3]]),
                Permutation.from_cycles(4, [[0, 2]])]
     pairs = []
     for gens in (alternating_group(4).generators, D4_gens):
-        G = symmetric_group(4)      # fresh: no class data cached yet
+        G = symmetric_group(4)
         pairs.append((G, G.subgroup(gens)))
     Q = quaternion_group()
     pairs.append((Q, Q.subgroup(
         [next(p for p in Q.elements if element_order(p) == 4)])))
+    return pairs
+
+
+def assert_shares_only_group_data(test, route, forbidden=frozenset()):
+    """test(G, H) on each fresh pair enters all of route, nothing in
+    chartable or depth, none of forbidden, and otherwise only the
+    allow-list; returns the verdicts."""
     verdicts = []
-    for G, H in pairs:
-        names = entered(lambda: verdicts.append(is_full_in_U(G, H)))
-        assert U_ROUTE <= names
-        assert not names & U_FORBIDDEN, names & U_FORBIDDEN
+    for G, H in fresh_pairs():
+        names = entered(lambda: verdicts.append(test(G, H)))
+        assert route <= names
+        assert not names & forbidden, names & forbidden
         assert not {n for n in names
                     if n.startswith(("chartable.", "depth."))}
-        assert names - U_ROUTE <= set(SHARED), names - U_ROUTE - set(SHARED)
-    assert verdicts == [False, False, False]
+        assert names - route <= set(SHARED), names - route - set(SHARED)
+    return verdicts
+
+
+def test_full_in_u_shares_only_group_data():
+    """is_full_in_U enters none of the depth-1 routes it is checked
+    against, nothing in chartable or depth (so not the class constants
+    class_mult_coeffs, though the b^C are H's class constants), and
+    otherwise only the allow-list."""
+    assert assert_shares_only_group_data(
+        is_full_in_U, U_ROUTE, U_FORBIDDEN) == [False, False, False]
+
+
+def test_full_in_t_shares_only_group_data():
+    """is_full_in_T enters nothing in chartable or depth, where the
+    t_diagonal and min_h_depth routes it is checked against run, and
+    otherwise only the allow-list."""
+    assert assert_shares_only_group_data(
+        is_full_in_T, T_ROUTE) == [False, False, False]
