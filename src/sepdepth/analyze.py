@@ -133,7 +133,7 @@ def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
     if not matrix_only:
         try:
             ts = TensorSquare(G, H, cap=cap_linear)
-            kind, _witness, _kdim = separability_elements(G, H, ts=ts)
+            kind, _witness, _kdim = separability_elements(ts)
             rep.separability_kind = kind
             rep.unique_separable = kind == "unique"
             rep.casimir_dim = len(ts.casimir)

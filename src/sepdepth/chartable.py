@@ -8,14 +8,21 @@ to integers because p bounds 2*sqrt(|G|).  Character values themselves stay
 mod p; only integer-valued bilinear combinations (degrees, restriction
 multiplicities) are ever lifted.
 
-The central characters are separated by splitting one cyclic vector, the
-identity-class unit vector e_0, along the class matrices in turn: each
-piece of the characters is carried as its component of e_0, and a piece
-splits at the roots of its minimal polynomial under the class matrix
-(``_split_piece`` gives the proof).  A class matrix is built only while
-fewer pieces than classes exist.  Each final piece is
-(chi(1)^2 / |G|) * omega_chi, so the degree is read twice, from that
-coefficient and from the orthogonality sum, and the two must agree.
+There are two routes to the rows, and ``check_invariants`` runs on the
+table either builds.  An abelian group, one whose classes are all
+singletons, takes ``_abelian_rows``: its characters are the
+homomorphisms into the exp(G)-th roots of unity mod p, built one
+generator at a time by extending each character of the span of the
+earlier generators (the docstring gives the proof); it builds no class
+matrix.  Every other group takes ``_dixon_rows``, which separates the
+central characters by splitting one cyclic vector, the identity-class
+unit vector e_0, along the class matrices in turn: each piece of the
+characters is carried as its component of e_0, and a piece splits at the
+roots of its minimal polynomial under the class matrix (``_split_piece``
+gives the proof).  A class matrix is built only while fewer pieces than
+classes exist.  Each final piece is (chi(1)^2 / |G|) * omega_chi, so the
+degree is read twice, from that coefficient and from the orthogonality
+sum, and the two must agree.
 """
 
 from dataclasses import dataclass
@@ -210,22 +217,84 @@ class CharacterTableModP:
 def character_table_mod_p(G, prime=None, seed=0):
     """Character table of a group or subgroup G with values in GF(prime).
 
-    Rows are sorted by (degree, value sequence) so the table is canonical
-    for a given prime.  The seed is only recorded in the table: the table
-    does not depend on it.
+    An abelian G, one whose classes are all singletons, takes
+    ``_abelian_rows``; any other takes ``_dixon_rows``.  Rows are sorted
+    by (degree, value sequence) so the table is canonical for a given
+    prime, whichever route built it, and ``check_invariants`` runs on
+    either.  The seed is only recorded in the table: the table does not
+    depend on it.
     """
     cd = class_data(G)
-    r = cd.num_classes
     p = prime if prime is not None else dixon_prime(G.exponent(), G.order)
     if not (_is_prime(p) and (p - 1) % G.exponent() == 0
             and p > 2 * isqrt(G.order)):
         raise InvalidArgument(
             f"{p} is not a prime = 1 mod {G.exponent()} above "
             f"2*sqrt({G.order})")
-    # one vector per piece, from e_0 (the piece of every character); the
-    # class sums span Z(F_p G), which is F_p^r here, so two distinct
-    # central characters differ on some class sum and r pieces are reached
-    # before the class matrices run out
+    route = _abelian_rows if cd.num_classes == G.order else _dixon_rows
+    rows = sorted(route(G, cd, p))
+    table = CharacterTableModP(prime=p,
+                               degrees=tuple(d for d, _ in rows),
+                               table=tuple(chi for _, chi in rows),
+                               class_data=cd,
+                               seed=seed)
+    table.check_invariants(G.order)
+    return table
+
+
+def _abelian_rows(G, cd, p):
+    """(1, values mod p) of each character of the abelian group G: the
+    homomorphisms G -> GF(p)*, built one generator at a time.
+
+    G has |G| classes, so |G| irreducible characters, all linear: they
+    are the |G| homomorphisms chi: G -> GF(p)*.  Their values lie in the
+    e-th roots of unity, e = exp(G), a cyclic group since p = 1 mod e;
+    with zeta a generator of it, chi is carried as its logs,
+    chi(g) = zeta^log(g).  Let H' be the span of the generators taken so
+    far (at first {1}, with one character), s the next generator and d
+    least with s^d in H'.  Then H'<s> is the disjoint union of the cosets
+    H' s^i, 0 <= i < d, and chi(h s^i) = psi(h) * zeta^(i t) extends a
+    character psi of H' to a homomorphism exactly when
+    zeta^(d t) = psi(s^d): for i + j >= d the product h s^i * h' s^j is
+    (h h' s^d) s^(i + j - d).  With a = log psi(s^d), d t = a (mod e)
+    has exactly d solutions, t = a/d + k e/d: d divides the order o of s,
+    which divides e, and psi(s^d)^(o/d) = 1 makes a a multiple of e d/o,
+    so of d.  Each character of H'<s> restricts to one of H', so these
+    d |H'| = |H'<s>| extensions are all of them.  A generator already in
+    H' (the identity, a repeat) is skipped.
+    """
+    e = G.exponent()
+    qs = [q for q in range(2, e + 1) if e % q == 0 and _is_prime(q)]
+    zeta = next(z for z in (pow(a, (p - 1) // e, p) for a in range(1, p))
+                if all(pow(z, e // q, p) != 1 for q in qs))
+    # H' as parent indices, each character as its logs along them
+    elems, pos, logs = [0], {0: 0}, [[0]]
+    for s in G.gen_indices:
+        if s in pos:
+            continue
+        rmap = G.parent.right_map(s)
+        grown, x = list(elems), s
+        while x not in pos:
+            grown += map(rmap.__getitem__, grown[-len(elems):])
+            x = rmap[x]
+        d, j = len(grown) // len(elems), pos[x]
+        logs = [[(log + i * t) % e for i in range(d) for log in psi]
+                for psi in logs for t in range(psi[j] // d, e, e // d)]
+        elems, pos = grown, {y: k for k, y in enumerate(grown)}
+    powers = [pow(zeta, k, p) for k in range(e)]
+    at = [pos[cls[0]] for cls in cd.classes]
+    return [(1, tuple(powers[psi[k]] for k in at)) for psi in logs]
+
+
+def _dixon_rows(G, cd, p):
+    """(degree, values mod p) of each character of G, read off the pieces
+    of e_0 split along the class matrices.
+
+    The class sums span Z(F_p G), which is F_p^r here, so two distinct
+    central characters differ on some class sum and r pieces are reached
+    before the class matrices run out.
+    """
+    r = cd.num_classes
     pieces = [[1] + [0] * (r - 1)]
     i = 0
     while len(pieces) < r:
@@ -235,15 +304,7 @@ def character_table_mod_p(G, prime=None, seed=0):
         mat = class_mult_coeffs(G, cd, i)
         pieces = [u for v in pieces for u in _split_piece(v, mat, p)]
     inv_sizes = [pow(s, -1, p) for s in cd.sizes]
-    rows = sorted(_character_row(v, cd, inv_sizes, G.order, p)
-                  for v in pieces)
-    table = CharacterTableModP(prime=p,
-                               degrees=tuple(d for d, _ in rows),
-                               table=tuple(chi for _, chi in rows),
-                               class_data=cd,
-                               seed=seed)
-    table.check_invariants(G.order)
-    return table
+    return [_character_row(v, cd, inv_sizes, G.order, p) for v in pieces]
 
 
 def _character_row(v, cd, inv_sizes, order, p):

@@ -98,8 +98,9 @@ class TensorSquare:
         return {inv[rep] * self.n + i: c for i, rep in enumerate(self.reps)}
 
 
-def separability_elements(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
-    """Classify the solutions of {t A-central, mu(t) = 1}.
+def separability_elements(ts):
+    """Classify the solutions of {t A-central, mu(t) = 1} in the tensor
+    square ts of kG over kH.
 
     Returns (kind, witness, kernel_dim) with kind in
     {"none", "unique", "infinite"}.  The witness, when the index is
@@ -112,8 +113,7 @@ def separability_elements(G, H, ts=None, cap=DEFAULT_LINEAR_CAP):
     mu(w_O)[z] = #{i : g_i z g_i^-1 in O}: c rows, c * [G:H] conjugations
     in all, the identity class carrying the right-hand side.
     """
-    if ts is None:
-        ts = TensorSquare(G, H, cap=cap)
+    G = ts.G
     orbit_of = part_labels(ts.casimir, G.order)
     ncols = len(ts.casimir)
     inv = G.inverse

@@ -62,7 +62,7 @@ def test_criterion_02_q8_counterexample():
     Q = quaternion_group()
     Hi = Q.subgroup([next(p for p in Q.elements if element_order(p) == 4)])
     prop_s = property_S(Q, Hi)
-    uniq = separability_elements(Q, Hi)[0] == "unique"
+    uniq = separability_elements(TensorSquare(Q, Hi))[0] == "unique"
     dim_cent = len(centralizer_basis(Q, Hi))
     dim_center = len(conjugacy_classes(Q))
     elapsed = time.time() - t0

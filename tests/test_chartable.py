@@ -1,4 +1,7 @@
 import random
+from functools import reduce
+from itertools import count
+from operator import mul
 
 import pytest
 
@@ -6,16 +9,16 @@ from chartable_oracles import (_charpoly, class_mult_by_products,
                                det_mod_p, eigenspace_table, inclusion_shape,
                                induction_matrix_mod_p, table_json_dict,
                                table_value)
-from permgroup_oracles import element_view
+from permgroup_oracles import conjugation_orbits_by_products, element_view
 from sepdepth import chartable
-from sepdepth.chartable import (_character_row, _split_piece,
-                                character_table_mod_p, class_data,
-                                class_mult_coeffs, common_prime, dixon_prime,
-                                inclusion_matrix)
+from sepdepth.chartable import (_abelian_rows, _character_row, _dixon_rows,
+                                _split_piece, character_table_mod_p,
+                                class_data, class_mult_coeffs, common_prime,
+                                dixon_prime, inclusion_matrix)
 from sepdepth.corpus import corpus_groups, corpus_subgroups
-from sepdepth.errors import (ElementNotInGroup, InvalidArgument,
+from sepdepth.errors import (CheckFailed, ElementNotInGroup, InvalidArgument,
                              LiftInconsistency, SplittingFailure)
-from sepdepth.permgroup import (Permutation, alternating_group,
+from sepdepth.permgroup import (FiniteGroup, Permutation, alternating_group,
                                 conjugacy_classes, cyclic_group,
                                 dihedral_group, direct_product,
                                 extraspecial_27, quaternion_group,
@@ -39,6 +42,38 @@ def test_dixon_prime_values():
     assert dixon_prime(6, 6) == 7           # S3
     assert dixon_prime(4, 8) == 13          # Q8: 5 fails the size bound
     assert dixon_prime(60, 720) == 61       # S6
+
+
+def test_dixon_prime_matches_a_scan():
+    """dixon_prime(e, n) is the least prime p = 1 mod e above twice the
+    least r with r^2 >= n, found here by trial division of every such
+    candidate."""
+    for e in range(1, 61):
+        for n in (1, 2, 8, 27, 120, 720, 5040):
+            root = next(r for r in count() if r * r >= n)
+            p = next(q for q in count(2 * root + 1)
+                     if q % e == 1 % e and all(q % d for d in range(2, q)))
+            assert dixon_prime(e, n) == p, (e, n)
+
+
+def test_class_data_matches_products():
+    """class_data gives the classes, their sizes, the class of each
+    class's inverses and each element's class as Permutation products
+    give them, on groups and on their corpus subgroups, whose class data
+    number the parent's elements."""
+    for G in (symmetric_group(4), quaternion_group(), cyclic_group(12),
+              extraspecial_27()):
+        for H in (G, *corpus_subgroups(G)):
+            cd = class_data(H)
+            classes = conjugation_orbits_by_products(H.elements, H.elements)
+            assert element_view(G, cd.classes) == classes, H
+            assert cd.num_classes == len(classes), H
+            assert cd.sizes == tuple(map(len, classes)), H
+            assert cd.elements == G.elements
+            for cls, k in zip(classes, cd.inverse_map):
+                assert cls[0].inverse() in classes[k], H
+            for g, label in zip(G.elements, cd.class_of):
+                assert (g in classes[label]) if g in H else label is None
 
 
 def test_class_mult_coeffs_counts():
@@ -123,11 +158,20 @@ def test_table_matches_the_eigenspace_route(corpus_table_inputs):
         assert (tab.degrees, tab.table) == eigenspace_table(G, p), G
 
 
+def _is_abelian(G):
+    """Whether G's generators commute, by Permutation products."""
+    gens = [G.parent.elements[i] for i in G.gen_indices]
+    return all(a * b == b * a for a in gens for b in gens)
+
+
 def test_class_matrices_built_only_while_pieces_are_missing(
         corpus_table_inputs, monkeypatch):
-    """The refinement stops asking for class matrices once it has one
-    piece per class: 233 over the corpus's 169 tables, where building
-    every class matrix of every table would take 651."""
+    """The Dixon route builds each of the 40 non-abelian tables and stops
+    asking for class matrices once it has one piece per class, and the
+    129 abelian tables ask for none: 115 over the corpus's 169 tables
+    (233 while the abelian tables took the Dixon route too), where
+    building every class matrix of every table would take 651.  The
+    count pins work done, not a correctness bound."""
     calls = []
 
     def counted(G, cd, i):
@@ -135,10 +179,94 @@ def test_class_matrices_built_only_while_pieces_are_missing(
         return class_mult_coeffs(G, cd, i)
 
     monkeypatch.setattr(chartable, "class_mult_coeffs", counted)
+    abelian = 0
     for G, p in corpus_table_inputs:
+        before = len(calls)
         character_table_mod_p(G, prime=p)
-    assert len(calls) == 233
+        if _is_abelian(G):
+            abelian += 1
+            assert len(calls) == before, G
+        else:
+            assert len(calls) > before, G
+    assert abelian == 129
+    assert len(calls) == 115
     assert 0 not in calls
+
+
+def _power(g, k):
+    return reduce(mul, [g] * k, Permutation.identity(g.degree))
+
+
+def _abelian_cases():
+    """(G, p) for the abelian route beyond the corpus: the trivial group;
+    generator lists that hold the identity, a repeated generator, or one
+    in the span of the earlier ones; and C2 x C4, C3 x C4 (inside S7) and
+    the elementary abelian group of order 27 (inside C3^3 x C4), each at
+    a prime shared with the larger group, above its own Dixon prime."""
+    yield cyclic_group(2).trivial_subgroup(), 5
+    yield FiniteGroup([Permutation.identity(3)]), 3
+    c = Permutation.from_cycles(6, [[0, 1, 2, 3, 4, 5]])
+    yield FiniteGroup([Permutation.identity(6), c, c]), 7
+    C12 = cyclic_group(12)
+    g = C12.generators[0]
+    # g^2 lies in <g^4, g^6>; g^3 enters <g^2> at g^6, which is not 1
+    for exps in ((4, 6, 2), (2, 3), (3, 3, 0, 4)):
+        yield C12.subgroup([_power(g, k) for k in exps]), 13
+    S7 = symmetric_group(7)
+    C3 = cyclic_group(3)
+    E = direct_product(direct_product(C3, C3), C3)
+    EC4 = direct_product(E, cyclic_group(4))
+    for G, H in ((S7, S7.subgroup([Permutation.from_cycles(7, [[0, 1]]),
+                                   Permutation.from_cycles(
+                                       7, [[2, 3, 4, 5]])])),
+                 (S7, S7.subgroup([Permutation.from_cycles(7, [[0, 1, 2]]),
+                                   Permutation.from_cycles(
+                                       7, [[3, 4, 5, 6]])])),
+                 (EC4, EC4.subgroup(EC4.generators[:3]))):
+        p = common_prime(G, H)
+        assert p > dixon_prime(H.exponent(), H.order)
+        yield H, p
+
+
+def test_abelian_rows_match_both_oracles(corpus_table_inputs):
+    """The homomorphisms built along the generators are the rows of the
+    Dixon route and of the eigenspace route, on every abelian table the
+    corpus builds and on the cases above, and character_table_mod_p
+    returns them."""
+    cases = [(G, p) for G, p in corpus_table_inputs if _is_abelian(G)]
+    cases += _abelian_cases()
+    assert len(cases) == 129 + 9
+    for G, p in cases:
+        assert _is_abelian(G)
+        cd = class_data(G)
+        assert cd.num_classes == G.order
+        rows = sorted(_abelian_rows(G, cd, p))
+        assert rows == sorted(_dixon_rows(G, cd, p)), G
+        assert rows == list(zip(*eigenspace_table(G, p))), G
+        tab = character_table_mod_p(G, prime=p)
+        assert list(zip(tab.degrees, tab.table)) == rows, G
+
+
+def test_tampered_abelian_row_is_refused(monkeypatch):
+    """check_invariants runs on the tables of the abelian route too: with
+    one value of one row changed, the rows are no longer orthonormal."""
+    rows_of = chartable._abelian_rows
+
+    def tampered(G, cd, p):
+        rows = rows_of(G, cd, p)
+        d, chi = rows[1]
+        rows[1] = (d, chi[:1] + ((chi[1] + 1) % p,) + chi[2:])
+        return rows
+
+    def refuse(*args):
+        raise AssertionError("abelian group sent to the Dixon route")
+
+    monkeypatch.setattr(chartable, "_abelian_rows", tampered)
+    monkeypatch.setattr(chartable, "_dixon_rows", refuse)
+    for G in (cyclic_group(12), direct_product(cyclic_group(2),
+                                               cyclic_group(4))):
+        with pytest.raises(CheckFailed, match="orthonormal"):
+            character_table_mod_p(G)
 
 
 def test_space_left_unsplit_raises(monkeypatch):

@@ -120,22 +120,22 @@ class TestTensorSquare:
         assert casimir_points(ts) == casimir_orbits(ts)
         assert len(ts.casimir) == 8     # the H-orbits of D4 on S4
         # 8 H-orbits and 5 classes of S4
-        assert separability_elements(G, H, ts=ts)[::2] == ("infinite", 3)
+        assert separability_elements(ts)[::2] == ("infinite", 3)
 
 
 def test_separability_kinds():
     G, H2 = s3_pair(2)
-    kind, witness, kdim = separability_elements(G, H2)
+    kind, witness, kdim = separability_elements(TensorSquare(G, H2))
     assert kind == "infinite" and kdim >= 1
     _, H3 = s3_pair(3)
-    assert separability_elements(G, H3)[0] == "infinite"
+    assert separability_elements(TensorSquare(G, H3))[0] == "infinite"
     # H = G: the only separability element is 1 (x) 1
     kind_full, w_full, kdim_full = separability_elements(
-        G, G.full_subgroup())
+        TensorSquare(G, G.full_subgroup()))
     assert kind_full == "unique" and kdim_full == 0
     GX = direct_product(symmetric_group(3), cyclic_group(2))
     HX = GX.subgroup(list(GX.generators[:2]))
-    assert separability_elements(GX, HX)[0] == "unique"
+    assert separability_elements(TensorSquare(GX, HX))[0] == "unique"
 
 
 def test_separability_triple_matches_dense_solve():
@@ -152,7 +152,7 @@ def test_separability_triple_matches_dense_solve():
                                  [int(gi == 0) for gi in range(G.order)])
         kind = ("none" if sol is None else
                 "unique" if not null else "infinite")
-        got_kind, _, kdim = separability_elements(G, H, ts=ts)
+        got_kind, _, kdim = separability_elements(ts)
         assert (got_kind, kdim) == (kind, len(null)), name
 
 
@@ -180,7 +180,7 @@ def test_class_rows_match_the_element_rows():
     assert len(pairs) == 142
     for name, G, H in pairs + list(_larger_pairs()):
         ts = TensorSquare(G, H, cap=G.order ** 2)
-        kind, _, kdim = separability_elements(G, H, ts=ts)
+        kind, _, kdim = separability_elements(ts)
         assert (kind, kdim, len(ts.casimir)) == mu_system(ts), name
 
 
@@ -194,7 +194,7 @@ def test_closed_forms_on_the_corpus(capsys):
     assert len(reports) == len(pairs) == 142
     for (name, G, H), r in zip(pairs, reports):
         assert not r["caps_hit"], name
-        _, _, kdim = separability_elements(G, H, cap=16384)
+        _, _, kdim = separability_elements(TensorSquare(G, H, cap=16384))
         assert r["casimir_dim"] == r["num_h_orbits"], name
         assert kdim == r["num_h_orbits"] - r["num_classes_g"], name
         assert r["full_in_t"] == (r["subgroup_order"] == r["group_order"]), \
@@ -203,11 +203,12 @@ def test_closed_forms_on_the_corpus(capsys):
 
 def test_unique_separable_examples():
     Q, Hi = q8_i_pair()
-    assert separability_elements(Q, Hi)[0] != "unique"
-    assert separability_elements(Q, Q.full_subgroup())[0] == "unique"
-    GX = direct_product(symmetric_group(3), cyclic_group(2))
+    assert separability_elements(TensorSquare(Q, Hi))[0] != "unique"
     assert separability_elements(
-        GX, GX.subgroup(list(GX.generators[:2])))[0] == "unique"
+        TensorSquare(Q, Q.full_subgroup()))[0] == "unique"
+    GX = direct_product(symmetric_group(3), cyclic_group(2))
+    assert separability_elements(TensorSquare(
+        GX, GX.subgroup(list(GX.generators[:2]))))[0] == "unique"
 
 
 def test_q8_dimension_gap():
@@ -488,7 +489,7 @@ def test_corpus_span_tests_stay_in_integers(monkeypatch):
     G = symmetric_group(5)
     H = next(H for H in corpus_subgroups(G) if H.name == "o4.0")
     ts = TensorSquare(G, H)
-    assert separability_elements(G, H, ts=ts)[0] == "infinite"
+    assert separability_elements(ts)[0] == "infinite"
     assert not is_full_in_T(G, H)
     assert not is_full_in_U(G, H)
     assert built == []

@@ -1,17 +1,24 @@
 """Route independence, traced: a fast route enters no function of the
 routes it is checked against, and every sepdepth function it does share
-is shared group data on a named allow-list, each entry held to
-Permutation products (or, for the echelon, to sympy) by a test of its
-own."""
+is shared data or a shared check on a named allow-list, each entry held
+by a test of its own to Permutation products (for the echelon, to sympy;
+for the prime, to a trial-division scan; for the table check, to a
+tampered row it must refuse)."""
 
+import os
 import sys
+from inspect import CO_NEWLOCALS
+from types import CodeType
 
+import test_chartable
 import test_groupalg
 import test_linalg
 import test_permgroup
 from permgroup_oracles import element_order
+from sepdepth.chartable import character_table_mod_p
 from sepdepth.groupalg import is_full_in_T, is_full_in_U
 from sepdepth.permgroup import (Permutation, alternating_group,
+                                cyclic_group, direct_product,
                                 quaternion_group, symmetric_group)
 
 # shared function -> (test module, test) that holds it to an oracle
@@ -40,6 +47,18 @@ SHARED = {
         (test_permgroup, "test_subgroups_are_read_in_their_parents_numbering"),
     "permgroup._check_subgroup":
         (test_permgroup, "test_subgroups_are_read_in_their_parents_numbering"),
+    "permgroup._Enumerated.exponent": (test_permgroup, "test_exponents"),
+    "permgroup._cycle_lengths": (test_permgroup, "test_exponents"),
+    "chartable.class_data":
+        (test_chartable, "test_class_data_matches_products"),
+    "chartable.ClassData.num_classes":
+        (test_chartable, "test_class_data_matches_products"),
+    "chartable.dixon_prime":
+        (test_chartable, "test_dixon_prime_matches_a_scan"),
+    "chartable._is_prime":
+        (test_chartable, "test_dixon_prime_matches_a_scan"),
+    "chartable.CharacterTableModP.check_invariants":
+        (test_chartable, "test_tampered_abelian_row_is_refused"),
     "groupalg._one_in_span":
         (test_groupalg, "test_one_in_span_is_rank_membership"),
     "linalg.SparseEchelon.__init__":
@@ -56,23 +75,62 @@ SHARED = {
 U_ROUTE = {"groupalg.is_full_in_U", "groupalg._u_images"}
 T_ROUTE = {"groupalg.is_full_in_T", "groupalg._teT_images"}
 
+# the abelian table route, and the Dixon route it is checked against
+TABLE_ROUTE = {"chartable.character_table_mod_p", "chartable._abelian_rows"}
+DIXON_ROUTE = {"chartable._dixon_rows", "chartable.class_mult_coeffs",
+               "chartable._split_piece", "chartable._character_row",
+               "chartable._lift_sqrt"}
+
 # the routes is_full_in_U is checked against in analyze_pair
 U_FORBIDDEN = {"permgroup.depth1_group", "depth.burciu_depth1",
                "permgroup.lemma_S_via_centralizers",
                "permgroup._centralizer_indices", "permgroup._covers_cosets"}
 
 
+def _source_qualnames(path):
+    """(first line, name) -> qualname, cut at any '.<locals>', of each
+    code object compiled from the source file at path: a function or
+    class is named after the classes around it, and everything inside a
+    function takes that function's name.  These are the names that
+    co_qualname (Python 3.11 and later) gives, read without it."""
+    names = {}
+
+    def walk(code, prefix, in_function):
+        for c in code.co_consts:
+            if isinstance(c, CodeType):
+                name = prefix if in_function else prefix + c.co_name
+                names[c.co_firstlineno, c.co_name] = name
+                function = in_function or bool(c.co_flags & CO_NEWLOCALS)
+                walk(c, name if function else name + ".", function)
+
+    with open(path) as f:
+        walk(compile(f.read(), path, "exec"), "", False)
+    return names
+
+
+_QUALNAMES = {}     # source path -> _source_qualnames(path)
+
+
 def entered(call):
     """The sepdepth functions entered by call(), as 'module.qualname' with
-    the package and any nested '<locals>' part dropped."""
+    the package and any nested '<locals>' part dropped.  Only code
+    compiled from sepdepth's source files counts, not code a library
+    generates at run time (a dataclass's __init__)."""
     names = set()
 
     def profile(frame, event, arg):
         if event == "call":
             module = frame.f_globals.get("__name__", "")
             if module.startswith("sepdepth."):
-                qualname = frame.f_code.co_qualname.split(".<locals>")[0]
-                names.add(f"{module[len('sepdepth.'):]}.{qualname}")
+                code = frame.f_code
+                path = code.co_filename
+                if path not in _QUALNAMES:
+                    _QUALNAMES[path] = (_source_qualnames(path)
+                                        if os.path.isfile(path) else {})
+                qualname = _QUALNAMES[path].get(
+                    (code.co_firstlineno, code.co_name))
+                if qualname is not None:
+                    names.add(f"{module[len('sepdepth.'):]}.{qualname}")
 
     sys.setprofile(profile)
     try:
@@ -132,3 +190,20 @@ def test_full_in_t_shares_only_group_data():
     otherwise only the allow-list."""
     assert assert_shares_only_group_data(
         is_full_in_T, T_ROUTE) == [False, False, False]
+
+
+def test_abelian_table_shares_only_group_data():
+    """character_table_mod_p on fresh abelian groups (C12, the elementary
+    abelian group of order 27, and C2 x C4 inside S6) takes the abelian
+    route, enters nothing of the Dixon route it is checked against, and
+    otherwise only the allow-list."""
+    C3 = cyclic_group(3)
+    S6 = symmetric_group(6)
+    for G in (cyclic_group(12), direct_product(direct_product(C3, C3), C3),
+              S6.subgroup([Permutation.from_cycles(6, [[0, 1]]),
+                           Permutation.from_cycles(6, [[2, 3, 4, 5]])])):
+        names = entered(lambda: character_table_mod_p(G))
+        assert TABLE_ROUTE <= names
+        assert not names & DIXON_ROUTE, names & DIXON_ROUTE
+        assert names - TABLE_ROUTE <= set(SHARED), \
+            names - TABLE_ROUTE - set(SHARED)
