@@ -31,21 +31,24 @@ class StructureConstantAlgebra:
     def __post_init__(self):
         if not self.labels:
             self.labels = [f"b{i}" for i in range(self.dimension)]
-        self.unit = list(map(Fraction, self.unit))
+        # integral entries stay int (see to_sparse), the rest Fraction
+        unit = to_sparse(map(Fraction, self.unit))
+        self.unit = [unit.get(k, 0) for k in range(len(self.unit))]
 
     def multiply(self, u, v):
         """Dense u * v, summed term by term over the table: the reference
-        product that the witness check and the test oracles act through."""
-        n = self.dimension
-        out = [Fraction(0)] * n
+        product that the witness check and the test oracles act through.
+        The sum starts from int 0, so int inputs and an int table give
+        int entries; v's nonzeros are listed once."""
+        out = [0] * self.dimension
+        v_nonzero = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if not a:
                 continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
+            row = self.table[i]
+            for j, b in v_nonzero:
                 ab = a * b
-                for k, c in self.table[i][j].items():
+                for k, c in row[j].items():
                     out[k] += ab * c
         return out
 
@@ -93,8 +96,8 @@ def _product(A, u, v):
 
 
 def _unit_vec(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
+    v = [0] * n
+    v[i] = 1
     return v
 
 
@@ -111,8 +114,10 @@ class AlgebraInclusion:
         self.sub_basis = [to_dense(r, A.dimension) for r in rows]
         if not span.contains(to_sparse(A.unit)):
             raise UnitMissing("subalgebra does not contain the unit")
-        if not all(span.contains(_product(A, u, v))
-                   for u in rows for v in rows):
+        # products[i][j] = u_i u_j for the basis rows, kept for B's table
+        rows = list(map(to_sparse, self.sub_basis))
+        self.products = [[_product(A, u, v) for v in rows] for u in rows]
+        if not all(span.contains(uv) for row in self.products for uv in row):
             raise ValueError("subalgebra basis not closed")
 
     @property
@@ -192,16 +197,19 @@ class RelativeTensorSquare:
     by span{(a_p b) (x) a_r - a_p (x) (b a_r)} over basis triples.
 
     Only the distinct nonzero relations reach the echelon: a triple with
-    a_p b = 0 = b a_r gives the zero relation, and a relation equal to an
-    earlier one already lies in the span, so neither would change the
-    rows.  Position i*n + j of a tensor vector is b_i (x) b_j."""
+    a_p b = 0 = b a_r gives the zero relation, and so does every triple
+    whose b is the unit itself, which is left out of the sub-basis; a
+    relation equal to an earlier one already lies in the span.  None of
+    these would change the rows.  Position i*n + j of a tensor vector is
+    b_i (x) b_j."""
 
     def __init__(self, A, inclusion, cap=DEFAULT_LINEAR_CAP):
         n = A.dimension
         if n * n > cap:
             raise CapExceeded("dim(A tensor A)", n * n, cap)
         S, cols = A.table, A.table_columns()
-        subs = [to_sparse(b) for b in inclusion.sub_basis]
+        unit = to_sparse(A.unit)
+        subs = [b for b in map(to_sparse, inclusion.sub_basis) if b != unit]
         # a_p b and b a_r for every sub-basis vector b
         left = [[_combine(b, S[p]) for b in subs] for p in range(n)]
         right = [[_combine(b, cols[r]) for r in range(n)] for b in subs]
@@ -278,8 +286,8 @@ def verify_separability_witness(A, rts, witness):
     mu(t) = 1.
 
     The dense witness is made sparse once.  Each basis product b_i b_j the
-    check needs is taken through A.multiply on unit vectors, at most once
-    per pair, and kept in a local table; the check reads no structure
+    check needs is taken through A.multiply on int unit vectors, at most
+    once per pair, and kept in a local table; the check reads no structure
     constant itself, so it shares no product code with separability_system
     and a slip in either one cannot verify itself.  The quotient map onto
     A (x)_B A is linear with kernel the span of the relations, so
@@ -316,28 +324,30 @@ def verify_separability_witness(A, rts, witness):
 def prop_rad_check(A, inclusion, JA=None):
     """Radical criterion: separable iff J(A) = J(B), when J(B) is an
     ideal of A.  Returns 'separable', 'inseparable' or 'not-applicable'.
-    JA is radical(A) when the caller has it already."""
+    JA is radical(A) when the caller has it already.
+
+    J(B) = J(A) is tested first: radical(A) has checked that J(A) is an
+    ideal, so the ideal test runs only on a J(B) that differs from it."""
     JB_sub = _sub_radical(A, inclusion)
-    if not _is_ideal(A, JB_sub):
-        return "not-applicable"
     if JA is None:
         JA = radical(A)
     # both bases are reduced row echelon forms, unique for their span
     if JA == JB_sub:
         return "separable"
-    return "inseparable"
+    return "inseparable" if _is_ideal(A, JB_sub) else "not-applicable"
 
 
 def _sub_radical(A, inclusion):
     """J(B) expressed in ambient coordinates."""
     rows = list(map(to_sparse, inclusion.sub_basis))
 
-    # B as its own structure-constant algebra; its basis is in reduced
-    # row echelon form, so a coordinate is the entry at that row's pivot
+    # B as its own structure-constant algebra, its table read off the
+    # closure check's products; its basis is in reduced row echelon form,
+    # so a coordinate is the entry at that row's pivot
     def coords(v):
         return {i: v[p] for i, p in enumerate(inclusion.pivots) if p in v}
 
-    table = [[coords(_product(A, u, v)) for v in rows] for u in rows]
+    table = [[coords(uv) for uv in row] for row in inclusion.products]
     B = StructureConstantAlgebra(
         dimension=len(rows), table=table,
         unit=[A.unit[p] for p in inclusion.pivots], name="sub")
@@ -353,7 +363,7 @@ def matrix_algebra(n):
     """M_n(Q) on the basis of matrix units e_ij (row-major)."""
     units = [(i, j) for i in range(n) for j in range(n)]
     return _matrix_span_algebra(n, [
-        {(i, j): Fraction(1)} for (i, j) in units],
+        {(i, j): 1} for (i, j) in units],
         name=f"M{n}",
         labels=[f"e{i+1}{j+1}" for (i, j) in units])
 
@@ -410,7 +420,7 @@ def upper_triangular_algebra(n):
     """T_n(Q), upper-triangular matrices."""
     units = _upper_units(n)
     return _matrix_span_algebra(
-        n, [{(i, j): Fraction(1)} for (i, j) in units],
+        n, [{(i, j): 1} for (i, j) in units],
         name=f"T{n}", labels=[f"e{i+1}{j+1}" for (i, j) in units])
 
 
@@ -436,8 +446,7 @@ def jordan_subalgebra(A, n):
     units = _t_n_units(A, n)
     vectors = [list(A.unit)]
     for shift in range(1, n):
-        vectors.append([Fraction(1) if j - i == shift else Fraction(0)
-                        for (i, j) in units])
+        vectors.append([int(j - i == shift) for (i, j) in units])
     return AlgebraInclusion(A, vectors)
 
 
@@ -452,7 +461,7 @@ def structural_matrix_example():
     pattern = [(0, 0), (1, 1), (2, 2), (3, 3),
                (1, 0), (2, 0), (3, 0), (3, 1), (3, 2)]
     A = _matrix_span_algebra(
-        4, [{(i, j): Fraction(1)} for (i, j) in pattern],
+        4, [{(i, j): 1} for (i, j) in pattern],
         name="structural",
         labels=[f"e{i+1}{j+1}" for (i, j) in pattern])
     lab = {l: idx for idx, l in enumerate(A.labels)}

@@ -17,8 +17,10 @@ from math import gcd
 
 
 def to_sparse(vec):
-    """Sparse dict of a coordinate list."""
-    return {k: x for k, x in enumerate(vec) if x}
+    """Sparse dict of a coordinate list; an integral Fraction comes back
+    as an int, so integer data reaches the echelon's integer path."""
+    return {k: x.numerator if getattr(x, "denominator", 0) == 1 else x
+            for k, x in enumerate(vec) if x}
 
 
 def to_dense(vec, n):

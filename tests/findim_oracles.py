@@ -4,13 +4,14 @@ Each one computes through ``StructureConstantAlgebra.multiply`` on unit
 vectors (or on dense flat matrices), the way the package did before it
 read its structure-constant table directly, so the tests can hold the
 sparse kernels against them.  The explicit witnesses of M_n and the
-monoid decomposition live here too: only tests use them.
+monoid decomposition live here too, and the built-in fixtures written
+out as JSON matrix specs: only tests use them.
 """
 
 from fractions import Fraction
 
 from sepdepth.errors import CheckFailed, InvalidAlgebra
-from sepdepth.findim import matrix_algebra
+from sepdepth.findim import _sub_radical, matrix_algebra, radical
 from sepdepth.linalg import SparseEchelon, rank, rref, to_sparse
 
 
@@ -124,6 +125,15 @@ def dense_is_ideal(A, basis):
                                for w in (A.multiply(b, v), A.multiply(v, b))))
 
 
+def ideal_first_verdict(A, inclusion):
+    """The radical criterion in its earlier order: J(B) tested for an
+    ideal of A first (densely), then compared with J(A)."""
+    JB = _sub_radical(A, inclusion)
+    if not dense_is_ideal(A, JB):
+        return "not-applicable"
+    return "separable" if radical(A) == JB else "inseparable"
+
+
 def dense_is_nilpotent(A, basis):
     """Some power of span(basis) is zero, from rref of dense products."""
     current = basis
@@ -194,3 +204,38 @@ def matrix_algebra_separability_witnesses(n):
             vec[unit_index(i, j) * dim + unit_index(j, i)] = Fraction(1)
         out.append(vec)
     return A, out
+
+
+def _matrix_spec(m, positions, name):
+    """Algebra spec spanned by the matrix units at the 0-based positions."""
+    def unit(i, j):
+        return [["1" if (r, c) == (i, j) else "0" for c in range(m)]
+                for r in range(m)]
+    return {"name": name, "matrix_size": m,
+            "basis": [unit(i, j) for i, j in positions],
+            "labels": [f"e{i + 1}{j + 1}" for i, j in positions]}
+
+
+def _matrix_sum(m, positions):
+    return [["1" if (r, c) in positions else "0" for c in range(m)]
+            for r in range(m)]
+
+
+def fixture_specs(name):
+    """The --fixture pair as JSON matrix specs, written out by hand;
+    name is structural, triangular<n> or jordan<n> with n < 10."""
+    if name == "structural":
+        pattern = [(0, 0), (1, 1), (2, 2), (3, 3),
+                   (1, 0), (2, 0), (3, 0), (3, 1), (3, 2)]
+        return _matrix_spec(4, pattern, "structural"), {"matrices": [
+            _matrix_sum(4, {(0, 0), (3, 3)}), _matrix_sum(4, {(1, 1), (2, 2)}),
+            _matrix_sum(4, {(1, 0)}), _matrix_sum(4, {(3, 2)})]}
+    n = int(name[-1])
+    units = [(i, j) for i in range(n) for j in range(i, n)]
+    ident = _matrix_sum(n, {(i, i) for i in range(n)})
+    if name.startswith("triangular"):
+        sub = [_matrix_sum(n, {(i, j)}) for i, j in units if j > i]
+    else:
+        sub = [_matrix_sum(n, {(i, i + s) for i in range(n - s)})
+               for s in range(1, n)]
+    return _matrix_spec(n, units, f"T{n}"), {"matrices": [ident] + sub}

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from findim_oracles import fixture_specs
 from sepdepth.cli import SpecError, _frac, main
 
 S3_GROUP = {"name": "S3", "degree": 3,
@@ -570,6 +571,26 @@ def test_findim_demo_fixture_output_unchanged(capsys):
         assert capsys.readouterr().out == text, name
 
 
+SPEC_REPORTS = os.path.join(os.path.dirname(__file__), "data",
+                            "findim_spec_reports.json")
+
+
+def test_findim_demo_spec_output_unchanged(tmp_path, capsys):
+    """findim-demo on JSON specs with permuted bases, matrix and
+    structure-constant ones, prints byte for byte the reports recorded in
+    tests/data, witness strings included (monoid4's hold 1/4 and 5/4)."""
+    with open(SPEC_REPORTS) as fh:
+        expected = json.load(fh)
+    assert sorted(expected) == [f"{item}.{order}" for item in (
+        "jordan4", "monoid4", "structural", "triangular4") for order in (0, 1)]
+    for name, case in sorted(expected.items()):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(case["algebra"]))
+        b.write_text(json.dumps(case["subalgebra"]))
+        assert main(["findim-demo", str(a), str(b)]) == 0
+        assert capsys.readouterr().out == case["output"], name
+
+
 MATRIX_REPORTS = os.path.join(os.path.dirname(__file__), "data",
                               "matrix_reports.json")
 
@@ -589,40 +610,6 @@ def test_analyze_matrix_only_large_groups_unchanged(tmp_path, capsys):
         assert capsys.readouterr().out == case["output"], name
 
 
-def _matrix_spec(m, positions, name):
-    """Algebra spec spanned by the matrix units at the 0-based positions."""
-    def unit(i, j):
-        return [["1" if (r, c) == (i, j) else "0" for c in range(m)]
-                for r in range(m)]
-    return {"name": name, "matrix_size": m,
-            "basis": [unit(i, j) for i, j in positions],
-            "labels": [f"e{i + 1}{j + 1}" for i, j in positions]}
-
-
-def _matrix_sum(m, positions):
-    return [["1" if (r, c) in positions else "0" for c in range(m)]
-            for r in range(m)]
-
-
-def _fixture_as_specs(name):
-    """The --fixture pair as JSON matrix specs, written out by hand."""
-    if name == "structural":
-        pattern = [(0, 0), (1, 1), (2, 2), (3, 3),
-                   (1, 0), (2, 0), (3, 0), (3, 1), (3, 2)]
-        return _matrix_spec(4, pattern, "structural"), {"matrices": [
-            _matrix_sum(4, {(0, 0), (3, 3)}), _matrix_sum(4, {(1, 1), (2, 2)}),
-            _matrix_sum(4, {(1, 0)}), _matrix_sum(4, {(3, 2)})]}
-    n = int(name[-1])
-    units = [(i, j) for i in range(n) for j in range(i, n)]
-    ident = _matrix_sum(n, {(i, i) for i in range(n)})
-    if name.startswith("triangular"):
-        sub = [_matrix_sum(n, {(i, j)}) for i, j in units if j > i]
-    else:
-        sub = [_matrix_sum(n, {(i, i + s) for i in range(n - s)})
-               for s in range(1, n)]
-    return _matrix_spec(n, units, f"T{n}"), {"matrices": [ident] + sub}
-
-
 @pytest.mark.parametrize("name", ["triangular3", "triangular4", "triangular5",
                                   "jordan3", "jordan4", "jordan5",
                                   "structural"])
@@ -630,7 +617,7 @@ def test_findim_demo_matrix_specs_print_the_fixture_output(tmp_path, capsys,
                                                            name):
     """The JSON matrix-spec route, the one the benchmark drives, prints
     byte for byte what the built-in fixture prints."""
-    alg, sub = _fixture_as_specs(name)
+    alg, sub = fixture_specs(name)
     a = tmp_path / "a.json"
     a.write_text(json.dumps(alg))
     b = tmp_path / "b.json"

@@ -16,7 +16,7 @@ from findim_oracles import (dense_associativity_failure, dense_is_closed,
 from sepdepth.errors import CheckFailed, InvalidAlgebra
 from sepdepth.findim import (AlgebraInclusion, RelativeTensorSquare,
                              StructureConstantAlgebra, _check_nilpotent_ideal,
-                             _is_ideal, _matrix_span_algebra,
+                             _is_ideal, _matrix_span_algebra, _unit_vec,
                              jordan_subalgebra, matrix_algebra,
                              monoid_algebra,
                              monoid_nilpotent_part_subalgebra, radical,
@@ -71,8 +71,9 @@ def test_tensor_square_relations_match_dense(pair):
 
 def test_tensor_square_adds_only_distinct_nonzero_relations(monkeypatch):
     """On T_6 over k1 + strict upper triangulars, the n*m*n = 7056
-    relation triples hold 630 distinct nonzero relations for rank 390;
-    fewer than 3 adds per rank step reach the echelon."""
+    relation triples (441 of them, those with b = 1, left out as zero)
+    hold 630 distinct nonzero relations for rank 390; fewer than 3 adds
+    per rank step reach the echelon."""
     A = upper_triangular_algebra(6)
     incl = strict_upper_subalgebra(A, 6)
     adds = []
@@ -99,6 +100,24 @@ def test_separability_rows_match_dense_actions(pair):
     dense = dense_separability_system(A, rts)
     assert sparse == dense
     assert _reduced(SparseEchelon(sparse)) == _reduced(SparseEchelon(dense))
+
+
+@pytest.mark.parametrize("A", list(_fixture_algebras()),
+                         ids=lambda A: A.name)
+def test_multiply_on_int_unit_vectors_matches_fraction_ones(A):
+    """The witness check multiplies int unit vectors: each product equals
+    the one on the oracle's Fraction unit vectors and the table's entry,
+    and is all int on an all-int table."""
+    n = A.dimension
+    int_table = all(type(c) is int
+                    for row in A.table for vec in row for c in vec.values())
+    for i in range(n):
+        for j in range(n):
+            product = A.multiply(_unit_vec(n, i), _unit_vec(n, j))
+            assert product == A.multiply(unit_vec(n, i), unit_vec(n, j))
+            assert to_sparse(product) == A.table[i][j]
+            if int_table:
+                assert all(type(x) is int for x in product)
 
 
 def _perturbed(A, rng):

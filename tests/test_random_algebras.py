@@ -1,7 +1,8 @@
 """Property tests on random subalgebras of T_3 and T_4 (needs
 hypothesis): the separability solver agrees with the radical criterion
-J(A) = J(B) wherever the criterion applies, and the sparse closure, ideal
-and matrix-span kernels agree with their dense references."""
+J(A) = J(B) wherever the criterion applies, the criterion's verdict does
+not depend on the order of its tests, and the sparse closure, ideal and
+matrix-span kernels agree with their dense references."""
 
 import pytest
 
@@ -9,10 +10,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from findim_oracles import (dense_is_closed, dense_is_ideal,  # noqa: E402
-                            dense_matrix_span)
+                            dense_matrix_span, ideal_first_verdict)
 from sepdepth.findim import (_is_ideal, _matrix_span_algebra,  # noqa: E402
                              _sub_radical, is_separable_extension,
-                             prop_rad_check, subalgebra_closure,
+                             prop_rad_check, radical, subalgebra_closure,
                              upper_triangular_algebra)
 from sepdepth.linalg import to_sparse  # noqa: E402
 
@@ -37,6 +38,9 @@ def test_solver_agrees_with_radical_criterion(pair):
     separable, witness = is_separable_extension(A, incl)
     assert (witness is not None) == separable
     verdict = prop_rad_check(A, incl)
+    # one verdict with or without J(A) handed in, and in either test order
+    assert verdict == prop_rad_check(A, incl, radical(A))
+    assert verdict == ideal_first_verdict(A, incl)
     if verdict != "not-applicable":
         assert separable == (verdict == "separable")
 
