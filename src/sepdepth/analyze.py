@@ -91,7 +91,14 @@ def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
     cap_linear bounds dim(A (x)_B A) = |G| * [G:H], the one linear cap of
     the group-algebra side.  Over it, the separability solve and both
     fullness tests are skipped together: their fields stay null, caps_hit
-    names the cap, and the matrix side is reported in full."""
+    names the cap, and the matrix side is reported in full.
+
+    table_g, when given, is G's character table.  H with G's order is G,
+    and its classes are G's classes in the same order (the H-orbits on G
+    inside H), so table_g, at the pair's prime, is H's table too and no
+    second one is built.  A table_g at another prime is not reused: H's
+    table is built at the pair's prime and inclusion_matrix refuses the
+    two (LiftInconsistency)."""
     if H.parent is not G:
         H = G.subgroup([H.parent.elements[i] for i in H.gen_indices],
                        name=H.name)
@@ -109,7 +116,10 @@ def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
     prime = common_prime(G, H)
     if table_g is None:
         table_g = character_table_mod_p(G, prime=prime, seed=seed)
-    table_h = character_table_mod_p(H, prime=prime, seed=seed)
+    if H.order == G.order and table_g.prime == prime:
+        table_h = table_g
+    else:
+        table_h = character_table_mod_p(H, prime=prime, seed=seed)
     im = inclusion_matrix(G, H, tableG=table_g, tableH=table_h)
     M = im.as_lists()
     dep = depth_report(M)

@@ -112,6 +112,11 @@ def separability_elements(ts):
     holds at one element z of each conjugacy class L of G, and
     mu(w_O)[z] = #{i : g_i z g_i^-1 in O}: c rows, c * [G:H] conjugations
     in all, the identity class carrying the right-hand side.
+
+    When the system is consistent, e is checked A-central with mu(e) = 1.
+    Both are linear in e, so the checks run on the integer element
+    [G:H] e = sum_i g_i^-1 (x) g_i, every coefficient 1, which must be
+    A-central with mu = [G:H] * 1; no Fraction is compared or summed.
     """
     G = ts.G
     orbit_of = part_labels(ts.casimir, G.order)
@@ -134,13 +139,12 @@ def separability_elements(ts):
     if not consistent:
         return "none", None, kernel_dim
     e = ts.canonical_separability_element()
-    if not ts.is_central(e):
+    index_e = dict.fromkeys(e, 1)  # [G:H] e = sum_i g_i^-1 (x) g_i
+    if not ts.is_central(index_e):
         raise CheckFailed("canonical separability element is not central")
-    mu_e = Counter()
-    for idx, c in e.items():
-        g, i = divmod(idx, ts.n)
-        mu_e[G.mul(g, ts.reps[i])] += c
-    if mu_e != {0: 1}:
+    mu = Counter(G.mul(g, ts.reps[i])
+                 for g, i in (divmod(idx, ts.n) for idx in index_e))
+    if mu != {0: ts.n}:
         raise CheckFailed("mu of the canonical separability element is not 1")
     kind = "unique" if not kernel_dim else "infinite"
     return kind, e, kernel_dim

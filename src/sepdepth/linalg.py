@@ -67,8 +67,10 @@ class SparseEchelon:
         result is vec's reduction up to a nonzero factor.  With full=True
         on every pivot, dividing by the pivots, which gives the normal
         form of vec modulo the span (zero on every pivot, unique for the
-        span).
+        span).  An empty vec comes back as a new empty dict at once.
         """
+        if not vec:
+            return {}
         vec = {k: v for k, v in vec.items() if v}
         heap = list(vec)
         heapify(heap)

@@ -425,18 +425,38 @@ def lemma_S_via_centralizers(G, H):
 
     H * C is the union of the right cosets H c for c in C, so it is G
     exactly when C meets every right coset of H.
+
+    One a per H-orbit on G is enough: for h in H,
+    C_G(h a h^-1) = h C_G(a) h^-1, so H C_G(h a h^-1) = H C_G(a) h^-1,
+    which is G exactly when H C_G(a) = G.  The orbits are searched here,
+    along the conjugation maps of H's generators, apart from h_orbits
+    (property_S, the route this is checked against); the test stops at
+    the first a that fails: #H-orbits * |G| steps for the centralizers
+    and cosets, and |G| for each conjugation map of a generator of H.
     """
     _check_subgroup(G, H)
-    return all(_covers_cosets(G, H, _centralizer_indices(G, a))
-               for a in range(G.order))
+    maps = list(_conjugation_maps(G, H.gen_indices))
+    seen = set()
+    for a in range(G.order):
+        if a not in seen:
+            if not _covers_cosets(G, H, _centralizer_indices(G, a)):
+                return False
+            _search(maps, a, seen)
+    return True
 
 
 def depth1_group(G, H):
     """True iff H * C_G(h) = G for every h in H (characteristic zero);
-    the product set is tested as in lemma_S_via_centralizers."""
+    the product set is tested as in lemma_S_via_centralizers.
+
+    One h per conjugacy class of H is enough: for k in H,
+    C_G(k h k^-1) = k C_G(h) k^-1, so H C_G(k h k^-1) = H C_G(h) k^-1,
+    which is G exactly when H C_G(h) = G.  The least element of each
+    class of h_classes is tested.
+    """
     _check_subgroup(G, H)
-    return all(_covers_cosets(G, H, _centralizer_indices(G, h))
-               for h in H.indices)
+    return all(_covers_cosets(G, H, _centralizer_indices(G, cls[0]))
+               for cls in h_classes(G, H))
 
 
 def hz_condition(G, H):

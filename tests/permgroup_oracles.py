@@ -1,9 +1,13 @@
 """Group-side routines by Permutation products, for tests only.
 
 ``permgroup.lemma_S_via_centralizers`` and ``depth1_group`` decide
-H * C_G(a) = G on the group's index data through right cosets; these build
-every centralizer with ``g * a == a * g`` over all of G and enumerate the
-product set H * C itself.  ``permgroup._conjugation_orbits`` searches
+H * C_G(a) = G on the group's index data through right cosets, at one a
+per H-orbit on G and one h per class of H; ``lemma_S_all_elements`` and
+``depth1_all_elements`` are the same coset test at every a in G and every
+h in H, |G| centralizers and |H| centralizers, and ``lemma_S_by_products``
+and ``depth1_by_products`` build every centralizer with
+``g * a == a * g`` over all of G and enumerate the product set H * C
+itself.  ``permgroup._conjugation_orbits`` searches
 conjugation maps of generators on element indices; the oracle here
 conjugates by every element of the acting group with Permutation products.
 ``permgroup`` returns partitions as index tuples; ``element_view`` reads
@@ -15,8 +19,9 @@ conjugates every cyclic subgroup by all of G and takes every commutator;
 ``subgroup_index`` is [G:H].
 """
 
-from sepdepth.permgroup import (Subgroup, _closure, _conjugacy_key,
-                                all_subgroups)
+from sepdepth.permgroup import (Subgroup, _centralizer_indices,
+                                _check_subgroup, _closure, _conjugacy_key,
+                                _covers_cosets, all_subgroups)
 
 
 def is_identity(p):
@@ -116,6 +121,20 @@ def depth1_by_products(G, H):
         if not _product_set_is_G(G, H, C):
             return False
     return True
+
+
+def lemma_S_all_elements(G, H):
+    """True iff H * C_G(a) = G for every a in G, tested at every a."""
+    _check_subgroup(G, H)
+    return all(_covers_cosets(G, H, _centralizer_indices(G, a))
+               for a in range(G.order))
+
+
+def depth1_all_elements(G, H):
+    """True iff H * C_G(h) = G for every h in H, tested at every h."""
+    _check_subgroup(G, H)
+    return all(_covers_cosets(G, H, _centralizer_indices(G, h))
+               for h in H.indices)
 
 
 def _sorted_partition(classes):

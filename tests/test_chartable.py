@@ -27,8 +27,9 @@ from sepdepth.permgroup import (FiniteGroup, Permutation, alternating_group,
 
 @pytest.fixture(scope="module")
 def corpus_table_inputs():
-    """(group or subgroup, prime) for the 169 tables a corpus run builds:
-    each corpus group and each of its subgroups, at the group's prime."""
+    """(group or subgroup, prime) for the 169 tables of the corpus: each
+    corpus group and each of its subgroups, at the group's prime.  A
+    corpus run builds 142 of them: a pair with H = G reads G's table."""
     inputs = []
     for G in corpus_groups():
         p = common_prime(G, G)
@@ -416,6 +417,42 @@ def test_prime_mismatch_rejected():
     th = character_table_mod_p(H, prime=5)
     with pytest.raises(LiftInconsistency):
         inclusion_matrix(G, H, tableG=tg, tableH=th)
+
+
+def test_corpus_run_reads_g_table_for_h_equal_g(monkeypatch):
+    """A corpus run, G's table once per group and analyze_pair on each
+    pair, builds 142 tables, not 169: none for the 27 pairs with H = G,
+    which read G's table, and one for each other pair."""
+    from sepdepth import analyze
+    from sepdepth.analyze import analyze_pair
+    from sepdepth.corpus import corpus_pairs
+    built = []
+
+    def counting(G, prime=None, seed=0):
+        built.append(G)
+        return character_table_mod_p(G, prime=prime, seed=seed)
+
+    monkeypatch.setattr(analyze, "character_table_mod_p", counting)
+    tables, full = {}, 0
+    for _, G, H in corpus_pairs():
+        if G.name not in tables:
+            tables[G.name] = counting(G, prime=common_prime(G, G))
+        before = len(built)
+        rep = analyze_pair(G, H, matrix_only=True, table_g=tables[G.name])
+        assert len(built) == before + (H.order < G.order), rep.subgroup
+        full += H.order == G.order
+    assert (len(tables), full, len(built)) == (27, 27, 142)
+
+
+def test_prime_mismatch_with_h_equal_g_rejected():
+    """A G table at another prime is not read as H's table: with H = G,
+    H's table is built at the pair's prime and the two are refused."""
+    from sepdepth.analyze import analyze_pair
+    G = symmetric_group(3)
+    assert common_prime(G, G) == 7
+    with pytest.raises(LiftInconsistency):
+        analyze_pair(G, G.full_subgroup(),
+                     table_g=character_table_mod_p(G, prime=13))
 
 
 def test_bad_prime_rejected():

@@ -172,6 +172,22 @@ def test_sparse_echelon_membership():
     assert ech.rank == 2
 
 
+def test_empty_vector_leaves_the_rows():
+    """The empty vector adds nothing and lies in every span, the empty
+    one too; the rows and their entries stay as they were."""
+    ech = SparseEchelon()
+    assert not ech.add({})
+    assert ech.contains({})
+    assert ech.rows == {}
+    ech.add({0: 2, 2: 4})
+    ech.add({1: 3, 2: Fraction(1, 2)})
+    rows = {p: dict(row) for p, row in ech.rows.items()}
+    assert not ech.add({})
+    assert ech.contains({})
+    assert ech.rows == rows and ech.rank == 2
+    assert ech.reduce({}, full=True) == {}
+
+
 def test_sparse_echelon_pivots_sorted():
     ech = SparseEchelon()
     for v in ({5: 1}, {2: 1, 5: 4}, {0: 7, 2: 1}):

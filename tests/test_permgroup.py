@@ -5,12 +5,13 @@ from math import lcm
 import pytest
 
 from permgroup_oracles import (conjugation_orbits_by_products,
-                               cyclic_subgroups_by_keys, depth1_by_products,
+                               cyclic_subgroups_by_keys, depth1_all_elements,
+                               depth1_by_products,
                                derived_subgroup_by_commutators, element_order,
                                element_view, every_subgroup, generators,
-                               is_identity, lemma_S_by_products,
-                               subgroup_index)
-from sepdepth.corpus import corpus_groups, corpus_subgroups
+                               is_identity, lemma_S_all_elements,
+                               lemma_S_by_products, subgroup_index)
+from sepdepth.corpus import corpus_groups, corpus_pairs, corpus_subgroups
 from sepdepth.errors import (CapExceeded, ElementNotInGroup, InvalidArgument,
                              NotASubgroup)
 from sepdepth.permgroup import (FiniteGroup, Permutation, Subgroup,
@@ -21,7 +22,7 @@ from sepdepth.permgroup import (FiniteGroup, Permutation, Subgroup,
                                 direct_product, extraspecial_27,
                                 h_classes, h_orbits, hz_condition, is_normal,
                                 lemma_S_via_centralizers, part_labels,
-                                property_S, quaternion_group,
+                                property_S, quaternion_group, right_cosets,
                                 right_transversal, symmetric_group)
 
 
@@ -359,6 +360,51 @@ def test_centralizer_criteria_match_products():
             assert hz_condition(G, H) == hz, (G, H)
             seen.add((lem, d1))
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_centralizer_criteria_match_all_element_scans():
+    """One a per H-orbit and one h per class of H give the verdicts of the
+    coset test at every element: on all 142 corpus pairs and on the S6
+    family, with both verdicts of each criterion seen."""
+    pairs = [(G, H) for _, G, H in corpus_pairs()]
+    assert len(pairs) == 142
+    S6 = symmetric_group(6)
+    pairs += [(S6, H) for H in corpus_subgroups(S6)]
+    seen = set()
+    for G, H in pairs:
+        lem, d1 = lemma_S_via_centralizers(G, H), depth1_group(G, H)
+        assert lem == lemma_S_all_elements(G, H), (G, H)
+        assert d1 == depth1_all_elements(G, H), (G, H)
+        seen.add((lem, d1))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_centralizer_criteria_on_s7_hold_few_maps():
+    """Both criteria on S7 > S7 build the maps of one element per class
+    (and of the tree paths to them), not the 5040 right and 5040 left
+    maps of a scan over every element."""
+    G = symmetric_group(7)
+    H = G.full_subgroup()
+    assert lemma_S_via_centralizers(G, H)
+    assert depth1_group(G, H)
+    assert (len(G._right_maps), len(G._left_maps)) == (118, 16)
+
+
+def test_right_cosets_match_products():
+    """elements[x] = elements[factor[x]] * g_j, j = label[x], with
+    factor[x] in H and g_j the least element of the j-th coset, the
+    cosets numbered by least element: on every subgroup of S4 and Q8."""
+    for G in (symmetric_group(4), quaternion_group()):
+        E = G.elements
+        for H in every_subgroup(G):
+            label, factor = right_cosets(G, H)
+            cosets = sorted({frozenset(h * g for h in H.elements)
+                             for g in E}, key=min)
+            reps = [min(c) for c in cosets]
+            for x, g in enumerate(E):
+                assert E[factor[x]] in H
+                assert g in cosets[label[x]]
+                assert g == E[factor[x]] * reps[label[x]]
 
 
 def test_index_maps_are_the_products():

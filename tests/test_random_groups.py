@@ -5,7 +5,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from permgroup_oracles import (depth1_by_products,  # noqa: E402
+from permgroup_oracles import (depth1_all_elements,  # noqa: E402
+                               depth1_by_products, lemma_S_all_elements,
                                lemma_S_by_products)
 from sepdepth.chartable import inclusion_matrix  # noqa: E402
 from sepdepth.depth import (bimodule_matrices, is_diagonal,  # noqa: E402
@@ -51,7 +52,10 @@ def test_full_in_u_iff_depth_one(pair):
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(group_pairs())
 def test_centralizer_criteria_match_products(pair):
-    """The coset-label criteria equal the product-set oracles."""
+    """The coset-label criteria, at one element per H-orbit or class of H,
+    equal the coset test at every element and the product-set oracles."""
     G, H = pair
-    assert lemma_S_via_centralizers(G, H) == lemma_S_by_products(G, H)
-    assert depth1_group(G, H) == depth1_by_products(G, H)
+    assert lemma_S_via_centralizers(G, H) == lemma_S_all_elements(G, H) \
+        == lemma_S_by_products(G, H)
+    assert depth1_group(G, H) == depth1_all_elements(G, H) \
+        == depth1_by_products(G, H)

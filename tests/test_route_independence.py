@@ -19,7 +19,8 @@ from sepdepth.chartable import character_table_mod_p
 from sepdepth.groupalg import is_full_in_T, is_full_in_U
 from sepdepth.permgroup import (Permutation, alternating_group,
                                 cyclic_group, direct_product,
-                                quaternion_group, symmetric_group)
+                                lemma_S_via_centralizers, quaternion_group,
+                                symmetric_group)
 
 # shared function -> (test module, test) that holds it to an oracle
 SHARED = {
@@ -43,6 +44,10 @@ SHARED = {
         (test_permgroup, "test_index_maps_are_the_products"),
     "permgroup.FiniteGroup.left_map":
         (test_permgroup, "test_index_maps_are_the_products"),
+    "permgroup.FiniteGroup.mul":
+        (test_permgroup, "test_index_maps_are_the_products"),
+    "permgroup.right_cosets":
+        (test_permgroup, "test_right_cosets_match_products"),
     "permgroup.FiniteGroup.parent":
         (test_permgroup, "test_subgroups_are_read_in_their_parents_numbering"),
     "permgroup._check_subgroup":
@@ -80,6 +85,13 @@ TABLE_ROUTE = {"chartable.character_table_mod_p", "chartable._abelian_rows"}
 DIXON_ROUTE = {"chartable._dixon_rows", "chartable.class_mult_coeffs",
                "chartable._split_piece", "chartable._character_row",
                "chartable._lift_sqrt"}
+
+# the centralizer route to property S, and the orbit route it is checked
+# against in analyze_pair
+LEMMA_S_ROUTE = {"permgroup.lemma_S_via_centralizers",
+                 "permgroup._centralizer_indices", "permgroup._covers_cosets"}
+LEMMA_S_FORBIDDEN = {"permgroup.property_S", "permgroup.h_orbits",
+                     "permgroup._conjugation_orbits"}
 
 # the routes is_full_in_U is checked against in analyze_pair
 U_FORBIDDEN = {"permgroup.depth1_group", "depth.burciu_depth1",
@@ -160,17 +172,18 @@ def fresh_pairs():
     return pairs
 
 
-def assert_shares_only_group_data(test, route, forbidden=frozenset()):
-    """test(G, H) on each fresh pair enters all of route, nothing in
-    chartable or depth, none of forbidden, and otherwise only the
-    allow-list; returns the verdicts."""
+def assert_shares_only_group_data(test, route, forbidden=frozenset(),
+                                  pairs=None,
+                                  modules=("chartable.", "depth.")):
+    """test(G, H) on each fresh pair (by default fresh_pairs()) enters all
+    of route, nothing in modules, none of forbidden, and otherwise only
+    the allow-list; returns the verdicts."""
     verdicts = []
-    for G, H in fresh_pairs():
+    for G, H in pairs or fresh_pairs():
         names = entered(lambda: verdicts.append(test(G, H)))
         assert route <= names
         assert not names & forbidden, names & forbidden
-        assert not {n for n in names
-                    if n.startswith(("chartable.", "depth."))}
+        assert not {n for n in names if n.startswith(modules)}
         assert names - route <= set(SHARED), names - route - set(SHARED)
     return verdicts
 
@@ -182,6 +195,22 @@ def test_full_in_u_shares_only_group_data():
     otherwise only the allow-list."""
     assert assert_shares_only_group_data(
         is_full_in_U, U_ROUTE, U_FORBIDDEN) == [False, False, False]
+
+
+def test_lemma_s_shares_only_group_data():
+    """lemma_S_via_centralizers searches its own H-orbit representatives:
+    it enters none of property_S, h_orbits or _conjugation_orbits, the
+    route it is checked against, nothing in chartable, depth or groupalg,
+    and otherwise only the allow-list.  Besides the fresh pairs, where it
+    fails, it runs on S3 x C2 > S3 and S4 > S4, where it holds at every
+    representative."""
+    GX = direct_product(symmetric_group(3), cyclic_group(2))
+    S4 = symmetric_group(4)
+    pairs = fresh_pairs() + [(GX, GX.subgroup(GX.generators[:2])),
+                             (S4, S4.full_subgroup())]
+    assert assert_shares_only_group_data(
+        lemma_S_via_centralizers, LEMMA_S_ROUTE, LEMMA_S_FORBIDDEN, pairs,
+        ("chartable.", "depth.", "groupalg.")) == [False] * 3 + [True] * 2
 
 
 def test_full_in_t_shares_only_group_data():
