@@ -31,34 +31,7 @@ from operator import mul
 
 from .errors import (CheckFailed, InvalidArgument, LiftInconsistency,
                      NotASubgroup, SplittingFailure)
-from .permgroup import conjugacy_classes, part_labels
-
-
-@dataclass(frozen=True)
-class ClassData:
-    classes: tuple          # tuple of tuples of element indices
-    sizes: tuple
-    inverse_map: tuple      # class index -> index of the inverse class
-    class_of: tuple         # element index -> class index (None off G)
-    elements: tuple         # the elements of G.parent, in index order
-
-    @property
-    def num_classes(self):
-        return len(self.classes)
-
-
-def class_data(G):
-    """The class data of a group or subgroup G, in G.parent's indices."""
-    classes = conjugacy_classes(G)
-    class_of = part_labels(classes, G.parent.order)
-    inv = G.parent.inverse
-    inverse_map = tuple(class_of[inv[cls[0]]] for cls in classes)
-    if any(inverse_map[inverse_map[i]] != i for i in range(len(classes))):
-        raise CheckFailed("class inversion is not an involution")
-    return ClassData(classes=classes,
-                     sizes=tuple(len(c) for c in classes),
-                     inverse_map=inverse_map,
-                     class_of=tuple(class_of), elements=G.parent.elements)
+from .permgroup import ClassData, class_data
 
 
 def dixon_prime(exponent, order):

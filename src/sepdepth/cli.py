@@ -7,9 +7,10 @@ Subcommands:
 * ``findim-demo`` — radical/separability report for a structure-constant
   algebra extension, from JSON specs or a named built-in fixture.
 
-Exit codes: 0 success, 1 parse/validation error, 2 cap exceeded (the group
-cap, or the linear cap in ``findim-demo``; ``analyze`` and ``corpus`` report
-the linear cap in ``caps_hit``), 3 cross-criterion disagreement.
+Exit codes: 0 success, 1 parse/validation error (a command-line usage error
+included), 2 cap exceeded (the group cap, or the linear cap in
+``findim-demo``; ``analyze`` and ``corpus`` report the linear cap in
+``caps_hit``), 3 cross-criterion disagreement.
 """
 
 import argparse
@@ -35,6 +36,13 @@ EXIT_DISAGREE = 3
 
 class SpecError(SepdepthError):
     """Bad input spec (maps to exit code 1)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one line, not argparse's 2 (the cap's)."""
+
+    def error(self, message):
+        raise SpecError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +360,7 @@ def _env_int(name, default):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sepdepth",
         description="Separability, depth and H-depth invariants of finite "
                     "group-algebra and structure-constant extensions.")
@@ -397,9 +405,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "cap_group", 0) is None:
             args.cap_group = _env_int("SEPDEPTH_CAP_GROUP",
                                       DEFAULT_GROUP_CAP)

@@ -16,11 +16,13 @@ from functools import reduce
 from operator import mul, or_
 
 from .errors import CheckFailed, InvalidArgument
-from .permgroup import _conjugation_maps, h_classes
+from .permgroup import conjugacy_classes, h_classes
 
 
 def _check(M):
     """Refuse anything but a nonempty rectangular matrix of ints >= 0."""
+    if any(not isinstance(row, (list, tuple)) for row in M):
+        raise InvalidArgument("depth: matrix rows must be lists")
     if not M or not M[0]:
         raise InvalidArgument("depth: empty matrix")
     if any(len(row) != len(M[0]) for row in M):
@@ -125,13 +127,10 @@ def depth_report(M):
 
 
 def burciu_depth1(G, H):
-    """Depth-1 test via centers: Z(kH) inside Z(kG).
-
-    Each H-class sum commutes with every generator of kG iff the H-class
-    is closed under conjugation by the generators; this is an exact
-    integer-coefficient comparison of the conjugated class sums, on H's
-    classes read in G's element indices.
+    """Depth-1 test via centers: Z(kH) inside Z(kG), that is, every class
+    of H is a class of G.  An H-class sum is central in kG iff the H-class
+    is a union of G-classes; it lies in one G-class, so iff it is that
+    class.  Both partitions are cached as sorted index tuples of G.
     """
-    conj = list(_conjugation_maps(G, G.gen_indices))
-    classes = [set(cls) for cls in h_classes(G, H)]
-    return all({c[x] for x in cls} == cls for c in conj for cls in classes)
+    g_classes = set(conjugacy_classes(G))
+    return all(cls in g_classes for cls in h_classes(G, H))

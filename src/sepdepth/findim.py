@@ -162,13 +162,13 @@ def _check_nilpotent_ideal(A, basis):
         return
     if not _is_ideal(A, basis):
         raise CheckFailed("radical candidate is not an ideal")
-    # nilpotency: power up the span until it dies
+    # nilpotency: power up the span, less its zero products, until it dies
     current = vecs = list(map(to_sparse, basis))
     for _ in range(A.dimension + 1):
         if not current:
             return
-        current = SparseEchelon(_product(A, u, v) for u in current
-                                for v in vecs).basis()
+        products = (_product(A, u, v) for u in current for v in vecs)
+        current = SparseEchelon(filter(None, products)).basis()
     raise CheckFailed("radical candidate is not nilpotent")
 
 
@@ -242,7 +242,8 @@ def is_separable_extension(A, inclusion, cap=DEFAULT_LINEAR_CAP):
     The witness is verified against the defining relations exactly.
     """
     rts = RelativeTensorSquare(A, inclusion, cap=cap)
-    sol = SparseEchelon(separability_system(A, rts)).solution(rts.dim())
+    rows = filter(None, separability_system(A, rts))   # less any 0 = 0
+    sol = SparseEchelon(rows).solution(rts.dim())
     if sol is None:
         return False, None
     # quotient coordinate c is the basis tensor at position free[c]

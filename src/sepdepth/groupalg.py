@@ -17,12 +17,13 @@ U one per conjugacy class of H, r * |H| steps in all (proof in
 
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 
 from .errors import CapExceeded, CheckFailed
 from .linalg import SparseEchelon
-from .permgroup import (conjugacy_classes, h_classes, index_orbits,
-                        part_labels, right_cosets, right_transversal)
+from .permgroup import (class_data, conjugacy_classes, h_classes,
+                        index_orbits, right_cosets, right_transversal)
 
 DEFAULT_LINEAR_CAP = 4096
 
@@ -32,8 +33,8 @@ class TensorSquare:
 
     Basis index of g (x) g_i is  g_index * n + i  with elements of G sorted
     and the transversal ``reps`` (indices) identity-first.  Everything runs
-    on G's index data: the coset table x = h * g_j and G.mul for single
-    products.
+    on G's index data: H's coset lists x = h * g_j, kept on H, and G.mul
+    for single products.
     """
 
     def __init__(self, G, H, cap=DEFAULT_LINEAR_CAP):
@@ -44,9 +45,8 @@ class TensorSquare:
         self.dim = G.order * self.n
         if self.dim > cap:
             raise CapExceeded("dim(A tensor_B A)", self.dim, cap)
-        # coset factorization: _coset[x] = (j, h) with x = h * g_j
-        self._coset = list(zip(*right_cosets(G, H)))
-        self._casimir = None
+        # coset factorization: x = factor[x] * g_j with j = label[x]
+        self._label, self._factor = right_cosets(G, H)
 
     def _conj_index(self, idx, s):
         """Basis index of s^-1 * b * s for the basis point b = idx and the
@@ -54,7 +54,8 @@ class TensorSquare:
         G, n = self.G, self.n
         g, i = divmod(idx, n)
         # (g (x) g_i) s = g h (x) g_j  where g_i s = h g_j
-        j, h = self._coset[G.mul(self.reps[i], s)]
+        x = G.mul(self.reps[i], s)
+        j, h = self._label[x], self._factor[x]
         return G.mul(G.mul(G.inverse[s], g), h) * n + j
 
     def is_central(self, t):
@@ -84,12 +85,10 @@ class TensorSquare:
             conj.append([rs[inv[rs[inv[d]]]] for d in range(G.order)])
         return index_orbits(G.order, conj)
 
-    @property
+    @cached_property
     def casimir(self):
         """casimir_basis(), computed once per tensor square."""
-        if self._casimir is None:
-            self._casimir = self.casimir_basis()
-        return self._casimir
+        return self.casimir_basis()
 
     def canonical_separability_element(self):
         """(1/[G:H]) sum_i g_i^-1 (x) g_i."""
@@ -119,7 +118,7 @@ def separability_elements(ts):
     A-central with mu = [G:H] * 1; no Fraction is compared or summed.
     """
     G = ts.G
-    orbit_of = part_labels(ts.casimir, G.order)
+    orbit_of = {x: k for k, orb in enumerate(ts.casimir) for x in orb}
     ncols = len(ts.casimir)
     inv = G.inverse
     # row L holds the mu(w_O)[z] at O and, in column ncols, [z = 1]; the
@@ -203,9 +202,8 @@ def _teT_images(G, H):
     the a^L, one per class in the order of conjugacy_classes.
     """
     inv = G.inverse
-    classes = conjugacy_classes(G)
-    c = len(classes)
-    class_of = part_labels(classes, G.order)
+    cd = class_data(G)
+    c, class_of = cd.num_classes, cd.class_of
     one = Counter(class_of[inv[h]] * c + class_of[h] for h in H.indices)
     # the K part of the pair (u^-1, u z), per element index u
     kpart = [class_of[y] * c for y in inv]
@@ -214,7 +212,7 @@ def _teT_images(G, H):
         z_map = G.right_map(cls[0])
         return dict(Counter(map(add, kpart, map(class_of.__getitem__, z_map))))
 
-    return dict(one), map(image, classes)
+    return dict(one), map(image, cd.classes)
 
 
 def is_full_in_T(G, H):
@@ -286,18 +284,16 @@ def _u_images(G, H):
     class of H in the order of h_classes, as integer vectors keyed by
     K * r + K' for the r classes of H (see is_full_in_U)."""
     inv = G.inverse
-    classes = h_classes(G, H)
-    r = len(classes)
-    class_of = part_labels(classes, G.order)   # None off H
-    g_classes = conjugacy_classes(G)
-    g_class_of = part_labels(g_classes, G.order)
+    classes = h_classes(G, H)   # refuses an H not in G's numbering
+    cd, cdG = class_data(H), class_data(G)
+    r, class_of = len(classes), cd.class_of   # None off H
+    g_class = [cdG.class_of[kc[0]] for kc in classes]   # L of each K
     one = {}
-    for K, kc in enumerate(classes):
-        L = g_class_of[kc[0]]
-        for Kp, kpc in enumerate(classes):
-            if g_class_of[inv[kpc[0]]] == L:
-                one[K * r + Kp] = (len(kc) * len(kpc) * G.order
-                                   // len(g_classes[L]))
+    for K, L in enumerate(g_class):
+        for Kp, Lp in enumerate(g_class):
+            if cdG.inverse_map[Lp] == L:
+                one[K * r + Kp] = (cd.sizes[K] * cd.sizes[Kp] * G.order
+                                   // cdG.sizes[L])
     hidx = H.indices
     kpart = [class_of[k] * r for k in hidx]
 

@@ -178,7 +178,7 @@ class SparseEchelon:
 
 
 def _echelon(mat):
-    return SparseEchelon(map(to_sparse, mat))
+    return SparseEchelon(filter(None, map(to_sparse, mat)))
 
 
 def _fractions(vec, n):

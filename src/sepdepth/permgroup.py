@@ -4,9 +4,10 @@ Groups are given by permutation generators and enumerated by breadth-first
 closure; everything downstream (conjugacy classes, centralizers, transversals,
 orbit partitions and the group-theoretic separability criteria) works on the
 group's integer index data: element inverses and the right maps g -> g * a,
-from which the left maps g -> a * g are read.  Elements are ordered
-lexicographically by image sequence so every partition and transversal is
-reproducible.
+off which a * g = (g^-1 a^-1)^-1 is read.  A group's or subgroup's classes,
+sizes, inverse classes and labels are one ``ClassData``, kept on it for
+every module.  Elements are ordered lexicographically by image sequence
+so every partition and transversal is reproducible.
 
 A subgroup is built from its generators' indices in its parent and keeps
 them and its elements' indices (``gen_indices``, ``indices``); only
@@ -16,6 +17,7 @@ tuples, so H is accepted in G only when its parent is G or has G's
 elements, which number alike (else NotASubgroup).
 """
 
+from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import (CapExceeded, CheckFailed, ElementNotInGroup,
@@ -88,9 +90,9 @@ def _inverse_images(images):
 class _Enumerated:
     """What groups and subgroups share: the sorted elements, their indices
     and their generators' indices in the parent's numbering, the exponent,
-    and the H-orbits, classes and right cosets in the parent, each computed
-    once.  They are kept as index data, so a group caching on itself
-    holds no reference to itself."""
+    the class record, and the H-orbits and right cosets in the parent,
+    each computed once.  They are kept as index data, so a group
+    caching on itself holds no reference to itself."""
 
     def _set_elements(self, elements, indices, gen_indices):
         self.elements = elements
@@ -99,7 +101,7 @@ class _Enumerated:
         self.element_set = frozenset(elements)
         self.order = len(elements)
         self._exponent = None
-        self._h_orbits = self._h_classes = self._cosets = None
+        self._h_orbits = self._class_data = self._cosets = None
 
     def __contains__(self, p):
         return p in self.element_set
@@ -121,12 +123,10 @@ class FiniteGroup(_Enumerated):
     (the search's products, numbered by sort position), and the search
     tree (each element's discovery parent and step).  The inverse of each
     element is an index list read off its image tuple.  The right map of
-    any element is its tree parent's map composed with one step map, and
-    its left map g -> a * g is read off the right map of a^-1 and the
-    inverses, so no Permutation product is formed.  Both are cached per
-    element as they are asked for, never built as one eager |G| x |G|
-    table.  Raises CapExceeded once the search finds more than cap
-    elements.
+    any element is its tree parent's map composed with one step map, so
+    no Permutation product is formed; it is cached per element as it is
+    asked for, never built as one eager |G| x |G| table.  Raises
+    CapExceeded once the search finds more than cap elements.
     """
 
     def __init__(self, generators, name=None, cap=DEFAULT_GROUP_CAP):
@@ -175,7 +175,6 @@ class FiniteGroup(_Enumerated):
         self._up = [at[up[x]] for x in order]
         self._via = [via[x] for x in order]
         self._right_maps = {0: list(range(self.order))}
-        self._left_maps = dict(self._right_maps)
 
     @property
     def parent(self):
@@ -208,17 +207,6 @@ class FiniteGroup(_Enumerated):
             prev = cache[y] = list(map(self._steps[self._via[y]].__getitem__,
                                        prev))
         return prev
-
-    def left_map(self, a):
-        """Index map of g -> elements[a] * g (cached per a), read off the
-        right map of a^-1: a g = (g^-1 a^-1)^-1."""
-        lmap = self._left_maps.get(a)
-        if lmap is None:
-            inv = self.inverse
-            rmap = self.right_map(inv[a])
-            lmap = self._left_maps[a] = list(
-                map(inv.__getitem__, map(rmap.__getitem__, inv)))
-        return lmap
 
     def subgroup(self, generators, name=None):
         """The subgroup generated by Permutations, mapped to indices."""
@@ -292,10 +280,13 @@ def _closure(G, gens):
 
 def _conjugation_maps(G, by):
     """The maps x -> s x s^-1 on G's element indices for the indices s in
-    by, L_s after R_s^-1, built for the caller and not cached."""
+    by, read off the right map of s^-1 alone: with y = x s^-1,
+    s y = (y^-1 s^-1)^-1.  Built for the caller and not cached."""
+    inv = G.inverse
     for s in dict.fromkeys(by):
-        ls, rinv = G.left_map(s), G.right_map(G.inverse[s])
-        yield list(map(ls.__getitem__, rinv))
+        rinv = G.right_map(inv[s])
+        yield list(map(inv.__getitem__, map(rinv.__getitem__,
+                                            map(inv.__getitem__, rinv))))
 
 
 def index_orbits(size, maps):
@@ -320,20 +311,55 @@ def _conjugation_orbits(G, by):
     """Orbits of G's element indices under conjugation by the subgroup
     generated by the indices by, sorted by (size, least index), which is
     the order of (size, least element)."""
-    orbits = index_orbits(G.order, list(_conjugation_maps(G, by)))
-    orbits.sort(key=len)
-    return tuple(orbits)
+    return tuple(sorted(index_orbits(G.order, list(_conjugation_maps(G, by))),
+                        key=len))
 
 
 def conjugacy_classes(G):
     """Conjugacy classes of a group or subgroup G as index tuples of
     G.parent, sorted by (size, least index)."""
-    return h_classes(G.parent, G)
+    return class_data(G).classes
+
+
+@dataclass(frozen=True)
+class ClassData:
+    classes: tuple          # tuple of tuples of element indices
+    sizes: tuple
+    inverse_map: tuple      # class index -> index of the inverse class
+    class_of: tuple         # element index -> class index (None off G)
+    elements: tuple         # the elements of G.parent, in index order
+
+    @property
+    def num_classes(self):
+        return len(self.classes)
+
+
+def class_data(G):
+    """The class record of a group or subgroup G in G.parent's indices:
+    its classes (its orbits on G.parent inside G, ordered as h_orbits),
+    their sizes and inverses, each element's class; kept on G."""
+    if G._class_data is None:
+        inside = set(G.indices)
+        classes = tuple(orb for orb in h_orbits(G.parent, G)
+                        if orb[0] in inside)
+        class_of = part_labels(classes, G.parent.order)
+        inv = G.parent.inverse
+        inverse_map = tuple(class_of[inv[cls[0]]] for cls in classes)
+        if any(inverse_map[k] != i for i, k in enumerate(inverse_map)):
+            raise CheckFailed("class inversion is not an involution")
+        G._class_data = ClassData(classes, tuple(map(len, classes)),
+                                  inverse_map, tuple(class_of),
+                                  G.parent.elements)
+    return G._class_data
 
 
 def _centralizer_indices(G, a):
-    """Indices of C_G(a) for the element index a: g with g a = a g."""
-    return [g for g, (r, l) in enumerate(zip(G.right_map(a), G.left_map(a)))
+    """Indices of C_G(a) for the element index a: g with g a = a g, where
+    a g = (g^-1 a^-1)^-1 is read off the right map of a^-1."""
+    inv = G.inverse
+    rinv = G.right_map(inv[a])
+    left = map(inv.__getitem__, map(rinv.__getitem__, inv))
+    return [g for g, (r, l) in enumerate(zip(G.right_map(a), left))
             if r == l]
 
 
@@ -346,9 +372,8 @@ def centralizer(G, a):
 
 
 def _center_indices(G):
-    gens = [(G.right_map(s), G.left_map(s)) for s in G.gen_indices]
-    return [g for g in range(G.order)
-            if all(r[g] == l[g] for r, l in gens)]
+    """Indices of Z(G), the singleton classes, which sort first by index."""
+    return [cls[0] for cls in conjugacy_classes(G) if len(cls) == 1]
 
 
 def center(G):
@@ -398,15 +423,10 @@ def h_orbits(G, H):
 
 
 def h_classes(G, H):
-    """Conjugacy classes of H in G's element indices: the H-orbits on G
-    that lie inside H, which come in the order of conjugacy_classes(H).
-    Computed once, and kept on H."""
+    """Conjugacy classes of H in G's element indices, which are H's own:
+    conjugacy_classes(H), kept on H in its class record."""
     _check_subgroup(G, H)
-    if H._h_classes is None:
-        inside = set(H.indices)
-        H._h_classes = tuple(orb for orb in h_orbits(G, H)
-                             if orb[0] in inside)
-    return H._h_classes
+    return class_data(H).classes
 
 
 def property_S(G, H):
@@ -591,11 +611,12 @@ def _conjugacy_key(G, elems):
     conjugation in G: the least sorted index tuple of its conjugates.
     Indices order as the elements' image tuples do, so these keys sort
     exactly as the sorted image tuples of the conjugates would."""
-    inv = G.inverse
+    inv = G.inverse.__getitem__
     best = None
     for g in range(G.order):
-        lg, rginv = G.left_map(g), G.right_map(inv[g])
-        key = tuple(sorted(lg[rginv[h]] for h in elems))
+        # g h g^-1 = ((g h^-1) g^-1)^-1, with g h^-1 = (h g^-1)^-1
+        rginv = G.right_map(G.inverse[g]).__getitem__
+        key = tuple(sorted(map(inv, map(rginv, map(inv, map(rginv, elems))))))
         if best is None or key < best:
             best = key
     return best
@@ -606,7 +627,7 @@ def cyclic_subgroups(G):
     generating a member, sorted by (order, indices).  <g'> is conjugate to
     <g> iff g' is conjugate to some g^k with gcd(k, |g|) = 1, so g is kept
     unless its class holds a generator of an earlier kept <g>."""
-    class_of = part_labels(conjugacy_classes(G), G.order)
+    class_of = class_data(G).class_of
     covered, subs = set(), []
     for g in range(G.order):
         if class_of[g] in covered:

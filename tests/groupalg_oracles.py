@@ -231,11 +231,14 @@ def t_square(ts, t):
     (g (x) g_i) . (g' (x) g_j) = g' g h (x) g_k  where g_i g_j = h g_k.
     """
     G, n, reps = ts.G, ts.n, ts.reps
+    E = G.elements
+    at = {p: i for i, p in enumerate(E)}
     coset = list(zip(*right_cosets(G, ts.H)))
     terms = [(divmod(idx, n), c) for idx, c in t.items()]
     out = {}
     for (gp, j), c2 in terms:
-        rep_j, left_gp = G.right_map(reps[j]), G.left_map(gp)
+        rep_j = G.right_map(reps[j])
+        left_gp = [at[E[gp] * g] for g in E]
         for (g, i), c1 in terms:
             k, h = coset[rep_j[reps[i]]]
             key = G.right_map(h)[left_gp[g]] * n + k

@@ -64,12 +64,13 @@ def cyclic_subgroups_by_keys(G):
 
 def derived_subgroup_by_commutators(G):
     """[G, G] generated by a b a^-1 b^-1 for every pair of elements, read
-    off the left map of each a and the right maps of all inverses."""
-    inv = G.inverse
+    off the Permutation products a b and the right maps of all inverses."""
+    E, inv = G.elements, G.inverse
+    at = {p: i for i, p in enumerate(E)}
     right_inv = [G.right_map(b) for b in inv]
     comms = set()
     for a in range(G.order):
-        la, rinv = G.left_map(a), right_inv[a]
+        la, rinv = [at[E[a] * g] for g in E], right_inv[a]
         comms.update(right_inv[b][rinv[la[b]]] for b in range(G.order))
     return Subgroup(G, sorted(comms))
 

@@ -290,6 +290,25 @@ def test_findim_demo_ragged_structure_exit_1(tmp_path, capsys):
     assert "n x n x n cube" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["findim-demo", "--fixture", "triangular3", "--cap-linear", "10"],
+     "unrecognized arguments: --cap-linear"),
+    (["analyze", "g.json"], "required: subgroup"),
+    (["corpus", "--format", "xml"], "invalid choice"),
+    (["nosuch"], "invalid choice"),
+    ([], "required: command"),
+])
+def test_usage_error_exit_1(capsys, argv, message):
+    """A usage error exits 1 with one error line, not argparse's 2, which
+    is the cap's code; --help still exits 0."""
+    assert main(argv) == 1
+    assert message in _one_line_error(capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["findim-demo", "--help"])
+    assert exc.value.code == 0
+    assert "--fixture" in capsys.readouterr().out
+
+
 def test_findim_demo_missing_args(capsys):
     assert main(["findim-demo"]) == 1
     assert "need --fixture" in capsys.readouterr().err

@@ -208,6 +208,7 @@ BAD_MATRICES = {  # case: (word in the message, matrices)
     "non_integer": ("integers", ([[1, 0.5]], [[Fraction(1)]], [[1, "1"]],
                                  [[None]], [[True, 0]], [[1.0]])),
     "negative": ("nonnegative", ([[1, -1]], [[0], [-2]])),
+    "not_rows": ("rows must be lists", ([5], [[1], None])),
 }
 ENTRY_POINTS = (bimodule_matrices, depth_report, min_depth, min_odd_depth,
                 min_even_depth, min_h_depth)

@@ -101,6 +101,23 @@ def test_checks_run_on_ints(monkeypatch, name):
         assert all(_all_int(v.values()) for v in residuals)
 
 
+def test_echelon_gets_no_empty_vector(monkeypatch):
+    """On the T6 matrix spec the solve, the radical and its checks hand
+    SparseEchelon.add no empty vector: zero products in the nilpotency
+    power-up, empty rows of the separability system and zero rows of the
+    dense routines are left out before the echelon."""
+    A, inc = _spec_pair("triangular6")
+    added, add = [], SparseEchelon.add
+
+    def recorded(self, vec):
+        added.append(vec)
+        return add(self, vec)
+    monkeypatch.setattr(SparseEchelon, "add", recorded)
+    assert is_separable_extension(A, inc)[0]
+    assert prop_rad_check(A, inc, radical(A)) == "separable"
+    assert added and all(added)
+
+
 def _identity_spec(m, scale):
     return [[str(scale) if r == c else "0" for c in range(m)]
             for r in range(m)]

@@ -380,14 +380,15 @@ def test_centralizer_criteria_match_all_element_scans():
 
 
 def test_centralizer_criteria_on_s7_hold_few_maps():
-    """Both criteria on S7 > S7 build the maps of one element per class
-    (and of the tree paths to them), not the 5040 right and 5040 left
-    maps of a scan over every element."""
+    """Both criteria on S7 > S7 build the right maps of one element per
+    class, of its inverse and of the tree paths to them, not the 5040
+    right maps of a scan over every element; no left map is cached."""
     G = symmetric_group(7)
     H = G.full_subgroup()
     assert lemma_S_via_centralizers(G, H)
     assert depth1_group(G, H)
-    assert (len(G._right_maps), len(G._left_maps)) == (118, 16)
+    assert len(G._right_maps) == 118
+    assert not hasattr(G, "_left_maps")
 
 
 def test_right_cosets_match_products():
@@ -408,10 +409,9 @@ def test_right_cosets_match_products():
 
 
 def test_index_maps_are_the_products():
-    """right maps, the left maps read off them, inverses and mul on
-    indices equal Permutation products: on a group whose generators
-    include a redundant one, on S5, and on Q8 in its regular
-    representation."""
+    """right maps, inverses and mul on indices equal Permutation
+    products: on a group whose generators include a redundant one, on
+    S5, and on Q8 in its regular representation."""
     redundant = FiniteGroup([Permutation((1, 0, 2, 3)),
                              Permutation((1, 2, 3, 0)),
                              Permutation((0, 1, 3, 2))])
@@ -421,7 +421,6 @@ def test_index_maps_are_the_products():
         for a in range(G.order):
             assert E[G.inverse[a]] == E[a].inverse()
             assert G.right_map(a) == [at[g * E[a]] for g in E]
-            assert G.left_map(a) == [at[E[a] * g] for g in E]
             assert [G.mul(b, a) for b in range(G.order)] == [
                 at[g * E[a]] for g in E]
 
@@ -576,11 +575,11 @@ def test_harvest_matches_conjugating_by_all_of_G():
 
 
 def test_cyclic_harvest_caches_few_maps():
-    """Harvesting S6's cyclic subgroups caches fewer than |S6| right and
-    left maps in all, where conjugating each by all of G caches 1440."""
+    """Harvesting S6's cyclic subgroups caches fewer than |S6| right
+    maps, where conjugating each by all of G caches 720."""
     G = symmetric_group(6)
     assert len(cyclic_subgroups(G)) == 11
-    assert len(G._right_maps) + len(G._left_maps) < G.order
+    assert len(G._right_maps) < G.order
 
 
 def test_corpus_subgroups_have_short_generator_lists():

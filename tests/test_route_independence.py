@@ -16,9 +16,10 @@ import test_linalg
 import test_permgroup
 from permgroup_oracles import element_order
 from sepdepth.chartable import character_table_mod_p
+from sepdepth.depth import burciu_depth1
 from sepdepth.groupalg import is_full_in_T, is_full_in_U
 from sepdepth.permgroup import (Permutation, alternating_group,
-                                cyclic_group, direct_product,
+                                cyclic_group, depth1_group, direct_product,
                                 lemma_S_via_centralizers, quaternion_group,
                                 symmetric_group)
 
@@ -42,8 +43,6 @@ SHARED = {
         (test_permgroup, "test_conjugation_maps_are_the_products"),
     "permgroup.FiniteGroup.right_map":
         (test_permgroup, "test_index_maps_are_the_products"),
-    "permgroup.FiniteGroup.left_map":
-        (test_permgroup, "test_index_maps_are_the_products"),
     "permgroup.FiniteGroup.mul":
         (test_permgroup, "test_index_maps_are_the_products"),
     "permgroup.right_cosets":
@@ -54,9 +53,9 @@ SHARED = {
         (test_permgroup, "test_subgroups_are_read_in_their_parents_numbering"),
     "permgroup._Enumerated.exponent": (test_permgroup, "test_exponents"),
     "permgroup._cycle_lengths": (test_permgroup, "test_exponents"),
-    "chartable.class_data":
+    "permgroup.class_data":
         (test_chartable, "test_class_data_matches_products"),
-    "chartable.ClassData.num_classes":
+    "permgroup.ClassData.num_classes":
         (test_chartable, "test_class_data_matches_products"),
     "chartable.dixon_prime":
         (test_chartable, "test_dixon_prime_matches_a_scan"),
@@ -92,6 +91,12 @@ LEMMA_S_ROUTE = {"permgroup.lemma_S_via_centralizers",
                  "permgroup._centralizer_indices", "permgroup._covers_cosets"}
 LEMMA_S_FORBIDDEN = {"permgroup.property_S", "permgroup.h_orbits",
                      "permgroup._conjugation_orbits"}
+
+# Burciu's test and the centralizer route to depth 1, checked against
+# each other in depth1_agreement
+BURCIU_ROUTE = {"depth.burciu_depth1"}
+DEPTH1_ROUTE = {"permgroup.depth1_group", "permgroup._centralizer_indices",
+                "permgroup._covers_cosets"}
 
 # the routes is_full_in_U is checked against in analyze_pair
 U_FORBIDDEN = {"permgroup.depth1_group", "depth.burciu_depth1",
@@ -197,6 +202,15 @@ def test_full_in_u_shares_only_group_data():
         is_full_in_U, U_ROUTE, U_FORBIDDEN) == [False, False, False]
 
 
+def holding_pairs():
+    """The fresh pairs, where the depth-1 criteria fail, then S3 x C2 > S3
+    and S4 > S4, where they hold, each in a fresh group."""
+    GX = direct_product(symmetric_group(3), cyclic_group(2))
+    S4 = symmetric_group(4)
+    return fresh_pairs() + [(GX, GX.subgroup(GX.generators[:2])),
+                            (S4, S4.full_subgroup())]
+
+
 def test_lemma_s_shares_only_group_data():
     """lemma_S_via_centralizers searches its own H-orbit representatives:
     it enters none of property_S, h_orbits or _conjugation_orbits, the
@@ -204,13 +218,25 @@ def test_lemma_s_shares_only_group_data():
     and otherwise only the allow-list.  Besides the fresh pairs, where it
     fails, it runs on S3 x C2 > S3 and S4 > S4, where it holds at every
     representative."""
-    GX = direct_product(symmetric_group(3), cyclic_group(2))
-    S4 = symmetric_group(4)
-    pairs = fresh_pairs() + [(GX, GX.subgroup(GX.generators[:2])),
-                             (S4, S4.full_subgroup())]
     assert assert_shares_only_group_data(
-        lemma_S_via_centralizers, LEMMA_S_ROUTE, LEMMA_S_FORBIDDEN, pairs,
-        ("chartable.", "depth.", "groupalg.")) == [False] * 3 + [True] * 2
+        lemma_S_via_centralizers, LEMMA_S_ROUTE, LEMMA_S_FORBIDDEN,
+        holding_pairs(), ("chartable.", "depth.", "groupalg.")
+    ) == [False] * 3 + [True] * 2
+
+
+def test_depth1_routes_share_only_group_data():
+    """depth1_agreement compares burciu_depth1 with depth1_group: Burciu's
+    test compares the class partitions and enters none of the centralizer
+    route, nothing in chartable or groupalg, nothing in depth but itself
+    (the allow-list holds no depth function), and otherwise only the
+    allow-list; depth1_group enters nothing of Burciu's test."""
+    verdicts = [False] * 3 + [True] * 2
+    assert assert_shares_only_group_data(
+        burciu_depth1, BURCIU_ROUTE, DEPTH1_ROUTE, holding_pairs(),
+        ("chartable.", "groupalg.")) == verdicts
+    assert assert_shares_only_group_data(
+        depth1_group, DEPTH1_ROUTE, BURCIU_ROUTE, holding_pairs(),
+        ("chartable.", "depth.", "groupalg.")) == verdicts
 
 
 def test_full_in_t_shares_only_group_data():
