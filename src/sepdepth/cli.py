@@ -316,6 +316,8 @@ def cmd_corpus(args):
 
 def cmd_findim_demo(args):
     if args.fixture:
+        if args.algebra or args.subalgebra:
+            raise SpecError("--fixture takes no ALGEBRA or SUBALGEBRA files")
         A, inc = _fixture(args.fixture, args.cap_linear)
     else:
         if not args.algebra or not args.subalgebra:

@@ -9,10 +9,10 @@ the basis w_O = sum_{d in O} sum_i g_i^-1 d (x) g_i, one per H-orbit O on
 G, and the separability system mu(t) = 1 on it needs one row per
 conjugacy class of G, never a point of the tensor square.  Fullness of the
 separability idempotent in T, and of the H-support projection in the
-bimodule endomorphism ring U, are decided by integer trace-form counts:
-for T one count per conjugacy class of G (proof in ``_teT_images``), for
-U one per conjugacy class of H, r * |H| steps in all (proof in
-``is_full_in_U``).
+bimodule endomorphism ring U, are decided by integer trace-form counts
+read off the identity-class row, where each class image is an indicator:
+one image each, about |G| + |H| steps for T and |H| for U, no elimination
+(proofs in ``is_full_in_T`` and ``is_full_in_U``).
 """
 
 from collections import Counter
@@ -48,22 +48,23 @@ class TensorSquare:
         # coset factorization: x = factor[x] * g_j with j = label[x]
         self._label, self._factor = right_cosets(G, H)
 
-    def _conj_index(self, idx, s):
-        """Basis index of s^-1 * b * s for the basis point b = idx and the
-        element index s, from single products (no basis permutation)."""
-        G, n = self.G, self.n
+    def _conj_index(self, idx, rs):
+        """Basis index of s^-1 * b * s for the basis point b = idx, with rs
+        the right map of the element index s (no basis permutation)."""
+        G, n, inv = self.G, self.n, self.G.inverse
         g, i = divmod(idx, n)
-        # (g (x) g_i) s = g h (x) g_j  where g_i s = h g_j
-        x = G.mul(self.reps[i], s)
-        j, h = self._label[x], self._factor[x]
-        return G.mul(G.mul(G.inverse[s], g), h) * n + j
+        # (g (x) g_i) s = g h (x) g_j  where g_i s = h g_j, and
+        # s^-1 g = (g^-1 s)^-1: one product, by the coset factor h
+        x = rs[self.reps[i]]
+        return G.mul(inv[rs[inv[g]]], self._factor[x]) * n + self._label[x]
 
     def is_central(self, t):
         """A-centrality: s^-1 * t * s = t for every generator s of G; looks
         only at the support of t."""
         for s in self.G.gen_indices:
+            rs = self.G.right_map(s)
             for idx, c in t.items():
-                if t.get(self._conj_index(idx, s)) != c:
+                if t.get(self._conj_index(idx, rs)) != c:
                     return False
         return True
 
@@ -149,23 +150,22 @@ def separability_elements(ts):
     return kind, e, kernel_dim
 
 
-def _one_in_span(one, images):
-    """True iff the vector one lies in the span of the images.
-
-    The test stops as soon as one is in the span of the images seen so
-    far.  Both callers' images are pairwise distinct (on K = {1}, a^L is
-    the indicator of L and b^C that of C^-1), so none is deduplicated.
-    """
-    ech = SparseEchelon()
-    for image in images:
-        if ech.add(image) and ech.contains(one):
-            return True
-    return False
+def _read_off(one, cd, image, at):
+    """True iff one == sum_L lambda_L image(L) on every coordinate, where
+    lambda_L = one[k0 * n + at[L]], k0 labelling the identity's class among
+    the n classes of cd; image(L) is built only where lambda_L != 0."""
+    row = cd.class_of[0] * cd.num_classes
+    total = Counter()
+    for L, col in enumerate(at):
+        if row + col in one:
+            for key, v in image(L).items():
+                total[key] += one[row + col] * v
+    return one == {key: v for key, v in total.items() if v}
 
 
 def _teT_images(G, H):
-    """Trace-form images of 1 and of the G-class counts a^L, which span
-    the trace-form image of TeT.
+    """Trace-form image of 1 and the G-class counts a^L, which span the
+    trace-form image of TeT.
 
     An image has one integer coordinate K * c + K' per pair of the c
     conjugacy classes of G.  On a basis point b (x) g_j the trace form (see
@@ -193,26 +193,26 @@ def _teT_images(G, H):
     over G exactly once, and for a fixed h, d -> h^-1 d^-1 h is a bijection
     from O onto O^-1; the number of (y, x) in K x K' with y x = u is the
     same for every u in L.  Every G-class contains an H-orbit, so
-    span tau(TeT) = span{a^L : L a class of G}, and these c vectors are
-    linearly independent: on K = {1}, a^L is the indicator of L.
+    span tau(TeT) = span{a^L : L a class of G}; on K = {1}, a^L is the
+    indicator of L.
 
-    a^L is counted over the pairs (u^-1, u z), u in G, from the right map
-    of the least element z of L: c * |G| steps in all, moving no basis
-    point.  Returns the image of 1 (the point 1 (x) 1) and a generator of
-    the a^L, one per class in the order of conjugacy_classes.
+    Returns the image of 1 (the point 1 (x) 1), G's class record, whose
+    labels number the classes, and image(L) -> a^L for the class labelled
+    L, counted over the pairs (u^-1, u z), u in G, from the right map of
+    the least element z of L: |G| steps, moving no basis point.
     """
     inv = G.inverse
     cd = class_data(G)
     c, class_of = cd.num_classes, cd.class_of
     one = Counter(class_of[inv[h]] * c + class_of[h] for h in H.indices)
-    # the K part of the pair (u^-1, u z), per element index u
-    kpart = [class_of[y] * c for y in inv]
 
-    def image(cls):
-        z_map = G.right_map(cls[0])
+    def image(L):
+        # the K part of the pair (u^-1, u z), per element index u
+        kpart = [class_of[y] * c for y in inv]
+        z_map = G.right_map(cd.classes[L][0])
         return dict(Counter(map(add, kpart, map(class_of.__getitem__, z_map))))
 
-    return dict(one), map(image, cd.classes)
+    return dict(one), cd, image
 
 
 def is_full_in_T(G, H):
@@ -221,24 +221,28 @@ def is_full_in_T(G, H):
     T = (A (x)_B A)^B, and TeT = T iff 1 is in TeT, which (T being
     semisimple in characteristic zero) holds iff every trace functional on
     T vanishing on TeT vanishes at 1.  The trace forms on T are spanned by
-    t -> Tr(rho(z) rho(t)) with z running over the class-sum pairs
+    t -> Tr(rho(z) rho(t)) with z running over the class-pair sums
     K (x) K' in the center of A (x) A^op acting on A (x)_B A; on a basis
     point b (x) g_j that trace counts, up to the constant factor dim, the
     h in H with (b h)^-1 in K and g_j^-1 h in K'.  So 1 is in TeT iff the
     trace-form image of 1 lies in the span of the images of TeT.  Those
     span what the c class-pair counts a^L span, one per class L of G with
     a^L[K, K'] = #{(y, x) in K x K' : y x = z} for a z in L (proof in
-    ``_teT_images``).  The counts take c * |G| steps, read off the right
-    maps of the class representatives, so the test stays small no matter
-    how large the tensor square is; it stops as soon as the image of 1 is
-    in the span.
+    ``_teT_images``).
+
+    The coefficients are read off the identity-class row.  On K = {1}
+    (label k0), a^L is the indicator of L, so one = sum_L lambda_L a^L
+    forces lambda_L = one[k0 * c + L]; hence one is in the span iff it
+    equals that combination on every coordinate.  On row k0 the image of 1
+    holds only (1, 1), as h^-1 = 1 forces h = 1, so the one image built is
+    the identity class's: |H| + |G| steps in all, no elimination.
 
     e is an idempotent of T with no check here: for an A-central e with
     mu(e) = 1, e . e = sum e'^1 e e'^2 = e mu(e') = e, and
     ``separability_elements`` checks both premises on e.
     """
-    one, images = _teT_images(G, H)
-    return _one_in_span(one, images)
+    one, cd, image = _teT_images(G, H)
+    return _read_off(one, cd, image, range(cd.num_classes))
 
 
 def is_full_in_U(G, H):
@@ -271,39 +275,41 @@ def is_full_in_U(G, H):
     #{x in G : x^-1 k x = k'^-1}, that is |K| |K'| |G| / |L| when K and
     K'^-1 lie in one G-class L, and 0 otherwise.
 
-    The b^C are counted off the right map of the least element x_C of C,
-    r * |H| steps in all (``_u_images``); the test stops as soon as the
-    image of 1 is in their span.
+    The coefficients are read off the identity-class row.  On K = {1}
+    (label k0), b^C is the indicator of C^-1, so tau(1) = sum_C lambda_C
+    b^C forces lambda_C = tau(1)[k0 * r + C^-1]; hence tau(1) is in the
+    span iff it equals that combination on every coordinate.  On row k0
+    the image of 1 holds only ({1}, {1}), so the one image built is
+    b^{1}: about |H| steps in all (``_u_images``), no elimination.
     """
-    one, images = _u_images(G, H)
-    return _one_in_span(one, images)
+    one, cd, image = _u_images(G, H)
+    return _read_off(one, cd, image, cd.inverse_map)
 
 
 def _u_images(G, H):
-    """The image of 1 and a generator of the H-class counts b^C, one per
-    class of H in the order of h_classes, as integer vectors keyed by
-    K * r + K' for the r classes of H (see is_full_in_U)."""
+    """The image of 1 as an integer vector keyed by K * r + K' for the r
+    classes of H, H's class record, whose labels number them, and
+    image(C) -> b^C for the class labelled C, counted off the right map of
+    its least element x_C in |H| steps (see is_full_in_U).  The image of 1
+    pairs the H-classes grouped by G-class, L with L^-1."""
     inv = G.inverse
     classes = h_classes(G, H)   # refuses an H not in G's numbering
     cd, cdG = class_data(H), class_data(G)
     r, class_of = len(classes), cd.class_of   # None off H
-    g_class = [cdG.class_of[kc[0]] for kc in classes]   # L of each K
-    one = {}
-    for K, L in enumerate(g_class):
-        for Kp, Lp in enumerate(g_class):
-            if cdG.inverse_map[Lp] == L:
-                one[K * r + Kp] = (cd.sizes[K] * cd.sizes[Kp] * G.order
-                                   // cdG.sizes[L])
-    hidx = H.indices
-    kpart = [class_of[k] * r for k in hidx]
+    in_g_class = {}     # G-class L -> the H-classes K inside it
+    for K, kc in enumerate(classes):
+        in_g_class.setdefault(cdG.class_of[kc[0]], []).append(K)
+    one = {K * r + Kp: cd.sizes[K] * cd.sizes[Kp] * G.order // cdG.sizes[L]
+           for L, Ks in in_g_class.items() for K in Ks
+           for Kp in in_g_class.get(cdG.inverse_map[L], ())}
 
-    def image(cls):
-        x_map = G.right_map(cls[0])
+    def image(C):
+        x_map = G.right_map(classes[C][0])
         counts = Counter()
-        for k, K in zip(hidx, kpart):
+        for k in H.indices:
             Kp = class_of[inv[x_map[k]]]
             if Kp is not None:
-                counts[K + Kp] += 1
+                counts[class_of[k] * r + Kp] += 1
         return dict(counts)
 
-    return one, map(image, classes)
+    return one, cd, image

@@ -5,7 +5,9 @@ Each one spans an ideal explicitly -- TeT inside the tensor square, UEU
 inside the |G| x |G| matrix coordinates of U -- so the tests can hold the
 integer trace-form tests ``is_full_in_T`` and ``is_full_in_U`` against
 them.  They share no code with those tests beyond the group data and the
-echelon kernel.  The T-product, the per-basis-point trace forms and the
+echelon kernel, except the two elimination routes below, which take
+groupalg's class counts and differ from the tests only in how they
+decide.  The T-product, the per-basis-point trace forms and the
 permutations of the tensor-square basis are computed from Permutation
 products; ``casimir_orbits`` searches the Casimir basis on all dim basis
 points, the reference for ``casimir_points``, the point form of the
@@ -16,7 +18,11 @@ the reference for the one row per class of ``separability_elements``.
 ``is_full_in_T`` takes from mu(e) = 1 and the A-centrality of e.
 ``casimir_trace_images`` counts the trace-form image of each Casimir
 orbit point by point, the reference for the class-pair counts of
-``groupalg._teT_images``.  ``_u_trace_form_counts`` counts the images of
+``groupalg._teT_images``.  ``is_full_in_T_by_elimination`` and
+``is_full_in_U_by_elimination`` put every class count of ``_teT_images``
+and ``_u_images`` through ``_one_in_span``, an echelon, the references for
+the coefficients that ``is_full_in_T`` and ``is_full_in_U`` read off the
+identity-class row.  ``_u_trace_form_counts`` counts the images of
 UEU's spanning set {lambda_c . f_O}, one per pair of H-orbits, the
 reference for the H-class counts of ``groupalg._u_images``, and
 ``u_class_traces`` takes those counts as traces over kH from Permutation
@@ -30,7 +36,8 @@ from operator import add
 
 from permgroup_oracles import element_view, generators
 from sepdepth.errors import CapExceeded, CheckFailed, NotInT
-from sepdepth.groupalg import DEFAULT_LINEAR_CAP, TensorSquare
+from sepdepth.groupalg import (DEFAULT_LINEAR_CAP, TensorSquare,
+                               _teT_images, _u_images)
 from sepdepth.linalg import SparseEchelon
 from sepdepth.permgroup import (conjugacy_classes, h_classes, h_orbits,
                                 index_orbits, part_labels, right_cosets,
@@ -365,6 +372,48 @@ def casimir_trace_images(ts):
         return dict(counts)
 
     return dict(one), list(map(image, casimir_points(ts)))
+
+
+def _one_in_span(one, images):
+    """True iff the vector one lies in the span of the images.
+
+    The test stops as soon as one is in the span of the images seen so
+    far.  The class images are pairwise distinct (on K = {1}, a^L is the
+    indicator of L and b^C that of C^-1), so none is deduplicated.
+    """
+    ech = SparseEchelon()
+    for image in images:
+        if ech.add(image) and ech.contains(one):
+            return True
+    return False
+
+
+def teT_class_images(G, H):
+    """The image of 1 and every class count a^L of
+    ``groupalg._teT_images``, one per class of G in class-label order."""
+    one, cd, image = _teT_images(G, H)
+    return one, [image(L) for L in range(cd.num_classes)]
+
+
+def u_class_images(G, H):
+    """The image of 1 and every class count b^C of ``groupalg._u_images``,
+    one per class of H in class-label order."""
+    one, cd, image = _u_images(G, H)
+    return one, [image(C) for C in range(cd.num_classes)]
+
+
+def is_full_in_T_by_elimination(G, H):
+    """e full in T iff the image of 1 lies in the span of all c class
+    counts a^L, decided by the echelon: the route ``is_full_in_T`` replaced
+    by reading the coefficients off the identity-class row."""
+    return _one_in_span(*teT_class_images(G, H))
+
+
+def is_full_in_U_by_elimination(G, H):
+    """E full in U iff the image of 1 lies in the span of all r class
+    counts b^C, decided by the echelon: the route ``is_full_in_U`` replaced
+    by reading the coefficients off the identity-class row."""
+    return _one_in_span(*u_class_images(G, H))
 
 
 def is_full_in_T_span(G, H, e=None, ts=None, cap=DEFAULT_LINEAR_CAP):

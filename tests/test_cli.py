@@ -314,6 +314,24 @@ def test_findim_demo_missing_args(capsys):
     assert "need --fixture" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--fixture", "triangular3", "/nonexistent/a.json",
+      "/nonexistent/b.json"], "--fixture takes no ALGEBRA or SUBALGEBRA"),
+    (["--fixture", "triangular3", "10"],
+     "--fixture takes no ALGEBRA or SUBALGEBRA"),
+    (["--fixture", "triangular3", "--cap-linear", "10"],
+     "unrecognized arguments: --cap-linear"),
+])
+def test_findim_demo_fixture_with_spec_files_exit_1(capsys, argv, message):
+    """--fixture together with positional spec files is a usage error: no
+    report, exit 1 and one error line, whichever files are named."""
+    assert main(["findim-demo"] + argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+
+
 def _one_line_error(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err

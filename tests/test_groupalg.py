@@ -5,23 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from groupalg_oracles import (TProductTable, USpace, _u_trace_form_counts,
-                              casimir_orbits, casimir_points, casimir_space,
+from groupalg_oracles import (TProductTable, USpace, _one_in_span,
+                              _u_trace_form_counts, casimir_orbits,
+                              casimir_points, casimir_space,
                               casimir_trace_images, centralizer_basis,
                               corner_dims, e_index, idempotent_in_t, in_t,
-                              is_full_in_T_span, is_full_in_U_span, mu,
-                              mu_system, t_basis, t_product, t_span_brute,
-                              t_square, teT_candidates,
-                              trace_form_signatures, trace_image,
-                              u_class_traces, u_span_brute, u_trace_images,
-                              unit)
+                              is_full_in_T_by_elimination, is_full_in_T_span,
+                              is_full_in_U_by_elimination, is_full_in_U_span,
+                              mu, mu_system, t_basis, t_product,
+                              t_span_brute, t_square, teT_candidates,
+                              teT_class_images, trace_form_signatures,
+                              trace_image, u_class_images, u_class_traces,
+                              u_span_brute, u_trace_images, unit)
 from permgroup_oracles import element_order, every_subgroup
-from sepdepth import chartable, linalg
+from sepdepth import chartable, groupalg, linalg
 from sepdepth.cli import main as cli_main
 from sepdepth.corpus import corpus_pairs, corpus_subgroups
 from sepdepth.errors import CapExceeded, NotInT
-from sepdepth.groupalg import (TensorSquare, _one_in_span, _teT_images,
-                               _u_images, is_full_in_T, is_full_in_U,
+from sepdepth.groupalg import (TensorSquare, is_full_in_T, is_full_in_U,
                                separability_elements)
 from sepdepth.linalg import SparseEchelon, nullspace, rank, solve_affine
 from sepdepth.permgroup import (Permutation, all_subgroups,
@@ -274,7 +275,7 @@ def test_teT_images_span_the_w_r_images():
     for G, H in _teT_pairs():
         ts = TensorSquare(G, H)
         signatures = trace_form_signatures(ts)
-        one, images = _teT_images(G, H)
+        one, images = teT_class_images(G, H)
         fast = SparseEchelon(images)
         full = SparseEchelon(trace_image(ts, vec, signatures)
                              for vec in teT_candidates(ts))
@@ -290,8 +291,7 @@ def test_casimir_traces_are_class_counts_on_the_corpus():
     for name, G, H in corpus_pairs():
         ts = TensorSquare(G, H, cap=G.order ** 2)
         one, images = casimir_trace_images(ts)
-        fast_one, counts = _teT_images(G, H)
-        counts = list(counts)
+        fast_one, counts = teT_class_images(G, H)
         assert fast_one == one, name
         class_of = part_labels(conjugacy_classes(G), G.order)
         for w, image in zip(casimir_points(ts), images):
@@ -306,12 +306,12 @@ def test_casimir_traces_are_class_counts_on_the_corpus():
 
 
 def test_teT_images_need_only_g_class_data(monkeypatch):
-    """_teT_images yields at most one image per conjugacy class of G on
-    every corpus pair, and is_full_in_T decides D4 < S4 and the subgroups
-    of A4 with the character-table routines out of reach."""
+    """_teT_images counts one image per conjugacy class of G on every
+    corpus pair, and is_full_in_T decides D4 < S4 and the subgroups of A4
+    with the character-table routines out of reach."""
     for name, G, H in corpus_pairs():
-        _, images = _teT_images(G, H)
-        assert len(list(images)) <= len(conjugacy_classes(G)), name
+        _, images = teT_class_images(G, H)
+        assert len(images) == len(conjugacy_classes(G)), name
     S4 = symmetric_group(4)
     D4, = (H for H in all_subgroups(S4) if H.order == 8)
     A4 = alternating_group(4)
@@ -325,6 +325,68 @@ def test_teT_images_need_only_g_class_data(monkeypatch):
     monkeypatch.setattr(chartable, "class_mult_coeffs", unreachable)
     monkeypatch.setattr(chartable, "character_table_mod_p", unreachable)
     assert [is_full_in_T(G, H) for G, H in pairs] == want
+
+
+def test_read_off_verdicts_equal_the_elimination_verdicts(capsys):
+    """The coefficients read off the identity-class row decide fullness in
+    T and in U as the echelon over every class count does: on all 142
+    corpus pairs, in the corpus reports at the default linear cap (138
+    pairs uncapped) and at --cap-linear 16384 (all 142, the S5 pairs
+    included), and on the S6 family, with both verdicts seen."""
+    want = {}
+    for name, G, H in corpus_pairs():
+        want[name] = (is_full_in_T_by_elimination(G, H),
+                      is_full_in_U_by_elimination(G, H))
+        assert (is_full_in_T(G, H), is_full_in_U(G, H)) == want[name], name
+    assert len(want) == 142
+    assert {t for t, _ in want.values()} == {u for _, u in want.values()} \
+        == {True, False}
+    for argv, uncapped in ((["corpus"], 138),
+                           (["corpus", "--cap-linear", "16384"], 142)):
+        assert cli_main(argv) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        got = {f"{r['group']}/{r['subgroup']}": (r["full_in_t"],
+                                                 r["full_in_u"])
+               for r in reports if not r["caps_hit"]}
+        assert len(got) == uncapped
+        assert all(got[name] == want[name] for name in got)
+    S6 = symmetric_group(6)
+    seen = set()
+    for H in corpus_subgroups(S6):
+        verdicts = (is_full_in_T(S6, H), is_full_in_U(S6, H))
+        assert verdicts == (is_full_in_T_by_elimination(S6, H),
+                            is_full_in_U_by_elimination(S6, H)), H.name
+        seen.update(verdicts)
+    assert seen == {True, False}
+
+
+def test_fullness_builds_one_class_image_per_pair(monkeypatch):
+    """On every corpus pair is_full_in_T and is_full_in_U each build one
+    class image, the identity class's, and run no echelon."""
+    built = []
+
+    def counted(images):
+        def wrapper(G, H):
+            one, cd, image = images(G, H)
+
+            def counting(label):
+                built.append((images.__name__, cd.classes[label][0]))
+                return image(label)
+            return one, cd, counting
+        return wrapper
+
+    def no_echelon(*args, **kwargs):
+        raise AssertionError("a fullness test ran an echelon")
+
+    monkeypatch.setattr(groupalg, "_teT_images",
+                        counted(groupalg._teT_images))
+    monkeypatch.setattr(groupalg, "_u_images", counted(groupalg._u_images))
+    monkeypatch.setattr(groupalg, "SparseEchelon", no_echelon)
+    for name, G, H in corpus_pairs():
+        built.clear()
+        is_full_in_T(G, H)
+        is_full_in_U(G, H)
+        assert built == [("_teT_images", 0), ("_u_images", 0)], name
 
 
 def test_idempotent_in_t_on_integers():
@@ -411,11 +473,11 @@ def test_u_class_images_match_the_orbit_images():
     six groups of test_fullness_in_u_cross_check, and on S6 and A6 over
     the point stabilisers S5 and A5."""
     def check(G, H):
-        one, images = _u_images(G, H)
+        one, images = u_class_images(G, H)
         want_one, want_images = _u_trace_form_counts(G, H)
         want_images = list(want_images)
         assert one == want_one, (G, H)
-        assert _same_span(list(images), want_images), (G, H)
+        assert _same_span(images, want_images), (G, H)
         return _one_in_span(want_one, want_images)
 
     for name, G, H in corpus_pairs():
@@ -441,9 +503,9 @@ def test_u_class_counts_are_the_explicit_traces():
     for G in (symmetric_group(3), quaternion_group(), dihedral_group(4),
               alternating_group(4)):
         for H in all_subgroups(G):
-            one, images = _u_images(G, H)
+            one, images = u_class_images(G, H)
             assert one == u_trace_images(G, H)[0]
-            assert list(images) == u_class_traces(G, H)
+            assert images == u_class_traces(G, H)
 
 
 def test_one_in_span_is_rank_membership():
@@ -458,8 +520,7 @@ def test_one_in_span_is_rank_membership():
     cases = []
     G = symmetric_group(4)
     for H in every_subgroup(G):
-        one, images = _u_images(G, H)
-        cases.append((one, list(images)))
+        cases.append(u_class_images(G, H))
     for _ in range(200):
         images = [vector(rng.sample(range(6), 3))
                   for _ in range(rng.randint(1, 5))]

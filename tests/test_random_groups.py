@@ -5,6 +5,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from groupalg_oracles import (is_full_in_T_by_elimination,  # noqa: E402
+                              is_full_in_U_by_elimination)
 from permgroup_oracles import (depth1_all_elements,  # noqa: E402
                                depth1_by_products, lemma_S_all_elements,
                                lemma_S_by_products)
@@ -47,6 +49,16 @@ def test_full_in_u_iff_depth_one(pair):
     S, _ = bimodule_matrices(M)
     assert is_full_in_U(G, H) == depth1_group(G, H) == is_diagonal(S) \
         == (min_depth(M) == 1)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(group_pairs())
+def test_fullness_read_off_matches_elimination(pair):
+    """Fullness in T and in U read off the identity-class row equals the
+    echelon over every class count."""
+    G, H = pair
+    assert is_full_in_T(G, H) == is_full_in_T_by_elimination(G, H)
+    assert is_full_in_U(G, H) == is_full_in_U_by_elimination(G, H)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)

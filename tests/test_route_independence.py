@@ -11,17 +11,18 @@ from inspect import CO_NEWLOCALS
 from types import CodeType
 
 import test_chartable
-import test_groupalg
 import test_linalg
 import test_permgroup
 from permgroup_oracles import element_order
 from sepdepth.chartable import character_table_mod_p
 from sepdepth.depth import burciu_depth1
-from sepdepth.groupalg import is_full_in_T, is_full_in_U
+from sepdepth.groupalg import (TensorSquare, is_full_in_T, is_full_in_U,
+                               separability_elements)
 from sepdepth.permgroup import (Permutation, alternating_group,
-                                cyclic_group, depth1_group, direct_product,
-                                lemma_S_via_centralizers, quaternion_group,
-                                symmetric_group)
+                                conjugacy_classes, cyclic_group,
+                                depth1_group, direct_product,
+                                lemma_S_via_centralizers, property_S,
+                                quaternion_group, symmetric_group)
 
 # shared function -> (test module, test) that holds it to an oracle
 SHARED = {
@@ -47,6 +48,7 @@ SHARED = {
         (test_permgroup, "test_index_maps_are_the_products"),
     "permgroup.right_cosets":
         (test_permgroup, "test_right_cosets_match_products"),
+    "permgroup.right_transversal": (test_permgroup, "test_right_transversal"),
     "permgroup.FiniteGroup.parent":
         (test_permgroup, "test_subgroups_are_read_in_their_parents_numbering"),
     "permgroup._check_subgroup":
@@ -63,21 +65,31 @@ SHARED = {
         (test_chartable, "test_dixon_prime_matches_a_scan"),
     "chartable.CharacterTableModP.check_invariants":
         (test_chartable, "test_tampered_abelian_row_is_refused"),
-    "groupalg._one_in_span":
-        (test_groupalg, "test_one_in_span_is_rank_membership"),
     "linalg.SparseEchelon.__init__":
         (test_linalg, "test_dense_routines_match_sympy"),
     "linalg.SparseEchelon.add":
         (test_linalg, "test_dense_routines_match_sympy"),
-    "linalg.SparseEchelon.contains":
+    "linalg.SparseEchelon.rank":
         (test_linalg, "test_sparse_echelon_membership"),
     "linalg.SparseEchelon.reduce":
         (test_linalg, "test_integer_normal_form_matches_fraction_span"),
 }
 
 # the U and T routes themselves
-U_ROUTE = {"groupalg.is_full_in_U", "groupalg._u_images"}
-T_ROUTE = {"groupalg.is_full_in_T", "groupalg._teT_images"}
+U_ROUTE = {"groupalg.is_full_in_U", "groupalg._u_images",
+           "groupalg._read_off"}
+T_ROUTE = {"groupalg.is_full_in_T", "groupalg._teT_images",
+           "groupalg._read_off"}
+
+# the separability solve on a tensor square built inside the trace, and
+# property S, checked against each other in analyze_pair
+SEP_ROUTE = {"groupalg.separability_elements", "groupalg.TensorSquare.__init__",
+             "groupalg.TensorSquare.casimir",
+             "groupalg.TensorSquare.casimir_basis",
+             "groupalg.TensorSquare.canonical_separability_element",
+             "groupalg.TensorSquare.is_central",
+             "groupalg.TensorSquare._conj_index"}
+PROPERTY_S_ROUTE = {"permgroup.property_S"}
 
 # the abelian table route, and the Dixon route it is checked against
 TABLE_ROUTE = {"chartable.character_table_mod_p", "chartable._abelian_rows"}
@@ -262,3 +274,25 @@ def test_abelian_table_shares_only_group_data():
         assert not names & DIXON_ROUTE, names & DIXON_ROUTE
         assert names - TABLE_ROUTE <= set(SHARED), \
             names - TABLE_ROUTE - set(SHARED)
+
+
+def test_separability_and_property_s_share_only_group_data():
+    """property_s_vs_unique_separable compares property_S with the kind
+    separability_elements returns.  The solve, with its tensor square
+    built inside the trace, searches its own H-orbits: it enters none of
+    property_S, h_orbits or _conjugation_orbits, nothing in chartable or
+    depth, and otherwise only the allow-list.  property_S enters nothing
+    in groupalg, so nothing of TensorSquare or the solve.  G's classes are
+    group data that both read; they are computed before the solve is
+    traced, as analyze_pair computes them before it builds the tensor
+    square."""
+    pairs = holding_pairs()
+    for G, _ in pairs:
+        conjugacy_classes(G)
+    kinds = assert_shares_only_group_data(
+        lambda G, H: separability_elements(TensorSquare(G, H))[0], SEP_ROUTE,
+        LEMMA_S_FORBIDDEN | PROPERTY_S_ROUTE, pairs)
+    assert kinds == ["infinite"] * 3 + ["unique"] * 2
+    assert assert_shares_only_group_data(
+        property_S, PROPERTY_S_ROUTE, SEP_ROUTE, holding_pairs(),
+        ("chartable.", "depth.", "groupalg.")) == [False] * 3 + [True] * 2
