@@ -352,11 +352,13 @@ def inclusion_matrix(G, H, tableG=None, tableH=None):
     inv_h = pow(H.order % p, -1, p)
     # the G class of the inverse of each H class's representative
     g_class = [cdG.inverse_map[cdG.class_of[c[0]]] for c in cdH.classes]
+    # each character of G read once at those classes
+    restricted = [[psi[c] for c in g_class] for psi in tableG.table]
     rows = []
     for chi in tableH.table:
         weighted = [size * x for size, x in zip(cdH.sizes, chi)]
-        rows.append(tuple(sum(w * psi[c] for w, c in zip(weighted, g_class))
-                          * inv_h % p for psi in tableG.table))
+        rows.append(tuple(sum(map(mul, weighted, res)) * inv_h % p
+                          for res in restricted))
     M = InclusionMatrix(entries=tuple(rows),
                         row_degrees=tableH.degrees,
                         col_degrees=tableG.degrees)

@@ -7,10 +7,12 @@ Subcommands:
 * ``findim-demo`` — radical/separability report for a structure-constant
   algebra extension, from JSON specs or a named built-in fixture.
 
-Exit codes: 0 success, 1 parse/validation error (a command-line usage error
-included), 2 cap exceeded (the group cap, or the linear cap in
-``findim-demo``; ``analyze`` and ``corpus`` report the linear cap in
-``caps_hit``), 3 cross-criterion disagreement.
+Exit codes: 0 success, 1 parse/validation error (a command-line usage
+error included, such as a negative cap from ``--cap-group``,
+``--cap-linear`` or a ``SEPDEPTH_CAP_*`` variable; a cap of 0 is valid),
+2 cap exceeded (the group cap, or the linear cap in ``findim-demo``;
+``analyze`` and ``corpus`` report the linear cap in ``caps_hit``), 3
+cross-criterion disagreement.
 """
 
 import argparse
@@ -361,6 +363,18 @@ def _env_int(name, default):
                         f"got {val!r}")
 
 
+def _cap(value, flag, env, default):
+    """A cap from its flag's value, else from the environment variable
+    env, else the default.  A negative cap is a usage error; 0 is a cap."""
+    source = f"argument {flag}"
+    if value is None:
+        value, source = _env_int(env, default), f"environment variable {env}"
+    if value < 0:
+        raise SpecError(f"{source} must be a nonnegative integer, "
+                        f"got {value}")
+    return value
+
+
 def build_parser():
     parser = _Parser(
         prog="sepdepth",
@@ -409,12 +423,11 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "cap_group", 0) is None:
-            args.cap_group = _env_int("SEPDEPTH_CAP_GROUP",
-                                      DEFAULT_GROUP_CAP)
-        if args.cap_linear is None:
-            args.cap_linear = _env_int("SEPDEPTH_CAP_LINEAR",
-                                       DEFAULT_LINEAR_CAP)
+        if hasattr(args, "cap_group"):
+            args.cap_group = _cap(args.cap_group, "--cap-group",
+                                  "SEPDEPTH_CAP_GROUP", DEFAULT_GROUP_CAP)
+        args.cap_linear = _cap(args.cap_linear, "--cap-linear",
+                               "SEPDEPTH_CAP_LINEAR", DEFAULT_LINEAR_CAP)
         return args.func(args)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

@@ -6,8 +6,11 @@ a fixed right transversal of H, with the rewrite g_i * a = h * g_j pulling
 everything back onto the canonical basis.  kG is a Frobenius extension of
 kH with dual bases g_i^-1, g_i, so the A-central (Casimir) subspace has
 the basis w_O = sum_{d in O} sum_i g_i^-1 d (x) g_i, one per H-orbit O on
-G, and the separability system mu(t) = 1 on it needs one row per
-conjugacy class of G, never a point of the tensor square.  Fullness of the
+G.  The separability system mu(t) = 1 on it is read off in closed form:
+mu(w_O) is [G:H] |O| / |L| times the class sum of the class L of G that
+holds O, so the system is consistent with rank c, the number of classes,
+and its kernel has dimension #H-orbits - c; no conjugate is formed and
+nothing is eliminated (proof in ``separability_elements``).  Fullness of the
 separability idempotent in T, and of the H-support projection in the
 bimodule endomorphism ring U, are decided by integer trace-form counts
 read off the identity-class row, where each class image is an indicator:
@@ -21,9 +24,8 @@ from functools import cached_property
 from operator import add
 
 from .errors import CapExceeded, CheckFailed
-from .linalg import SparseEchelon
-from .permgroup import (class_data, conjugacy_classes, h_classes,
-                        index_orbits, right_cosets, right_transversal)
+from .permgroup import (class_data, h_classes, index_orbits, right_cosets,
+                        right_transversal)
 
 DEFAULT_LINEAR_CAP = 4096
 
@@ -102,42 +104,48 @@ def separability_elements(ts):
     """Classify the solutions of {t A-central, mu(t) = 1} in the tensor
     square ts of kG over kH.
 
-    Returns (kind, witness, kernel_dim) with kind in
-    {"none", "unique", "infinite"}.  The witness, when the index is
-    invertible, is the canonical element (1/[G:H]) sum g_i^-1 (x) g_i.
+    Returns (kind, witness, kernel_dim) with kind "unique" or "infinite"
+    and kernel_dim = #H-orbits - #classes of G.  The witness is the
+    canonical element e = (1/[G:H]) sum g_i^-1 (x) g_i.
 
     The Casimir space has the basis w_O, one per H-orbit O
     (``TensorSquare.casimir_basis``), and mu(w_O) = sum_{d in O} sum_i
     g_i^-1 d g_i is central in kG.  So sum_O c_O mu(w_O) = 1 holds iff it
-    holds at one element z of each conjugacy class L of G, and
-    mu(w_O)[z] = #{i : g_i z g_i^-1 in O}: c rows, c * [G:H] conjugations
-    in all, the identity class carrying the right-hand side.
+    holds at one element z of each conjugacy class L of G, where
+    mu(w_O)[z] = #{i : g_i z g_i^-1 in O}.  That count is
+    [G:H] |O| / |L| when O lies in L, the class of z, and 0 otherwise:
+    x -> x z x^-1 maps G onto L, |G|/|L| elements to each point, and
+    for h in H it sends h g_i to h (g_i z g_i^-1) h^-1, which lies in O
+    iff g_i z g_i^-1 does, as H-conjugation fixes O.  Hence
+    |H| #{i : g_i z g_i^-1 in O} = #{x in G : x z x^-1 in O}
+    = (|G|/|L|) |O|.
 
-    When the system is consistent, e is checked A-central with mu(e) = 1.
-    Both are linear in e, so the checks run on the integer element
-    [G:H] e = sum_i g_i^-1 (x) g_i, every coefficient 1, which must be
-    A-central with mu = [G:H] * 1; no Fraction is compared or summed.
+    So the column of w_O has one nonzero entry, in the row of its class.
+    Every class holds an H-orbit, so every row has an entry, and the c
+    rows have rank c; the identity class holds only the orbit {1}, whose
+    entry is [G:H], so the system is consistent (c_{1} = 1/[G:H]) and its
+    kernel has dimension #orbits - c.  No conjugate is formed and nothing
+    is eliminated; what the closed form reads is checked in O(|G|) steps,
+    raising CheckFailed: each Casimir orbit lies in one class of G, and
+    the orbit sizes in each class L sum to |L|, so every row sums to
+    [G:H].
+
+    e is checked A-central with mu(e) = 1.  Both are linear in e, so the
+    checks run on the integer element [G:H] e = sum_i g_i^-1 (x) g_i,
+    every coefficient 1, which must be A-central with mu = [G:H] * 1; no
+    Fraction is compared or summed.
     """
     G = ts.G
-    orbit_of = {x: k for k, orb in enumerate(ts.casimir) for x in orb}
-    ncols = len(ts.casimir)
-    inv = G.inverse
-    # row L holds the mu(w_O)[z] at O and, in column ncols, [z = 1]; the
-    # identity class comes first
-    rows = []
-    for cls in conjugacy_classes(G):
-        z_map = G.right_map(cls[0])
-        rows.append(dict(Counter(orbit_of[G.mul(z_map[rep], inv[rep])]
-                                 for rep in ts.reps)))
-    rows[0][ncols] = 1
-    # the forward echelon decides it: the system is consistent iff column
-    # ncols is no pivot, and the kernel of the coefficient matrix has
-    # dimension ncols - (rank - [ncols is a pivot])
-    ech = SparseEchelon(rows)
-    consistent = ncols not in ech.rows
-    kernel_dim = ncols - ech.rank + (not consistent)
-    if not consistent:
-        return "none", None, kernel_dim
+    cd = class_data(G)
+    filled = [0] * cd.num_classes   # class L -> sum of |O| over O in L
+    for orb in ts.casimir:
+        labels = set(map(cd.class_of.__getitem__, orb))
+        if len(labels) != 1:
+            raise CheckFailed("a Casimir orbit meets two classes of G")
+        filled[labels.pop()] += len(orb)
+    if filled != list(cd.sizes):
+        raise CheckFailed("the Casimir orbits in a class of G do not fill it")
+    kernel_dim = len(ts.casimir) - cd.num_classes
     e = ts.canonical_separability_element()
     index_e = dict.fromkeys(e, 1)  # [G:H] e = sum_i g_i^-1 (x) g_i
     if not ts.is_central(index_e):

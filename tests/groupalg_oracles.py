@@ -13,7 +13,8 @@ products; ``casimir_orbits`` searches the Casimir basis on all dim basis
 points, the reference for ``casimir_points``, the point form of the
 H-orbits of ``TensorSquare.casimir_basis``.  ``mu_system`` solves
 mu(t) = 1 on the searched Casimir orbits with one row per element of G,
-the reference for the one row per class of ``separability_elements``.
+the reference for the closed form that ``separability_elements`` reads
+off the orbit sizes.
 ``idempotent_in_t`` checks e . e = e on the points of e, which
 ``is_full_in_T`` takes from mu(e) = 1 and the A-centrality of e.
 ``casimir_trace_images`` counts the trace-form image of each Casimir

@@ -521,6 +521,59 @@ def test_findim_demo_fixture_at_the_cap_is_built(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["dimension"] == 6
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["--cap-linear", "-5"], {},
+     "argument --cap-linear must be a nonnegative integer, got -5"),
+    (["--cap-group", "-1"], {},
+     "argument --cap-group must be a nonnegative integer, got -1"),
+    ([], {"SEPDEPTH_CAP_LINEAR": "-3"}, "environment variable "
+     "SEPDEPTH_CAP_LINEAR must be a nonnegative integer, got -3"),
+    ([], {"SEPDEPTH_CAP_GROUP": "-3"}, "environment variable "
+     "SEPDEPTH_CAP_GROUP must be a nonnegative integer, got -3"),
+    # the flag is read before the variable, so a negative flag is refused
+    # where the variable holds a valid cap
+    (["--cap-group", "-2"], {"SEPDEPTH_CAP_GROUP": "100"},
+     "argument --cap-group must be a nonnegative integer, got -2"),
+])
+def test_negative_cap_is_a_usage_error(s3_files, capsys, monkeypatch, argv,
+                                       env, message):
+    """A negative cap, from a flag or from SEPDEPTH_CAP_*, exits 1 with one
+    error line and prints no report, in analyze and in corpus."""
+    monkeypatch.delenv("SEPDEPTH_CAP_LINEAR", raising=False)
+    monkeypatch.delenv("SEPDEPTH_CAP_GROUP", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    g, h = s3_files
+    for command in (["analyze", g, h], ["corpus", "--corpus-filter", "S3/*"]):
+        assert main(command + argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_findim_demo_negative_cap_env_is_a_usage_error(capsys, monkeypatch):
+    """findim-demo refuses a negative SEPDEPTH_CAP_LINEAR with exit 1 and
+    one error line, before any fixture is built."""
+    monkeypatch.setenv("SEPDEPTH_CAP_LINEAR", "-3")
+    assert main(["findim-demo", "--fixture", "triangular3"]) == 1
+    assert _one_line_error(capsys) == (
+        "error: environment variable SEPDEPTH_CAP_LINEAR must be a "
+        "nonnegative integer, got -3")
+
+
+def test_cap_zero_is_valid(s3_files, capsys, monkeypatch):
+    """A cap of 0 is a cap: the linear one is named in caps_hit (exit 0),
+    the group one exits 2, and findim-demo's exits 2."""
+    g, h = s3_files
+    assert main(["analyze", g, h, "--cap-linear", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["caps_hit"] == [
+        "dim(A tensor_B A) = 18 exceeds cap 0"]
+    assert main(["analyze", g, h, "--cap-group", "0"]) == 2
+    assert capsys.readouterr().err.startswith("cap exceeded:")
+    monkeypatch.setenv("SEPDEPTH_CAP_LINEAR", "0")
+    assert main(["findim-demo", "--fixture", "triangular3"]) == 2
+    assert capsys.readouterr().err == (
+        "cap exceeded: dim(A tensor A) = 36 exceeds cap 0\n")
+
+
 # b0 is the unit, b1*b1 = b2, b2*b2 = b0: (b1 b1) b2 = b0 but b1 (b1 b2) = 0
 NON_ASSOCIATIVE = {
     "structure": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],

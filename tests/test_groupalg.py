@@ -21,7 +21,7 @@ from permgroup_oracles import element_order, every_subgroup
 from sepdepth import chartable, groupalg, linalg
 from sepdepth.cli import main as cli_main
 from sepdepth.corpus import corpus_pairs, corpus_subgroups
-from sepdepth.errors import CapExceeded, NotInT
+from sepdepth.errors import CapExceeded, CheckFailed, NotInT
 from sepdepth.groupalg import (TensorSquare, is_full_in_T, is_full_in_U,
                                separability_elements)
 from sepdepth.linalg import SparseEchelon, nullspace, rank, solve_affine
@@ -139,10 +139,28 @@ def test_separability_kinds():
     assert separability_elements(TensorSquare(GX, HX))[0] == "unique"
 
 
+@pytest.mark.parametrize("tamper, message", [
+    # two orbits of S3 over <(0 1)> in different classes, merged
+    (lambda orbs: [tuple(sorted(orbs[0] + orbs[1]))] + orbs[2:],
+     "meets two classes"),
+    # an orbit left out, so its class is not filled
+    (lambda orbs: orbs[:-1], "do not fill"),
+])
+def test_separability_checks_what_the_closed_form_reads(tamper, message):
+    """Casimir orbits that straddle two classes of G, or leave part of a
+    class uncovered, raise CheckFailed rather than give a kernel
+    dimension."""
+    G, H = s3_pair(2)
+    ts = TensorSquare(G, H)
+    ts.casimir = tamper(list(ts.casimir))
+    with pytest.raises(CheckFailed, match=message):
+        separability_elements(ts)
+
+
 def test_separability_triple_matches_dense_solve():
-    """kind and kernel_dim, read off one forward echelon, equal what the
-    back-substituting dense solve of the full |G|-row system gives, on
-    every corpus pair below order 60."""
+    """kind and kernel_dim, read off the Casimir orbit sizes in closed
+    form, equal what the back-substituting dense solve of the full |G|-row
+    system gives, on every corpus pair below order 60."""
     for name, G, H in corpus_pairs():
         if G.order >= 60:
             continue
@@ -173,16 +191,39 @@ def _larger_pairs():
 
 
 def test_class_rows_match_the_element_rows():
-    """The c rows, one per class of G, give the kind, kernel dimension and
-    Casimir count of the |G|-row mu system over the searched Casimir
-    orbits, on every corpus pair with the cap lifted to |G|^2 and on
-    larger pairs."""
+    """The closed form, #H-orbits - #classes of G read off the Casimir
+    orbit sizes, gives the kind, kernel dimension and Casimir count of the
+    |G|-row mu system over the searched Casimir orbits, on every corpus
+    pair with the cap lifted to |G|^2 and on larger pairs."""
     pairs = list(corpus_pairs())
     assert len(pairs) == 142
     for name, G, H in pairs + list(_larger_pairs()):
         ts = TensorSquare(G, H, cap=G.order ** 2)
         kind, _, kdim = separability_elements(ts)
         assert (kind, kdim, len(ts.casimir)) == mu_system(ts), name
+
+
+def test_separability_on_s5_forms_only_the_witness_products(monkeypatch):
+    """On a fresh S5 over 1 at cap 16384, separability_elements builds no
+    echelon and calls G.mul only in the checks on the witness: one product
+    per support point and generator of G for A-centrality, one per point
+    for mu, (len(G.gen_indices) + 1) * [G:H] = 360 in all."""
+    G = symmetric_group(5)
+    ts = TensorSquare(G, G.trivial_subgroup(), cap=16384)
+    calls = []
+
+    def no_echelon(*args, **kwargs):
+        raise AssertionError("separability_elements ran an echelon")
+
+    def counted(i, j, _mul=G.mul):
+        calls.append((i, j))
+        return _mul(i, j)
+
+    monkeypatch.setattr(linalg.SparseEchelon, "__init__", no_echelon)
+    monkeypatch.setattr(G, "mul", counted)
+    kind, _, kdim = separability_elements(ts)
+    assert (kind, kdim) == ("infinite", 120 - 7)
+    assert len(calls) <= (len(G.gen_indices) + 1) * ts.n == 360
 
 
 def test_closed_forms_on_the_corpus(capsys):
@@ -381,7 +422,7 @@ def test_fullness_builds_one_class_image_per_pair(monkeypatch):
     monkeypatch.setattr(groupalg, "_teT_images",
                         counted(groupalg._teT_images))
     monkeypatch.setattr(groupalg, "_u_images", counted(groupalg._u_images))
-    monkeypatch.setattr(groupalg, "SparseEchelon", no_echelon)
+    monkeypatch.setattr(linalg.SparseEchelon, "__init__", no_echelon)
     for name, G, H in corpus_pairs():
         built.clear()
         is_full_in_T(G, H)

@@ -6,14 +6,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from groupalg_oracles import (is_full_in_T_by_elimination,  # noqa: E402
-                              is_full_in_U_by_elimination)
+                              is_full_in_U_by_elimination, mu_system)
 from permgroup_oracles import (depth1_all_elements,  # noqa: E402
                                depth1_by_products, lemma_S_all_elements,
                                lemma_S_by_products)
 from sepdepth.chartable import inclusion_matrix  # noqa: E402
 from sepdepth.depth import (bimodule_matrices, is_diagonal,  # noqa: E402
                             min_depth, min_h_depth)
-from sepdepth.groupalg import is_full_in_T, is_full_in_U  # noqa: E402
+from sepdepth.groupalg import (TensorSquare, is_full_in_T,  # noqa: E402
+                               is_full_in_U, separability_elements)
 from sepdepth.permgroup import (FiniteGroup, Permutation,  # noqa: E402
                                 depth1_group, lemma_S_via_centralizers)
 
@@ -71,3 +72,15 @@ def test_centralizer_criteria_match_products(pair):
         == lemma_S_by_products(G, H)
     assert depth1_group(G, H) == depth1_all_elements(G, H) \
         == depth1_by_products(G, H)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(group_pairs())
+def test_separability_closed_form_matches_mu_system(pair):
+    """The kind, kernel dimension and Casimir count that
+    separability_elements reads off the orbit sizes equal those of the
+    |G|-row mu system over the searched Casimir orbits."""
+    G, H = pair
+    ts = TensorSquare(G, H, cap=G.order ** 2)
+    kind, _, kdim = separability_elements(ts)
+    assert (kind, kdim, len(ts.casimir)) == mu_system(ts)

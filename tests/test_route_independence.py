@@ -1,9 +1,9 @@
 """Route independence, traced: a fast route enters no function of the
 routes it is checked against, and every sepdepth function it does share
 is shared data or a shared check on a named allow-list, each entry held
-by a test of its own to Permutation products (for the echelon, to sympy;
-for the prime, to a trial-division scan; for the table check, to a
-tampered row it must refuse)."""
+by a test of its own to Permutation products (for the prime, to a
+trial-division scan; for the table check, to a tampered row it must
+refuse).  No traced route runs an echelon, so none is on the list."""
 
 import os
 import sys
@@ -11,7 +11,6 @@ from inspect import CO_NEWLOCALS
 from types import CodeType
 
 import test_chartable
-import test_linalg
 import test_permgroup
 from permgroup_oracles import element_order
 from sepdepth.chartable import character_table_mod_p
@@ -65,14 +64,6 @@ SHARED = {
         (test_chartable, "test_dixon_prime_matches_a_scan"),
     "chartable.CharacterTableModP.check_invariants":
         (test_chartable, "test_tampered_abelian_row_is_refused"),
-    "linalg.SparseEchelon.__init__":
-        (test_linalg, "test_dense_routines_match_sympy"),
-    "linalg.SparseEchelon.add":
-        (test_linalg, "test_dense_routines_match_sympy"),
-    "linalg.SparseEchelon.rank":
-        (test_linalg, "test_sparse_echelon_membership"),
-    "linalg.SparseEchelon.reduce":
-        (test_linalg, "test_integer_normal_form_matches_fraction_span"),
 }
 
 # the U and T routes themselves
