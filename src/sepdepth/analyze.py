@@ -10,7 +10,7 @@ comparisons.
 from dataclasses import dataclass, field, fields
 
 from .chartable import character_table_mod_p, common_prime, inclusion_matrix
-from .depth import burciu_depth1, depth_report, is_diagonal
+from .depth import burciu_depth1, depth_report
 from .errors import CapExceeded
 from .groupalg import (DEFAULT_LINEAR_CAP, TensorSquare, is_full_in_T,
                        is_full_in_U, separability_elements)
@@ -136,7 +136,7 @@ def analyze_pair(G, H, seed=0, cap_linear=DEFAULT_LINEAR_CAP,
         min_depth=dep.min_depth, min_odd_depth=dep.min_odd_depth,
         min_even_depth=dep.min_even_depth, min_h_depth=dep.min_h_depth,
         even_rule_derived=dep.even_rule_derived,
-        s_diagonal=is_diagonal(dep.S), t_diagonal=is_diagonal(dep.T),
+        s_diagonal=dep.s_diagonal, t_diagonal=dep.t_diagonal,
         center_dim=len(classes_g),
     )
 

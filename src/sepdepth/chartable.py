@@ -8,13 +8,15 @@ to integers because p bounds 2*sqrt(|G|).  Character values themselves stay
 mod p; only integer-valued bilinear combinations (degrees, restriction
 multiplicities) are ever lifted.
 
-There are two routes to the rows, and ``check_invariants`` runs on the
-table either builds.  An abelian group, one whose classes are all
-singletons, takes ``_abelian_rows``: its characters are the
-homomorphisms into the exp(G)-th roots of unity mod p, built one
-generator at a time by extending each character of the span of the
-earlier generators (the docstring gives the proof); it builds no class
-matrix.  Every other group takes ``_dixon_rows``, which separates the
+There are two routes to the rows, each with its own check on the table
+it builds.  An abelian group, one whose classes are all singletons,
+takes ``_abelian_rows``: its characters are the homomorphisms into the
+exp(G)-th roots of unity mod p, built one generator at a time by
+extending each character of the span of the earlier generators (the
+docstring gives the proof); it builds no class matrix, and
+``_certify_abelian`` checks its table in O(c^2 k) steps, k the number of
+generators, where the orthonormality of ``check_invariants`` takes c^3.
+Every other group takes ``_dixon_rows``, which separates the
 central characters by splitting one cyclic vector, the identity-class
 unit vector e_0, along the class matrices in turn: each piece of the
 characters is carried as its component of e_0, and a piece splits at the
@@ -22,7 +24,7 @@ roots of its minimal polynomial under the class matrix (``_split_piece``
 gives the proof).  A class matrix is built only while fewer pieces than
 classes exist.  Each final piece is (chi(1)^2 / |G|) * omega_chi, so the
 degree is read twice, from that coefficient and from the orthogonality
-sum, and the two must agree.
+sum, and the two must agree; ``check_invariants`` then checks the table.
 """
 
 from dataclasses import dataclass
@@ -191,11 +193,11 @@ def character_table_mod_p(G, prime=None, seed=0):
     """Character table of a group or subgroup G with values in GF(prime).
 
     An abelian G, one whose classes are all singletons, takes
-    ``_abelian_rows``; any other takes ``_dixon_rows``.  Rows are sorted
-    by (degree, value sequence) so the table is canonical for a given
-    prime, whichever route built it, and ``check_invariants`` runs on
-    either.  The seed is only recorded in the table: the table does not
-    depend on it.
+    ``_abelian_rows`` and ``_certify_abelian``; any other takes
+    ``_dixon_rows`` and ``check_invariants``.  Rows are sorted by
+    (degree, value sequence) so the table is canonical for a given prime,
+    whichever route built it.  The seed is only recorded in the table:
+    the table does not depend on it.
     """
     cd = class_data(G)
     p = prime if prime is not None else dixon_prime(G.exponent(), G.order)
@@ -204,15 +206,67 @@ def character_table_mod_p(G, prime=None, seed=0):
         raise InvalidArgument(
             f"{p} is not a prime = 1 mod {G.exponent()} above "
             f"2*sqrt({G.order})")
-    route = _abelian_rows if cd.num_classes == G.order else _dixon_rows
-    rows = sorted(route(G, cd, p))
+    abelian = cd.num_classes == G.order
+    rows = sorted((_abelian_rows if abelian else _dixon_rows)(G, cd, p))
     table = CharacterTableModP(prime=p,
                                degrees=tuple(d for d, _ in rows),
                                table=tuple(chi for _, chi in rows),
                                class_data=cd,
                                seed=seed)
-    table.check_invariants(G.order)
+    if abelian:
+        _certify_abelian(table, G)
+    else:
+        table.check_invariants(G.order)
     return table
+
+
+def _certify_abelian(table, G):
+    """Check that the rows of the table of an abelian G are its
+    characters, in O(c^2 k) steps for c = |G| and k generators; raises
+    CheckFailed.
+
+    It checks that every degree is 1, that chi(1) = 1, that
+    chi(x s) = chi(x) * chi(s) for every x in G and every generator s of
+    G (x s read off the parent's right map of s), that the rows are
+    pairwise distinct, and that there are |G| of them.  That is all that
+    check_invariants asks:
+    - each row is a homomorphism G -> GF(p)*: G is finite, so every y in
+      G is a product of generators, and induction on its length gives
+      chi(x y) = chi(x) * chi(y); then chi(g) * chi(g^-1) = chi(1) = 1,
+      so every value is a unit;
+    - distinct rows are orthonormal: for rows chi != psi,
+      lambda = chi * psi^-1 is a nontrivial homomorphism, so
+      lambda(s) != 1 for some generator s, and
+      sum_x lambda(x) = sum_x lambda(x s) = lambda(s) * sum_x lambda(x)
+      forces sum lambda = 0; as psi(g^-1) = psi(g)^-1, that sum is
+      |G| * <chi, psi>, and chi against itself sums to |G|;
+    - G has |G| homomorphisms into GF(p)*, since exp(G) divides p - 1,
+      so |G| distinct ones are every one of them, and the squared
+      degrees sum to |G|.
+    """
+    p, rows = table.prime, table.table
+    class_of = table.class_data.class_of
+    if len(rows) != G.order:
+        raise CheckFailed(f"abelian table: {len(rows)} rows for a group "
+                          f"of order {G.order}")
+    if len(set(rows)) != len(rows):
+        raise CheckFailed("abelian table: two rows are equal")
+    one = class_of[0]
+    if any(d != 1 for d in table.degrees) or any(chi[one] != 1
+                                                 for chi in rows):
+        raise CheckFailed("abelian table: a degree or chi(1) is not 1")
+    # column k holds the element at[k]; moved[k] is the column of at[k] s
+    at = [cls[0] for cls in table.class_data.classes]
+    for s in G.gen_indices:
+        rmap = G.parent.right_map(s)
+        moved = [class_of[rmap[x]] for x in at]
+        for chi in rows:
+            # chi(x s) against chi(x) * chi(s) mod p, at every x
+            if (list(map(chi.__getitem__, moved))
+                    != list(map(p.__rmod__, map(chi[class_of[s]].__mul__,
+                                                chi)))):
+                raise CheckFailed(
+                    "abelian table: a row is not multiplicative")
 
 
 def _abelian_rows(G, cd, p):

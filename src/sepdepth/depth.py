@@ -1,19 +1,27 @@
 """Minimum depth and H-depth from zero patterns of inclusion-matrix powers.
 
-S = M M^t and T = M^t M stay integer matrices, but the scans read only
-where their powers vanish, so they run on boolean row masks: row i of a
-power is an int with bit j set where entry (i, j) is nonzero, and a step
-ORs the previous power's masks over the set bits of a row of S or T.
-That is exact because the entries are nonnegative: no sum of products
-cancels.  The diagonal of S and T is positive on the nonzero lines of M
-(their squared lengths), so the zero set only shrinks and "equal number
-of zero entries" is equal masks.  The even-depth rule (compare S^(n-1)M
-with S^n M) is a derived criterion, flagged as such in reports.
+The scans read only where the powers of S = M M^t and T = M^t M vanish,
+and those zero patterns are walks on M's bipartite graph: the rows of M
+on one side, its columns on the other, an edge where the entry is
+nonzero.  S[i][k] is nonzero exactly when rows i and k of M share a
+nonzero column, and T[j][l] when columns j and l share a nonzero row,
+because the entries are nonnegative: no sum of products cancels.  So
+neither is formed.  A power is carried as boolean row masks (row i is an
+int with bit j set where entry (i, j) is nonzero), and one step of S ORs
+the row masks into a mask per column, over each column's support, then
+ORs those back into a mask per row, over each row's support; a step of T
+does the same in the other order.  Each step costs about 2 * nnz(M) ORs.
+The diagonal of S and T is positive on the nonzero lines of M (their
+squared lengths), so the zero set only shrinks and "equal number of zero
+entries" is equal masks.  S is diagonal iff no column of M has two
+nonzero rows, and T iff no row has two nonzero columns.  The even-depth
+rule (compare S^(n-1)M with S^n M) is a derived criterion, flagged as
+such in reports.
 """
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import mul, or_
+from functools import cached_property
+from operator import mul
 
 from .errors import CheckFailed, InvalidArgument
 from .permgroup import conjugacy_classes, h_classes
@@ -27,7 +35,7 @@ def _check(M):
         raise InvalidArgument("depth: empty matrix")
     if any(len(row) != len(M[0]) for row in M):
         raise InvalidArgument("depth: ragged matrix, rows of unequal length")
-    if any(type(x) is not int for row in M for x in row):
+    if not all({int}.issuperset(map(type, row)) for row in M):
         raise InvalidArgument("depth: matrix entries must be integers")
     if min(map(min, M)) < 0:
         raise InvalidArgument("depth: matrix entries must be nonnegative")
@@ -58,13 +66,26 @@ def _support(m):
     return [[j for j, x in enumerate(row) if x] for row in m]
 
 
-def _scan(step, power):
+def _or_over(supports, masks):
+    """Mask k of the result is the OR of the masks at the indices in
+    supports[k]."""
+    out = []
+    for js in supports:
+        m = 0
+        for j in js:
+            m |= masks[j]
+        out.append(m)
+    return out
+
+
+def _scan(there, back, power):
     """Least n >= 0 with step^n start and step^(n+1) start sharing their
-    row masks; power holds the start's masks, step the supports of S or T.
-    Row i of step^n start is the OR of start's rows within distance n of
-    i in the graph of step, so the masks settle within len(step) steps."""
-    for n in range(len(step) + 2):
-        nxt = [reduce(or_, map(power.__getitem__, js), 0) for js in step]
+    masks; power holds the start's masks, and a step ORs them over the
+    supports there and then back (M's columns, then its rows, for S).
+    Mask i of step^n start is the OR of start's masks within n steps of
+    i, so the masks settle within len(power) steps."""
+    for n in range(len(power) + 2):
+        nxt = _or_over(back, _or_over(there, power))
         if nxt == power:
             return n
         power = nxt
@@ -103,27 +124,42 @@ def min_depth(M):
 @dataclass
 class DepthReport:
     matrix: list
-    S: list
-    T: list
     min_odd_depth: int
     min_even_depth: int
     min_h_depth: int
     min_depth: int
+    s_diagonal: bool
+    t_diagonal: bool
     even_rule_derived: bool = True
+
+    @cached_property
+    def _bimodule(self):
+        return bimodule_matrices(self.matrix)
+
+    @property
+    def S(self):
+        """S = M M^t, built with T on the first read of either."""
+        return self._bimodule[0]
+
+    @property
+    def T(self):
+        """T = M^t M, built with S on the first read of either."""
+        return self._bimodule[1]
 
 
 def depth_report(M):
-    """All depth invariants of one inclusion matrix."""
-    S, T = bimodule_matrices(M)
-    step = _support(S)  # shared by the odd and the even scan
-    odd = 2 * _scan(step, [1 << i for i in range(len(S))]) + 1
-    even = 2 * _scan(step, [sum(1 << j for j in js) for js in _support(M)]) + 2
-    h = 2 * _scan(_support(T), [1 << i for i in range(len(T))]) + 1
+    """All depth invariants of one inclusion matrix, scanned on M."""
+    _check(M)
+    rows, cols = _support(M), _support(zip(*M))
+    odd = 2 * _scan(cols, rows, [1 << i for i in range(len(rows))]) + 1
+    even = 2 * _scan(cols, rows, [sum(1 << j for j in js) for js in rows]) + 2
+    h = 2 * _scan(rows, cols, [1 << j for j in range(len(cols))]) + 1
     if abs(min(odd, even) - h) > 2:
         raise CheckFailed("depth and H-depth differ by more than 2")
-    return DepthReport(matrix=M, S=S, T=T, min_odd_depth=odd,
-                       min_even_depth=even, min_h_depth=h,
-                       min_depth=min(odd, even))
+    return DepthReport(matrix=M, min_odd_depth=odd, min_even_depth=even,
+                       min_h_depth=h, min_depth=min(odd, even),
+                       s_diagonal=all(len(js) < 2 for js in cols),
+                       t_diagonal=all(len(js) < 2 for js in rows))
 
 
 def burciu_depth1(G, H):

@@ -6,10 +6,12 @@ class SepdepthError(Exception):
 
 
 class CapExceeded(SepdepthError):
-    """A configured size cap was exceeded; carries the offending dimension."""
+    """A configured size cap was exceeded; carries the offending dimension,
+    or with exact=False a lower bound on it, which the message omits."""
 
-    def __init__(self, what, value, cap):
-        super().__init__(f"{what} = {value} exceeds cap {cap}")
+    def __init__(self, what, value, cap, exact=True):
+        super().__init__(f"{what} = {value} exceeds cap {cap}" if exact
+                         else f"{what} exceeds cap {cap}")
         self.what = what
         self.value = value
         self.cap = cap

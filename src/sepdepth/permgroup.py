@@ -126,7 +126,9 @@ class FiniteGroup(_Enumerated):
     any element is its tree parent's map composed with one step map, so
     no Permutation product is formed; it is cached per element as it is
     asked for, never built as one eager |G| x |G| table.  Raises
-    CapExceeded once the search finds more than cap elements.
+    CapExceeded once the search finds more than cap elements; it says
+    only that the order exceeds the cap, since the search stops before
+    the order is known.
     """
 
     def __init__(self, generators, name=None, cap=DEFAULT_GROUP_CAP):
@@ -154,7 +156,8 @@ class FiniteGroup(_Enumerated):
                 if j is None:
                     j = found[y] = len(rows)
                     if j >= cap:
-                        raise CapExceeded("group order", j + 1, cap)
+                        raise CapExceeded("group order", j + 1, cap,
+                                          exact=False)
                     rows.append(y)
                     up.append(x)
                     via.append(k)
@@ -175,6 +178,7 @@ class FiniteGroup(_Enumerated):
         self._up = [at[up[x]] for x in order]
         self._via = [via[x] for x in order]
         self._right_maps = {0: list(range(self.order))}
+        self._central = None        # _central_indices, computed once
 
     @property
     def parent(self):
@@ -363,6 +367,21 @@ def _centralizer_indices(G, a):
             if r == l]
 
 
+def _central_indices(G):
+    """The set of indices of the elements of G that commute with every
+    generator of G, so with all of G: the points that the conjugation
+    maps of G's generators all fix.  It is Z(G), read apart from the
+    class record (``_center_indices``), which reads h_orbits, the route
+    of property_S that the centralizer criteria are checked against.
+    Computed once and kept on G."""
+    if G._central is None:
+        central = set(G.indices)
+        for m in _conjugation_maps(G, G.gen_indices):
+            central = {x for x in central if m[x] == x}
+        G._central = central
+    return G._central
+
+
 def centralizer(G, a):
     """C_G(a) as a Subgroup."""
     if a not in G:
@@ -451,15 +470,19 @@ def lemma_S_via_centralizers(G, H):
     which is G exactly when H C_G(a) = G.  The orbits are searched here,
     along the conjugation maps of H's generators, apart from h_orbits
     (property_S, the route this is checked against); the test stops at
-    the first a that fails: #H-orbits * |G| steps for the centralizers
-    and cosets, and |G| for each conjugation map of a generator of H.
+    the first a that fails.  A central a is passed over: C_G(a) = G meets
+    every coset.  That costs |G| for each conjugation map of a generator
+    of G or of H, and |G| for the centralizer and cosets of each
+    non-central H-orbit.
     """
     _check_subgroup(G, H)
     maps = list(_conjugation_maps(G, H.gen_indices))
+    central = _central_indices(G)
     seen = set()
     for a in range(G.order):
         if a not in seen:
-            if not _covers_cosets(G, H, _centralizer_indices(G, a)):
+            if a not in central and not _covers_cosets(
+                    G, H, _centralizer_indices(G, a)):
                 return False
             _search(maps, a, seen)
     return True
@@ -472,10 +495,12 @@ def depth1_group(G, H):
     One h per conjugacy class of H is enough: for k in H,
     C_G(k h k^-1) = k C_G(h) k^-1, so H C_G(k h k^-1) = H C_G(h) k^-1,
     which is G exactly when H C_G(h) = G.  The least element of each
-    class of h_classes is tested.
+    class of h_classes is tested, unless it is central in G.
     """
     _check_subgroup(G, H)
-    return all(_covers_cosets(G, H, _centralizer_indices(G, cls[0]))
+    central = _central_indices(G)
+    return all(cls[0] in central
+               or _covers_cosets(G, H, _centralizer_indices(G, cls[0]))
                for cls in h_classes(G, H))
 
 

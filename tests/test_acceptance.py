@@ -5,6 +5,7 @@ asserts it, so `pytest -v` doubles as the acceptance report.  The heavy
 corpus sweep is computed once by the session fixture in conftest.py.
 """
 
+import hashlib
 import json
 import os
 import time
@@ -15,7 +16,8 @@ from findim_oracles import (matrix_algebra_separability_witnesses,
                             monoid_decomposition_dims)
 from groupalg_oracles import centralizer_basis, idempotent_in_t, mu
 from permgroup_oracles import element_order
-from sepdepth.analyze import AGREE, DISAGREE, SKIPPED
+from sepdepth import chartable, depth, permgroup
+from sepdepth.analyze import AGREE, DISAGREE, SKIPPED, analyze_pair
 from sepdepth.chartable import (character_table_mod_p, common_prime,
                                 inclusion_matrix)
 from sepdepth.depth import min_depth
@@ -27,8 +29,9 @@ from sepdepth.findim import (RelativeTensorSquare, AlgebraInclusion,
                              upper_triangular_algebra,
                              verify_separability_witness)
 from sepdepth.groupalg import TensorSquare, separability_elements
-from sepdepth.permgroup import (Permutation, conjugacy_classes, property_S,
-                                quaternion_group, symmetric_group)
+from sepdepth.permgroup import (Permutation, conjugacy_classes,
+                                cyclic_group, property_S, quaternion_group,
+                                symmetric_group)
 
 
 def _verdict(num, desc, ok):
@@ -240,3 +243,48 @@ def test_criterion_12_findim_fixtures():
     ok &= elapsed < 10
     _verdict(12, f"finite-dimensional fixtures verified, "
              f"{elapsed:.1f}s < 10s", ok)
+
+
+# sha256 of analyze's JSON report on C1000 over its trivial subgroup at the
+# default caps, as printed before the depth scans moved onto M, the
+# abelian tables got their certificate and the centralizer criteria
+# passed over central elements
+C1000_REPORT_SHA256 = (
+    "ed7886fbd5e8017dc2d8a7245925e2618b64566adaa578dde8046a02a4a08eba")
+
+
+def test_cyclic_1000_over_trivial_in_bounded_time(monkeypatch):
+    """analyze_pair(C1000, 1) at the default caps prints the same report
+    in bounded time: its abelian tables never reach check_invariants (c^3
+    steps), no centralizer is built in the abelian G, and S and T are
+    never formed.  The group build is not timed."""
+    G = cyclic_group(1000)
+    H = G.trivial_subgroup()
+    counts = {"centralizers": 0, "bimodule": 0}
+
+    def no_check(self, order):
+        raise AssertionError("check_invariants on an abelian table")
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(chartable.CharacterTableModP, "check_invariants",
+                        no_check)
+    monkeypatch.setattr(permgroup, "_centralizer_indices",
+                        counted("centralizers",
+                                permgroup._centralizer_indices))
+    monkeypatch.setattr(depth, "bimodule_matrices",
+                        counted("bimodule", depth.bimodule_matrices))
+    t0 = time.time()
+    rep = analyze_pair(G, H)
+    elapsed = time.time() - t0
+    text = json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == C1000_REPORT_SHA256
+    assert (rep.property_s, rep.lemma_s, rep.depth1_group, rep.s_diagonal,
+            rep.t_diagonal, rep.min_depth, rep.min_h_depth) == (
+                True, True, True, True, False, 1, 3)
+    assert counts == {"centralizers": 0, "bimodule": 0}
+    assert elapsed < 5, f"C1000/1 took {elapsed:.1f}s"

@@ -248,15 +248,13 @@ def test_abelian_rows_match_both_oracles(corpus_table_inputs):
         assert list(zip(tab.degrees, tab.table)) == rows, G
 
 
-def test_tampered_abelian_row_is_refused(monkeypatch):
-    """check_invariants runs on the tables of the abelian route too: with
-    one value of one row changed, the rows are no longer orthonormal."""
-    rows_of = chartable._abelian_rows
-
+def _refused_tamper(monkeypatch, tamper, match):
+    """character_table_mod_p refuses the abelian route's rows, changed by
+    tamper(rows, p), with CheckFailed matching match, on C12 and on
+    C2 x C4; the Dixon route is never entered."""
     def tampered(G, cd, p):
-        rows = rows_of(G, cd, p)
-        d, chi = rows[1]
-        rows[1] = (d, chi[:1] + ((chi[1] + 1) % p,) + chi[2:])
+        rows = _abelian_rows(G, cd, p)
+        tamper(rows, p)
         return rows
 
     def refuse(*args):
@@ -266,8 +264,50 @@ def test_tampered_abelian_row_is_refused(monkeypatch):
     monkeypatch.setattr(chartable, "_dixon_rows", refuse)
     for G in (cyclic_group(12), direct_product(cyclic_group(2),
                                                cyclic_group(4))):
-        with pytest.raises(CheckFailed, match="orthonormal"):
+        with pytest.raises(CheckFailed, match=match):
             character_table_mod_p(G)
+
+
+def test_tampered_abelian_row_is_refused(monkeypatch):
+    """The certificate runs on the tables of the abelian route: with one
+    value of one row changed, that row is no longer multiplicative."""
+    def tamper(rows, p):
+        d, chi = rows[1]
+        rows[1] = (d, chi[:1] + ((chi[1] + 1) % p,) + chi[2:])
+
+    _refused_tamper(monkeypatch, tamper, "not multiplicative")
+
+
+def test_abelian_certificate_refuses_duplicated_missing_and_bad_rows(
+        monkeypatch):
+    """A row repeated in place of another, a row dropped and a row with
+    chi(1) = 2 (its other values doubled too, so that it is not refused
+    for multiplicativity first) are each refused."""
+    def duplicate(rows, p):
+        rows[1] = rows[0]
+
+    def drop(rows, p):
+        del rows[-1]
+
+    def double(rows, p):
+        d, chi = rows[1]
+        rows[1] = (d, tuple(2 * x % p for x in chi))
+
+    _refused_tamper(monkeypatch, duplicate, "two rows are equal")
+    _refused_tamper(monkeypatch, drop, "11 rows for a group of order 12"
+                    "|7 rows for a group of order 8")
+    _refused_tamper(monkeypatch, double, r"chi\(1\) is not 1")
+
+
+def test_check_invariants_accepts_every_abelian_table_of_the_corpus(
+        corpus_table_inputs):
+    """check_invariants, the c^3 orthonormality check of the Dixon route,
+    is the oracle for the certificate: it accepts each of the 129 abelian
+    tables the corpus builds, which the certificate accepted."""
+    cases = [(G, p) for G, p in corpus_table_inputs if _is_abelian(G)]
+    assert len(cases) == 129
+    for G, p in cases:
+        character_table_mod_p(G, prime=p).check_invariants(G.order)
 
 
 def test_space_left_unsplit_raises(monkeypatch):

@@ -90,6 +90,17 @@ def test_cap_group_exit_2(s3_files, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+def test_cap_group_message_names_no_order(s3_files, capsys):
+    """The group search stops at the element past the cap, before |G| is
+    known, so the message says only that the order exceeds the cap: S3
+    (order 6) under caps 0 and 4 names neither 1, 2 nor 5 as its order."""
+    g, h = s3_files
+    for cap in (0, 4):
+        assert main(["analyze", g, h, "--cap-group", str(cap)]) == 2
+        assert capsys.readouterr().err == (
+            f"cap exceeded: group order exceeds cap {cap}\n")
+
+
 def test_corpus_honours_cap_group(capsys, monkeypatch):
     """corpus exits 2 when a selected pair's group is over the group cap,
     from the flag or from SEPDEPTH_CAP_GROUP, and prints no report."""

@@ -9,7 +9,9 @@ import pytest
 from depth_oracles import depth_report_json, depths_by_powers, zero_pattern
 from permgroup_oracles import (conjugation_orbits_by_products, element_order,
                                every_subgroup)
+from sepdepth import depth
 from sepdepth.chartable import inclusion_matrix
+from sepdepth.corpus import corpus_subgroups
 from sepdepth.depth import (bimodule_matrices, burciu_depth1, depth_report,
                             is_diagonal, min_depth, min_even_depth,
                             min_h_depth, min_odd_depth)
@@ -119,7 +121,12 @@ def _mask_route(M):
 
 
 def _report_route(M):
+    """depth_report's scans on M, held to the oracle's S and T through
+    s_diagonal and t_diagonal, and its S and T as read."""
     rep = depth_report(M)
+    S, T = depths_by_powers(M)[:2]
+    assert (rep.s_diagonal, rep.t_diagonal) == (is_diagonal(S),
+                                                is_diagonal(T)), M
     return (rep.S, rep.T, rep.min_odd_depth, rep.min_even_depth,
             rep.min_h_depth, rep.min_depth)
 
@@ -157,6 +164,36 @@ def test_masks_match_powers_on_the_symmetric_chain():
         assert oracle[4:] == (2 * n + 1, 2 * n - 1)
 
 
+def test_masks_match_powers_on_the_s6_family():
+    """S6 over its cyclic, derived, trivial and full subgroups."""
+    G = symmetric_group(6)
+    subs = corpus_subgroups(G)
+    assert len(subs) == 13
+    for H in subs:
+        M = inclusion_matrix(G, H).as_lists()
+        oracle = depths_by_powers(M)
+        assert _mask_route(M) == oracle == _report_route(M), H.name
+
+
+def test_s_and_t_are_built_only_when_read(monkeypatch):
+    """depth_report scans M without forming S or T; reading .S or .T
+    builds both, once, through bimodule_matrices."""
+    calls = []
+    real = depth.bimodule_matrices
+
+    def counted(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(depth, "bimodule_matrices", counted)
+    rep = depth_report(M_S2_S3)
+    assert (rep.s_diagonal, rep.t_diagonal) == (False, False)
+    assert calls == []
+    assert (rep.S, rep.T) == real(M_S2_S3)
+    assert rep.T == [[1, 0, 1], [0, 1, 1], [1, 1, 2]]
+    assert calls == [M_S2_S3]
+
+
 def _random_matrix(rng):
     r, s = rng.randint(1, 7), rng.randint(1, 9)
     density = rng.choice((0.1, 0.3, 0.6, 1.0))
@@ -173,14 +210,19 @@ def _random_matrix(rng):
 
 def test_masks_match_powers_on_random_matrices():
     """Sparse and dense nonnegative matrices, some with zero rows or
-    columns, and the all-zero ones."""
+    columns, the all-zero ones, and single rows and columns (1 x c and
+    r x 1) with zero entries among them."""
     rng = random.Random(22011)
     mats = [_random_matrix(rng) for _ in range(400)]
     mats += [[[0]], [[0, 0, 0]], [[0], [0]], [[0, 0], [0, 0]]]
+    # single rows and single columns, as the trivial subgroup gives
+    for _ in range(40):
+        row = [rng.randint(0, 3) for _ in range(rng.randint(1, 40))]
+        mats += [[row], [[x] for x in row]]
     zero_lines = 0
     for M in mats:
         oracle = depths_by_powers(M)
-        assert _mask_route(M) == oracle, M
+        assert _mask_route(M) == oracle == _report_route(M), M
         zero_lines += not all(map(any, M)) or not all(map(any, zip(*M)))
     assert zero_lines > 100
 

@@ -203,6 +203,7 @@ def test_enumerate_closure_cap():
     with pytest.raises(CapExceeded) as exc:
         FiniteGroup(gens, cap=10)
     assert exc.value.value == 11
+    assert str(exc.value) == "group order exceeds cap 10"
 
 
 def test_standard_group_orders():

@@ -2,8 +2,8 @@
 routes it is checked against, and every sepdepth function it does share
 is shared data or a shared check on a named allow-list, each entry held
 by a test of its own to Permutation products (for the prime, to a
-trial-division scan; for the table check, to a tampered row it must
-refuse).  No traced route runs an echelon, so none is on the list."""
+trial-division scan).  No traced route runs an echelon, so none is on
+the list."""
 
 import os
 import sys
@@ -13,8 +13,8 @@ from types import CodeType
 import test_chartable
 import test_permgroup
 from permgroup_oracles import element_order
-from sepdepth.chartable import character_table_mod_p
-from sepdepth.depth import burciu_depth1
+from sepdepth.chartable import character_table_mod_p, inclusion_matrix
+from sepdepth.depth import burciu_depth1, depth_report
 from sepdepth.groupalg import (TensorSquare, is_full_in_T, is_full_in_U,
                                separability_elements)
 from sepdepth.permgroup import (Permutation, alternating_group,
@@ -62,8 +62,6 @@ SHARED = {
         (test_chartable, "test_dixon_prime_matches_a_scan"),
     "chartable._is_prime":
         (test_chartable, "test_dixon_prime_matches_a_scan"),
-    "chartable.CharacterTableModP.check_invariants":
-        (test_chartable, "test_tampered_abelian_row_is_refused"),
 }
 
 # the U and T routes themselves
@@ -82,16 +80,20 @@ SEP_ROUTE = {"groupalg.separability_elements", "groupalg.TensorSquare.__init__",
              "groupalg.TensorSquare._conj_index"}
 PROPERTY_S_ROUTE = {"permgroup.property_S"}
 
-# the abelian table route, and the Dixon route it is checked against
-TABLE_ROUTE = {"chartable.character_table_mod_p", "chartable._abelian_rows"}
+# the abelian table route with its certificate, and the Dixon route and
+# its check, which the abelian tables are checked against
+TABLE_ROUTE = {"chartable.character_table_mod_p", "chartable._abelian_rows",
+               "chartable._certify_abelian"}
 DIXON_ROUTE = {"chartable._dixon_rows", "chartable.class_mult_coeffs",
                "chartable._split_piece", "chartable._character_row",
-               "chartable._lift_sqrt"}
+               "chartable._lift_sqrt",
+               "chartable.CharacterTableModP.check_invariants"}
 
 # the centralizer route to property S, and the orbit route it is checked
 # against in analyze_pair
 LEMMA_S_ROUTE = {"permgroup.lemma_S_via_centralizers",
-                 "permgroup._centralizer_indices", "permgroup._covers_cosets"}
+                 "permgroup._centralizer_indices", "permgroup._covers_cosets",
+                 "permgroup._central_indices"}
 LEMMA_S_FORBIDDEN = {"permgroup.property_S", "permgroup.h_orbits",
                      "permgroup._conjugation_orbits"}
 
@@ -99,12 +101,13 @@ LEMMA_S_FORBIDDEN = {"permgroup.property_S", "permgroup.h_orbits",
 # each other in depth1_agreement
 BURCIU_ROUTE = {"depth.burciu_depth1"}
 DEPTH1_ROUTE = {"permgroup.depth1_group", "permgroup._centralizer_indices",
-                "permgroup._covers_cosets"}
+                "permgroup._covers_cosets", "permgroup._central_indices"}
 
 # the routes is_full_in_U is checked against in analyze_pair
 U_FORBIDDEN = {"permgroup.depth1_group", "depth.burciu_depth1",
                "permgroup.lemma_S_via_centralizers",
-               "permgroup._centralizer_indices", "permgroup._covers_cosets"}
+               "permgroup._centralizer_indices", "permgroup._covers_cosets",
+               "permgroup._central_indices"}
 
 
 def _source_qualnames(path):
@@ -253,8 +256,9 @@ def test_full_in_t_shares_only_group_data():
 def test_abelian_table_shares_only_group_data():
     """character_table_mod_p on fresh abelian groups (C12, the elementary
     abelian group of order 27, and C2 x C4 inside S6) takes the abelian
-    route, enters nothing of the Dixon route it is checked against, and
-    otherwise only the allow-list."""
+    route and its certificate, enters nothing of the Dixon route or its
+    check_invariants, which it is checked against, and otherwise only
+    the allow-list."""
     C3 = cyclic_group(3)
     S6 = symmetric_group(6)
     for G in (cyclic_group(12), direct_product(direct_product(C3, C3), C3),
@@ -287,3 +291,36 @@ def test_separability_and_property_s_share_only_group_data():
     assert assert_shares_only_group_data(
         property_S, PROPERTY_S_ROUTE, SEP_ROUTE, holding_pairs(),
         ("chartable.", "depth.", "groupalg.")) == [False] * 3 + [True] * 2
+
+
+# the matrix side of depth1_agreement: both tables, the inclusion matrix
+# and the scans on M that give s_diagonal and min_depth
+MATRIX_ROUTE = (TABLE_ROUTE | DIXON_ROUTE
+                | {"chartable.common_prime", "chartable.inclusion_matrix",
+                   "chartable.InclusionMatrix.as_lists",
+                   "chartable.CharacterTableModP.num_chars",
+                   "depth.depth_report", "depth._check", "depth._support",
+                   "depth._or_over", "depth._scan"})
+
+
+def test_matrix_depth1_shares_nothing_with_the_group_routes():
+    """s_diagonal and min_depth == 1, read off the inclusion matrix, enter
+    nothing of depth1_group or burciu_depth1, which depth1_agreement
+    checks them against, and outside the table, inclusion-matrix and scan
+    routes only the allow-list; both table routes run on these pairs.
+    The verdicts are the group routes' ones."""
+    verdicts, seen = [], set()
+    for G, H in holding_pairs():
+        def matrix_side():
+            dep = depth_report(inclusion_matrix(G, H).as_lists())
+            verdicts.append((dep.s_diagonal, dep.min_depth == 1))
+
+        names = entered(matrix_side)
+        seen |= names
+        assert {"depth.depth_report", "depth._scan",
+                "chartable.inclusion_matrix"} <= names
+        assert not names & (DEPTH1_ROUTE | BURCIU_ROUTE)
+        assert names - MATRIX_ROUTE <= set(SHARED), \
+            names - MATRIX_ROUTE - set(SHARED)
+    assert {"chartable._certify_abelian", "chartable._dixon_rows"} <= seen
+    assert verdicts == [(False, False)] * 3 + [(True, True)] * 2
